@@ -13,6 +13,15 @@ packing_count reports a certified number of mutually disjoint geodesic
 rho-balls centered on an orbit: the exact angular count where the orbit is
 a circle, otherwise a deterministic greedy walk whose result is a lower
 bound.  Every report carries its centers and is verified pairwise.
+
+The threshold 2 rho is a fixed Euclidean chord threshold on every orbit
+packed here: a FULL_ROTATION orbit keeps one chart radius r, so in the
+Poincare ball d = acosh(1 + 2|x-y|^2 / (1-r^2)^2) / k; product orbits are
+Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
+tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
+the Frobenius norm.  The greedy walks and the certificate search a
+scipy.spatial.cKDTree of that embedding and measure the pairs it returns
+with the exact distance formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .modelspace import (
@@ -68,6 +78,7 @@ ANGULAR_EXACT = "ANGULAR_EXACT"
 _WALK_SUBDIVISION = 20  # greedy walk step is rho / this
 _MAX_WALK = 500_000
 _MAX_CENTERS = 200_000
+_CHORD_SLACK = 1e-9  # relative room for rounding between chords and exact distances
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,10 @@ class MatrixPoint:
     def __post_init__(self):
         if self.a <= 0 or self.c <= 0:
             raise ValueError("diagonal entries must be positive")
-        if abs(self.a * self.c - self.b * self.b - 1.0) > 1e-10:
+        # relative to |X|_F^2 / 2, which is 1 at the identity: rounding moves
+        # ac - b^2 in proportion to the size of the entries
+        scale = 0.5 * (self.a * self.a + 2.0 * self.b * self.b + self.c * self.c)
+        if abs(self.a * self.c - self.b * self.b - 1.0) > 1e-10 * scale:
             raise ValueError(
                 f"determinant constraint violated: ac - b^2 = {self.a*self.c - self.b**2}"
             )
@@ -205,67 +219,57 @@ def orbit_sample(action: GroupAction, y, n: int, space: Optional[SpaceForm] = No
     return out
 
 
-def _squared_dist_chunk(pts, start, stop):
-    """|a-b|^2 via the Gram identity (fast), clipped at zero."""
-    sq = np.einsum("ij,ij->i", pts, pts)
-    block = sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T)
-    return np.maximum(block, 0.0)
+def _orbit_metric(action, space, points):
+    """Chord embedding of orbit points and their exact distance, as
+    (emb, chord, key, dist): points at most d apart lie within chord(d) in
+    emb, rounding included; points i and j are dist(key(i, j)) apart, and key
+    grows with it.  sinh is capped where the chord already spans the orbit.
+    """
+    if action.kind == MATRIX_CONJUGATION:
+        a, b, c = np.array([[p.a, p.b, p.c] for p in points]).T
+        # |X-Y|_F^2 = 2 (tr(X^-1 Y) - 2) + (tr X - tr Y)^2, up to the det drift
+        drift = float(np.ptp(a + c)) ** 2 + 1e-9 * float(np.max(a * a + 2.0 * b * b + c * c))
+        return (
+            np.stack([a, math.sqrt(2.0) * b, c], axis=1),
+            lambda d: math.sqrt(
+                8.0 * math.sinh(min(d / math.sqrt(8.0), 300.0)) ** 2 * (1.0 + _CHORD_SLACK) + drift
+            ),
+            lambda i, j: c[i] * a[j] - 2.0 * b[i] * b[j] + a[i] * c[j],  # tr(X_i^-1 X_j)
+            lambda x: math.sqrt(2.0) * math.acosh(max(1.0, x / 2.0)),
+        )
+    pts = np.asarray(points, dtype=float)
+
+    def diff2(i, j):
+        return ((pts[i] - pts[j]) ** 2).sum(axis=1)
+
+    if space is None or space.model == EUCLIDEAN:
+        return pts, lambda d: d * (1.0 + _CHORD_SLACK), diff2, math.sqrt
+    k = math.sqrt(-space.curvature)
+    one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
+    top = float(np.max(one_minus)) + 1e-15  # its rounding is absolute, a few 1e-16
+    return (
+        pts,
+        lambda d: top * math.sqrt(math.sinh(min(k * d / 2, 300.0)) ** 2 * (1 + _CHORD_SLACK) + 1e-15),
+        lambda i, j: 2.0 * diff2(i, j) / (one_minus[i] * one_minus[j]),
+        lambda x: math.acosh(max(1.0, 1.0 + x)) / k,
+    )
 
 
 def _pairwise_min_distance(action, space, centers) -> float:
-    """Smallest pairwise distance among centers (chunked, BLAS-backed).
+    """Smallest pairwise distance among centers, certified with a kd-tree.
 
-    The Gram identity loses ~|x|^2 * eps of absolute accuracy, so pairs that
-    land near the current minimum are re-measured with the exact difference
-    formula before the minimum is reported.
+    The nearest-neighbour chords give a pair whose exact distance bounds the
+    minimum from above; query_pairs collects every pair within the chord of
+    that bound, and the exact formula measures those.
     """
-    if action.kind == MATRIX_CONJUGATION:
-        arr = np.array([[c.a, c.b, c.c] for c in centers])
-        if len(centers) < 2:
-            return math.inf
-        a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
-        tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
-        np.fill_diagonal(tr, -np.inf)
-        tr_max = float(np.max(tr))
-        return math.sqrt(2.0) * math.acosh(max(1.0, tr_max / 2.0))
-    pts = np.asarray(centers, dtype=float)
-    m = pts.shape[0]
-    if m < 2:
+    if len(centers) < 2:
         return math.inf
-    hyper = space is not None and space.model == POINCARE_BALL
-    if hyper:
-        one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
-        k = math.sqrt(-space.curvature)
-    near_pairs = []
-    scale2 = float(np.max(np.einsum("ij,ij->i", pts, pts)))
-    slack2 = 1e-9 * max(1.0, scale2)
-    chunk = max(1, int(2e7 // max(m, 1)))
-    key_min = math.inf  # squared chordal distance (or its hyperbolic ratio)
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        key = _squared_dist_chunk(pts, start, stop)
-        if hyper:
-            key /= one_minus[start:stop, None] * one_minus[None, :]
-        key[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        block_min = float(key.min())
-        key_min = min(key_min, block_min)
-        rows, cols = np.nonzero(key <= block_min + slack2)
-        near_pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-    # exact recheck with the cancellation-free difference formula; the true
-    # argmin pair is among the near-minimal ones collected above
-    exact_best = math.inf
-    for i, j in near_pairs[:20000]:
-        diff2 = float(((pts[i] - pts[j]) ** 2).sum())
-        if hyper:
-            d = math.acosh(max(1.0, 1.0 + 2.0 * diff2 / (one_minus[i] * one_minus[j]))) / k
-        else:
-            d = math.sqrt(diff2)
-        exact_best = min(exact_best, d)
-    if near_pairs:
-        return exact_best
-    if hyper:
-        return math.acosh(max(1.0, 1.0 + 2.0 * key_min)) / k
-    return math.sqrt(key_min)
+    emb, chord, key, dist = _orbit_metric(action, space, centers)
+    tree = cKDTree(emb)
+    nearest = tree.query(emb, k=2)[1][:, 1]
+    bound = dist(float(key(np.arange(len(emb)), nearest).min()))
+    pairs = tree.query_pairs(chord(bound), output_type="ndarray")
+    return dist(float(key(pairs[:, 0], pairs[:, 1]).min()))
 
 
 @dataclass(frozen=True)
@@ -282,11 +286,15 @@ class PackingReport:
 
     def verify(self, action: GroupAction, space: Optional[SpaceForm]) -> None:
         """Recompute the pairwise-disjointness certificate; raises on failure."""
-        dmin = _pairwise_min_distance(action, space, self.centers)
-        if dmin < 2.0 * self.rho - 1e-12:
-            raise RuntimeError(
-                f"packing certificate violated: min distance {dmin} < 2 rho"
-            )
+        _certified(action, space, self.y, self.rho, self.centers, self.method)
+
+
+def _certified(action, space, y, rho, centers, method) -> PackingReport:
+    """Report on centers after one pass of the pairwise certificate; raises on failure."""
+    dmin = _pairwise_min_distance(action, space, centers)
+    if dmin < 2.0 * rho - 1e-12:
+        raise RuntimeError(f"packing certificate violated: min distance {dmin} < 2 rho")
+    return PackingReport(y, rho, len(centers), centers, method, min_pairwise_distance=dmin)
 
 
 def _circle_exact_count(space: SpaceForm, orbit_radius: float, rho: float):
@@ -371,7 +379,28 @@ def _greedy_circle(space, y, rho):
     return np.array(accepted_pts)
 
 
-def _greedy_sphere(space, y, rho):
+def _greedy_walk(emb, radius, too_close) -> list:
+    """Indices a greedy pass accepts: each candidate in order, unless closer
+    than 2 rho to an accepted one.  Such pairs lie within radius in emb, so
+    after each acceptance a ball query gathers the later candidates it may
+    block and too_close(i, later) decides with the exact distance.
+    """
+    tree = cKDTree(emb, balanced_tree=False)  # sliding-midpoint splits build faster
+    blocked = bytearray(len(emb))
+    flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
+    accepted = []
+    i = 0
+    while i >= 0:
+        accepted.append(i)
+        near = np.asarray(tree.query_ball_point(emb[i], radius), dtype=np.intp)
+        later = near[near > i]
+        later = later[~flags[later]]
+        flags[later[too_close(i, later)]] = True
+        i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
+    return accepted
+
+
+def _sphere_walk(space, y, rho):
     """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3)."""
     y = np.asarray(y, dtype=float)
     d = y.size
@@ -382,25 +411,24 @@ def _greedy_sphere(space, y, rho):
     n_steps = int(min(_MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
     chart_r = float(np.linalg.norm(y))
     pts = chart_r * _sphere_points(d, n_steps)
-    accepted = np.empty((0, d))
-    accepted_list = []
-    if space.model == POINCARE_BALL:
+    if space.model == EUCLIDEAN:
+
+        def too_close(i, later):
+            return np.sqrt(((pts[later] - pts[i]) ** 2).sum(axis=1)) < 2.0 * rho
+
+    else:
         k = math.sqrt(-space.curvature)
-    for i in range(n_steps):
-        if accepted_list:
-            diff2 = ((accepted - pts[i]) ** 2).sum(axis=1)
-            if space.model == EUCLIDEAN:
-                dmin = math.sqrt(float(diff2.min()))
-            else:
-                denom = (1.0 - pts[i] @ pts[i]) * (1.0 - np.einsum("ij,ij->i", accepted, accepted))
-                dmin = float(
-                    np.min(np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom)))
-                ) / k
-            if dmin < 2.0 * rho:
-                continue
-        accepted_list.append(pts[i])
-        accepted = np.array(accepted_list)
-    return accepted
+        # 1 - |p|^2 by a 1-D dot for candidates, by einsum for accepted centers
+        one_minus_cand = 1.0 - np.matmul(pts[:, None, :], pts[:, :, None])[:, 0, 0]
+        one_minus_held = 1.0 - np.einsum("ij,ij->i", pts, pts)
+
+        def too_close(i, later):
+            diff2 = ((pts[later] - pts[i]) ** 2).sum(axis=1)
+            denom = one_minus_cand[later] * one_minus_held[i]
+            return np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom)) / k < 2.0 * rho
+
+    _, chord, _, _ = _orbit_metric(GroupAction(FULL_ROTATION), space, pts)
+    return pts[_greedy_walk(pts, chord(2.0 * rho), too_close)]
 
 
 def _product_block_counts(space, y, blocks, rho):
@@ -428,7 +456,7 @@ def _product_block_counts(space, y, blocks, rho):
             )
             counts.append(cnt)
         else:
-            centers = _greedy_sphere(SpaceForm(bdim, 0.0), yj, rho)
+            centers = _sphere_walk(SpaceForm(bdim, 0.0), yj, rho)
             block_centers.append(centers)
             counts.append(len(centers))
         offset += bdim
@@ -447,6 +475,11 @@ def packing_count(
     method "angular_exact" (circles only) uses the closed-form spacing;
     "greedy" walks a fine orbit parametrization and reports a certified
     lower bound; "auto" picks exact where available.
+
+    After each acceptance the walk blocks the later candidates that a kd-tree
+    ball query finds within the chord of 2 rho and the exact distance
+    confirms; the certificate measures exactly the near-minimal pairs the
+    tree returns, once per report, and raises below 2 rho.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -472,31 +505,13 @@ def packing_count(
             centers = r_chart * np.stack(
                 [np.cos(base + thetas), np.sin(base + thetas)], axis=1
             )
-            report = PackingReport(
-                y,
-                rho,
-                count,
-                centers,
-                ANGULAR_EXACT,
-                min_pairwise_distance=_pairwise_min_distance(action, space, centers),
-            )
-            report.verify(action, space)
-            return report
+            return _certified(action, space, y, rho, centers, ANGULAR_EXACT)
         if method == "angular_exact":
             raise ValueError("angular_exact is only available for circles (dim 2)")
         centers = (
-            _greedy_circle(space, y, rho) if y.size == 2 else _greedy_sphere(space, y, rho)
+            _greedy_circle(space, y, rho) if y.size == 2 else _sphere_walk(space, y, rho)
         )
-        report = PackingReport(
-            y,
-            rho,
-            len(centers),
-            centers,
-            GREEDY,
-            min_pairwise_distance=_pairwise_min_distance(action, space, centers),
-        )
-        report.verify(action, space)
-        return report
+        return _certified(action, space, y, rho, centers, GREEDY)
 
     # PRODUCT_ROTATION on Euclidean space
     if space is not None and space.model != EUCLIDEAN:
@@ -517,17 +532,7 @@ def packing_count(
     centers = np.concatenate(
         [block_centers[j][g.ravel()] for j, g in enumerate(grids)], axis=1
     )
-    euclid_full = SpaceForm(max(2, y.size), 0.0)
-    report = PackingReport(
-        y,
-        rho,
-        total,
-        centers,
-        GREEDY,
-        min_pairwise_distance=_pairwise_min_distance(action, euclid_full, centers),
-    )
-    report.verify(action, euclid_full)
-    return report
+    return _certified(action, space, y, rho, centers, GREEDY)
 
 
 def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
@@ -542,20 +547,13 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     n_steps = int(min(_MAX_WALK, max(128, math.ceil(math.pi * speed / (rho / _WALK_SUBDIVISION)))))
     thetas = math.pi * np.arange(n_steps) / n_steps
     pts = [_conjugate(y, float(t)) for t in thetas]
-    accepted = [pts[0]]
-    for p in pts[1:]:
-        if all(matrix_distance(p, q) >= 2.0 * rho for q in accepted):
-            accepted.append(p)
-    report = PackingReport(
-        y,
-        rho,
-        len(accepted),
-        accepted,
-        GREEDY,
-        min_pairwise_distance=_pairwise_min_distance(action, None, accepted),
-    )
-    report.verify(action, None)
-    return report
+
+    def too_close(i, later):
+        return np.array([matrix_distance(pts[j], pts[i]) < 2.0 * rho for j in later], dtype=bool)
+
+    emb, chord, _, _ = _orbit_metric(action, None, pts)
+    accepted = [pts[i] for i in _greedy_walk(emb, chord(2.0 * rho), too_close)]
+    return _certified(action, None, y, rho, accepted, GREEDY)
 
 
 def expansion_profile(
@@ -621,9 +619,11 @@ def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y, n: int = 
     if hyper:
         one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
         k = math.sqrt(-space.curvature)
+    sq = np.einsum("ij,ij->i", pts, pts)
     for start in range(0, len(pts), chunk):
         stop = min(len(pts), start + chunk)
-        diff2 = _squared_dist_chunk(pts, start, stop)
+        # |a-b|^2 via the Gram identity, clipped at zero
+        diff2 = np.maximum(sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T), 0.0)
         if not hyper:
             best = max(best, math.sqrt(float(diff2.max())))
         else:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from randerslab.modelspace import SpaceForm, geodesic_distance
+from randerslab import orbits
+from randerslab.modelspace import EUCLIDEAN, SpaceForm, geodesic_distance, s_c, sphere_area
 from randerslab.orbits import (
     ANGULAR_EXACT,
     FULL_ROTATION,
@@ -12,6 +15,7 @@ from randerslab.orbits import (
     PRODUCT_ROTATION,
     GroupAction,
     MatrixPoint,
+    PackingReport,
     coercivity_probe,
     expansion_profile,
     matrix_distance,
@@ -357,3 +361,212 @@ class TestMatrixDistance:
         x = MatrixPoint(2.0, 0.5, 0.625)
         y = MatrixPoint.diagonal(1.7)
         assert matrix_distance(x, y) == pytest.approx(matrix_distance(y, x), rel=1e-12)
+
+
+POINCARE3 = SpaceForm(3, -1.0)
+PROD23 = GroupAction(PRODUCT_ROTATION, (2, 3))
+
+
+class TestPinnedPackings:
+    """Counts of the greedy walks at the configurations the benchmark runs."""
+
+    @pytest.mark.parametrize(
+        "action, space, rho, radius, count",
+        [
+            (ROT, POINCARE3, 1.0, 0.75, 27),
+            (ROT, POINCARE3, 1.0, 0.8, 43),
+            (ROT, POINCARE3, 1.0, 0.85, 85),
+            (ROT, EUCLID3, 1.0, 5.0, 78),
+            (ROT, EUCLID3, 1.0, 10.0, 318),
+            (PROD23, SpaceForm(5, 0.0), 2.0, 5.0, 40),
+            (PROD23, SpaceForm(5, 0.0), 2.0, 10.0, 380),
+            (PROD23, SpaceForm(5, 0.0), 2.0, 15.0, 1408),
+            (PROD23, SpaceForm(5, 0.0), 2.0, 20.0, 3454),
+        ],
+    )
+    def test_expansion_counts(self, action, space, rho, radius, count):
+        (row,) = expansion_profile(action, space, rho, [radius])
+        assert (row["count"], row["method"]) == (count, GREEDY)
+
+    @pytest.mark.parametrize("lam, count", [(10.0, 42), (100.0, 433)])
+    def test_matrix_counts(self, lam, count):
+        report = packing_count(CONJ, None, MatrixPoint.diagonal(lam), 0.5)
+        assert (report.count, report.method) == (count, GREEDY)
+
+
+# -- brute-force oracles: the greedy walks one candidate at a time, O(steps x accepted)
+
+
+def _brute_sphere_walk(space, y, rho):
+    """Greedy pass over the spiral candidates of the orbit sphere through y."""
+    d = y.size
+    r_orbit = geodesic_distance(space, np.zeros(d), y)
+    step = rho / orbits._WALK_SUBDIVISION
+    area = sphere_area(d) * s_c(space.curvature, r_orbit) ** (d - 1)
+    n_steps = int(min(orbits._MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
+    pts = float(np.linalg.norm(y)) * orbits._sphere_points(d, n_steps)
+    accepted = []
+    for p in pts:
+        if accepted:
+            acc = np.array(accepted)
+            diff2 = ((acc - p) ** 2).sum(axis=1)
+            if space.model == EUCLIDEAN:
+                dist = np.sqrt(diff2)
+            else:
+                denom = (1.0 - p @ p) * (1.0 - np.einsum("ij,ij->i", acc, acc))
+                dist = np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom))
+                dist /= math.sqrt(-space.curvature)
+            if dist.min() < 2.0 * rho:
+                continue
+        accepted.append(p)
+    return np.array(accepted)
+
+
+def _brute_matrix_walk(y, rho):
+    """Greedy pass over the conjugation angle grid of the orbit through y."""
+    probe = [
+        matrix_distance(orbits._conjugate(y, t), orbits._conjugate(y, t + 1e-4)) / 1e-4
+        for t in np.linspace(0.0, math.pi, 64)
+    ]
+    speed = max(max(probe), 1e-12)
+    step = rho / orbits._WALK_SUBDIVISION
+    n_steps = int(min(orbits._MAX_WALK, max(128, math.ceil(math.pi * speed / step))))
+    accepted = []
+    for t in math.pi * np.arange(n_steps) / n_steps:
+        p = orbits._conjugate(y, float(t))
+        if all(matrix_distance(p, q) >= 2.0 * rho for q in accepted):
+            accepted.append(p)
+    return accepted
+
+
+def _brute_min_distance(space, centers):
+    """Smallest distance over every pair of vector centers."""
+    pts = np.asarray(centers, dtype=float)
+    if len(pts) < 2:
+        return math.inf
+    i, j = np.triu_indices(len(pts), k=1)
+    diff2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    if space.model == EUCLIDEAN:
+        return math.sqrt(float(diff2.min()))
+    one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
+    key = float((2.0 * diff2 / (one_minus[i] * one_minus[j])).min())
+    return math.acosh(max(1.0, 1.0 + key)) / math.sqrt(-space.curvature)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 1e-3 else np.eye(v.size)[0]
+
+
+_DIRECTION3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+# a fixed example sequence keeps the suite deterministic
+_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+class TestGreedyAgainstBruteForce:
+    """The packer returns exactly the centers of the one-at-a-time greedy."""
+
+    @_PROPERTY
+    @given(ratio=st.floats(0.5, 2.0), rho=st.floats(0.3, 3.0), direction=_DIRECTION3)
+    def test_euclidean_sphere(self, ratio, rho, direction):
+        y = ratio * rho * _unit(direction)
+        report = packing_count(ROT, EUCLID3, y, rho)
+        brute = _brute_sphere_walk(EUCLID3, y, rho)
+        assert np.array_equal(report.centers, brute)
+        assert report.min_pairwise_distance == pytest.approx(
+            _brute_min_distance(EUCLID3, brute), rel=1e-14
+        )
+
+    @_PROPERTY
+    @given(
+        chart_r=st.floats(0.1, 0.6),
+        rho=st.floats(0.7, 1.5),
+        curvature=st.sampled_from([-1.0, -2.25]),
+        direction=_DIRECTION3,
+    )
+    def test_hyperbolic_sphere(self, chart_r, rho, curvature, direction):
+        space = SpaceForm(3, curvature)
+        y = chart_r * _unit(direction)
+        report = packing_count(ROT, space, y, rho)
+        brute = _brute_sphere_walk(space, y, rho)
+        assert np.array_equal(report.centers, brute)
+        assert report.min_pairwise_distance == pytest.approx(
+            _brute_min_distance(space, brute), rel=1e-14
+        )
+
+    @_PROPERTY
+    @given(ratio=st.floats(0.6, 1.2), rho=st.floats(0.3, 3.0))
+    def test_product_block(self, ratio, rho):
+        block = GroupAction(PRODUCT_ROTATION, (4,))
+        y = np.array([ratio * rho, 0.0, 0.0, 0.0])
+        report = packing_count(block, EUCLID4, y, rho)
+        brute = _brute_sphere_walk(EUCLID4, y, rho)
+        assert np.array_equal(report.centers, brute)
+        assert report.min_pairwise_distance == pytest.approx(
+            _brute_min_distance(EUCLID4, brute), rel=1e-14
+        )
+
+    @_PROPERTY
+    @given(
+        lam=st.floats(1.5, 10.0), rho=st.floats(0.5, 2.0), phase=st.floats(0.0, math.pi)
+    )
+    def test_conjugation_orbit(self, lam, rho, phase):
+        y = orbits._conjugate(MatrixPoint.diagonal(lam), phase)
+        report = packing_count(CONJ, None, y, rho)
+        assert report.centers == _brute_matrix_walk(y, rho)
+
+
+class TestCertificate:
+    def test_verify_rejects_overlapping_centers(self):
+        centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        report = PackingReport(np.array([1.0, 0.0, 0.0]), 1.0, 2, centers, GREEDY)
+        with pytest.raises(RuntimeError):
+            report.verify(ROT, EUCLID3)
+
+    @_PROPERTY
+    @given(
+        lam=st.floats(3.0, 20.0), rho=st.floats(0.3, 1.0), phase=st.floats(0.0, math.pi)
+    )
+    @example(lam=10.0, rho=0.5, phase=0.0)
+    def test_matrix_minimum_is_the_closest_pair(self, lam, rho, phase):
+        y = orbits._conjugate(MatrixPoint.diagonal(lam), phase)
+        report = packing_count(CONJ, None, y, rho)
+        pairwise = min(
+            (matrix_distance(p, q) for p in report.centers for q in report.centers if p is not q),
+            default=math.inf,
+        )
+        assert report.min_pairwise_distance == pytest.approx(pairwise, rel=1e-14)
+
+    def test_verify_recomputes_for_matrix_orbits(self):
+        y = MatrixPoint.diagonal(4.0)
+        report = packing_count(CONJ, None, y, 0.5)
+        report.verify(CONJ, None)
+        crowded = PackingReport(y, 0.5, 2, [y, orbits._conjugate(y, 1e-3)], GREEDY)
+        with pytest.raises(RuntimeError):
+            crowded.verify(CONJ, None)
+
+
+class TestLargeMatrixOrbits:
+    """Conjugation orbits out to lambda = 1e6, the range the hausdorff CLI sweeps."""
+
+    @pytest.mark.parametrize("lam", [1e3, 1e6])
+    def test_orbit_sample(self, lam):
+        # at 360 samples, conjugation drifts det(diag(1e3)) by 1.2e-10
+        samples = orbit_sample(CONJ, MatrixPoint.diagonal(lam), 360)
+        assert len(samples) == 360
+        for s in samples:
+            assert s.a + s.c == pytest.approx(lam + 1.0 / lam, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e3, 1e6])
+    def test_orbit_diameter(self, lam):
+        # the quarter turn swaps the eigenvalues: d = sqrt(2) acosh((lam^2 + lam^-2)/2)
+        expected = math.sqrt(2.0) * math.acosh((lam**2 + lam**-2) / 2.0)
+        diam = orbit_diameter(CONJ, None, MatrixPoint.diagonal(lam), n=360)
+        assert diam == pytest.approx(expected, rel=1e-9)
+
+    def test_packing_count(self):
+        report = packing_count(CONJ, None, MatrixPoint.diagonal(1e3), 2.0)
+        assert report.count == len(report.centers) >= 2
+        assert report.min_pairwise_distance >= 4.0 - 1e-12
+        report.verify(CONJ, None)
