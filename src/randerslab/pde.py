@@ -18,6 +18,7 @@ critical points of the discretized energy.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +53,6 @@ __all__ = [
     "grid_doubling_check",
     "example_problem",
     "sup_j_under_phi_level",
-    "grid_doubling_gradient_norm",
     "finsler_ball_volume",
 ]
 
@@ -180,43 +180,40 @@ def reference_nonlinearity(
 
     H_b = H_a + _cubic_primitive(1.0)
 
+    # Each kernel evaluates a branch only on the nodes where it is active:
+    # s <= 0 gives 0, (0, a] the small power, [b, inf) the large power, and
+    # everything else (the open blend interval, and NaN) the cubic.
+    def _branches(s_arr):
+        low = (s_arr > 0.0) & (s_arr <= a)
+        high = s_arr >= b
+        mid = ~((s_arr <= 0.0) | low | high)
+        return low, mid, high
+
     def h(s):
         s_arr = np.asarray(s, dtype=float)
-        pos = np.maximum(s_arr, 0.0)
-        t = np.clip((pos - a) / span, 0.0, 1.0)
-        out = np.where(
-            pos <= a,
-            pos ** (q - 1.0),
-            np.where(pos >= b, pos ** (w - 1.0), _cubic(t)),
-        )
-        out = np.where(pos == 0.0, 0.0, out)
+        low, mid, high = _branches(s_arr)
+        out = np.zeros_like(s_arr)
+        out[low] = s_arr[low] ** (q - 1.0)
+        out[mid] = _cubic((s_arr[mid] - a) / span)
+        out[high] = s_arr[high] ** (w - 1.0)
         return float(out) if s_arr.ndim == 0 else out
 
     def dh(s):
         s_arr = np.asarray(s, dtype=float)
-        pos = np.maximum(s_arr, 1e-300)
-        t = np.clip((pos - a) / span, 0.0, 1.0)
-        out = np.where(
-            pos <= a,
-            (q - 1.0) * pos ** (q - 2.0),
-            np.where(pos >= b, (w - 1.0) * pos ** (w - 2.0), _cubic_prime(t) / span),
-        )
-        out = np.where(s_arr <= 0.0, 0.0, out)
+        low, mid, high = _branches(s_arr)
+        out = np.zeros_like(s_arr)
+        out[low] = (q - 1.0) * np.maximum(s_arr[low], 1e-300) ** (q - 2.0)
+        out[mid] = _cubic_prime((s_arr[mid] - a) / span) / span
+        out[high] = (w - 1.0) * s_arr[high] ** (w - 2.0)
         return float(out) if s_arr.ndim == 0 else out
 
     def H(s):
         s_arr = np.asarray(s, dtype=float)
-        pos = np.maximum(s_arr, 0.0)
-        t = np.clip((pos - a) / span, 0.0, 1.0)
-        out = np.where(
-            pos <= a,
-            np.minimum(pos, a) ** q / q,
-            np.where(
-                pos >= b,
-                H_b + (np.maximum(pos, b) ** w - b**w) / w,
-                H_a + _cubic_primitive(t),
-            ),
-        )
+        low, mid, high = _branches(s_arr)
+        out = np.zeros_like(s_arr)
+        out[low] = s_arr[low] ** q / q
+        out[mid] = H_a + _cubic_primitive((s_arr[mid] - a) / span)
+        out[high] = H_b + (s_arr[high] ** w - b**w) / w
         return float(out) if s_arr.ndim == 0 else out
 
     return Nonlinearity(
@@ -768,7 +765,12 @@ def _solve_tridiag(diag, off, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _descend(problem, u0, max_iter, tol_factor, stop_below=None, on_step=None):
+# stagnation hand-off of _descend (see its docstring)
+_STALL_WINDOW = 32
+_STALL_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     """Projected Newton-type descent on the discrete energy.
 
     Each iteration tries, in order: the full tridiagonal Newton step, the
@@ -777,9 +779,10 @@ def _descend(problem, u0, max_iter, tol_factor, stop_below=None, on_step=None):
     step; the first direction whose Armijo backtracking succeeds wins.
     Near a nondegenerate minimum the full step is accepted with alpha = 1
     and convergence is quadratic; in the nonconvex transit the fallback
-    directions keep the energy strictly monotone.  If stop_below is given
-    the run exits early once the energy drops under it (used by threshold
-    probes that only need the sign of the minimum).
+    directions keep the energy strictly monotone.  Once the energy has
+    fallen by no more than _STALL_RTOL |E| over the last _STALL_WINDOW
+    accepted steps, the energy can no longer certify progress and the
+    iterate is handed straight to the root polish.
     """
     u = np.maximum(np.asarray(u0, dtype=float).copy(), 0.0)
     u[-1] = 0.0
@@ -787,6 +790,7 @@ def _descend(problem, u0, max_iter, tol_factor, stop_below=None, on_step=None):
     g = energy_gradient(problem, u)
     g[-1] = 0.0
     converged = False
+    recent = deque([e_val], maxlen=_STALL_WINDOW + 1)
 
     def try_direction(direction, halvings):
         """Backtracking Armijo step along direction; returns the accepted
@@ -815,8 +819,6 @@ def _descend(problem, u0, max_iter, tol_factor, stop_below=None, on_step=None):
     mass = problem.disc["trap_area_g"] + 1e-300
     mu = 1.0
     for _ in range(max_iter):
-        if stop_below is not None and e_val < stop_below:
-            break
         g_norm = float(np.linalg.norm(g))
         if g_norm <= tol_factor * (1.0 + abs(e_val)):
             converged = True
@@ -855,12 +857,15 @@ def _descend(problem, u0, max_iter, tol_factor, stop_below=None, on_step=None):
                     break
         if not moved:
             break
-    # Endgame: once energy differences fall under the floating resolution of
-    # E itself, the monotone line search cannot certify further progress and
-    # the gradient stalls near sqrt(eps |E| Hmax).  Finish by driving
-    # grad E to zero directly.
+        # Stagnation: once energy differences fall under the floating
+        # resolution of E itself, the monotone line search cannot certify
+        # further progress and the gradient stalls near sqrt(eps |E| Hmax).
+        recent.append(e_val)
+        if len(recent) == recent.maxlen and recent[0] - e_val <= _STALL_RTOL * abs(e_val):
+            break
+    # Endgame: finish by driving grad E to zero directly.
     g_norm = float(np.linalg.norm(g))
-    if not converged and stop_below is None:
+    if not converged:
         u, g_norm = _polish_root(problem, u, tol_factor)
         _, _, e_val = energy(problem, u)
     converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
@@ -1108,12 +1113,12 @@ class GridDoublingCheck:
         return self.gradient_norm < gradient_tol and self.drift < drift_tol
 
 
-def grid_doubling_check(problem: PDEProblem, u, max_polish: int = 200) -> GridDoublingCheck:
+def grid_doubling_check(problem: PDEProblem, u) -> GridDoublingCheck:
     """Re-evaluate a critical point at doubled resolution.
 
     The interpolant of a coarse critical point carries an O(h^2) consistency
     residual amplified by the stiffest cells, so the raw interpolated
-    gradient is not meaningful; instead the interpolant is polished into
+    gradient is not meaningful; instead the interpolant is refined into
     the nearby fine-grid critical point and the check reports the achieved
     gradient norm together with the sup-norm drift from the interpolant.
     """
@@ -1136,19 +1141,10 @@ def grid_doubling_check(problem: PDEProblem, u, max_polish: int = 200) -> GridDo
         # sawtooth in the fine-grid residual that traps the root polish
         u_fine = np.maximum(CubicSpline(problem.grid, u)(fine.grid), 0.0)
         u_fine[-1] = 0.0
-    u_ref, g_norm = _polish_root(fine, u_fine, 1e-9, max_iter=max_polish)
-    if g_norm > 1e-7 and np.max(np.abs(u_ref)) > 0:
-        # a short stretch of the semi-implicit flow damps any remaining
-        # high-frequency interpolation residue, then the root polish can
-        # finish quadratically
-        u_ref, _, g_norm, _ = _descend(fine, u_ref, 200, 1e-9)
-        if g_norm > 1e-7:
-            u_ref, g_norm = _polish_root(fine, u_ref, 1e-9, max_iter=max_polish)
+    # the root polish alone stalls on the interpolation residue of the
+    # coarse outer cells; a short stretch of the semi-implicit flow damps
+    # it, and the descent hands the iterate to the root polish once its
+    # energy stalls
+    u_ref, _, g_norm, _ = _descend(fine, u_fine, 200, 1e-9)
     drift = float(np.max(np.abs(u_ref - u_fine)))
     return GridDoublingCheck(gradient_norm=g_norm, drift=drift)
-
-
-def grid_doubling_gradient_norm(problem: PDEProblem, u) -> float:
-    """Fine-grid gradient norm of the refined critical point (see
-    grid_doubling_check)."""
-    return grid_doubling_check(problem, u).gradient_norm

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randerslab.modelspace import SpaceForm
 from randerslab.pde import (
@@ -80,6 +84,85 @@ class TestNonlinearity:
                 q=3.0,
                 c1=1.0,
             )
+
+
+def _three_branch_reference(p, w, q, blend):
+    """(h, dh, H) evaluated the straightforward way: every branch and a clip
+    at every point, then np.where picks the active one."""
+    a, b = 1.0 - blend, 1.0 + blend
+    span = b - a
+    fa, fb = a ** (q - 1.0), b ** (w - 1.0)
+    ma, mb = (q - 1.0) * a ** (q - 2.0), (w - 1.0) * b ** (w - 2.0)
+    c0, c1 = fa, ma * span
+    c2 = 3.0 * (fb - fa) - (2.0 * ma + mb) * span
+    c3 = 2.0 * (fa - fb) + (ma + mb) * span
+
+    def cubic(t):
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+    def cubic_prime(t):
+        return c1 + t * (2.0 * c2 + 3.0 * t * c3)
+
+    def cubic_primitive(t):
+        return span * t * (c0 + t * (c1 / 2.0 + t * (c2 / 3.0 + t * c3 / 4.0)))
+
+    H_a = a**q / q
+    H_b = H_a + cubic_primitive(1.0)
+
+    def h(s):
+        pos = np.maximum(s, 0.0)
+        t = np.clip((pos - a) / span, 0.0, 1.0)
+        out = np.where(pos <= a, pos ** (q - 1.0), np.where(pos >= b, pos ** (w - 1.0), cubic(t)))
+        return np.where(pos == 0.0, 0.0, out)
+
+    def dh(s):
+        pos = np.maximum(s, 1e-300)
+        t = np.clip((pos - a) / span, 0.0, 1.0)
+        out = np.where(
+            pos <= a,
+            (q - 1.0) * pos ** (q - 2.0),
+            np.where(pos >= b, (w - 1.0) * pos ** (w - 2.0), cubic_prime(t) / span),
+        )
+        return np.where(s <= 0.0, 0.0, out)
+
+    def H(s):
+        pos = np.maximum(s, 0.0)
+        t = np.clip((pos - a) / span, 0.0, 1.0)
+        return np.where(
+            pos <= a,
+            np.minimum(pos, a) ** q / q,
+            np.where(pos >= b, H_b + (np.maximum(pos, b) ** w - b**w) / w, H_a + cubic_primitive(t)),
+        )
+
+    return h, dh, H
+
+
+class TestNonlinearityKernels:
+    """The active-branch kernels agree bit for bit with the three-branch
+    formulas, at the branch ends and on either side of them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=st.floats(2.1, 6.0),
+        w_frac=st.floats(0.05, 0.95),
+        dq=st.floats(0.1, 2.0),
+        blend=st.floats(0.01, 0.49),
+        drawn=st.lists(st.floats(-3.0, 3.0), max_size=64),
+    )
+    def test_kernels_match_three_branch_formulas(self, p, w_frac, dq, blend, drawn):
+        w, q = 1.0 + w_frac * (p - 1.0), p + dq
+        nl = reference_nonlinearity(p, w=w, q=q, blend=blend)
+        ref = _three_branch_reference(p, w, q, blend)
+        a, b = 1.0 - blend, 1.0 + blend
+        ends = [a, b, 0.0]
+        special = [-2.0, -1e-300, -0.0, 5e-324, 1e-310, 1e-300, 0.5 * a, 1.0, 3.0 * b, 1e6]
+        special += [math.nextafter(x, d) for x in ends for d in (-math.inf, math.inf)]
+        s = np.array(ends + special + drawn + [a + f * (b - a) for f in (0.25, 0.5, 0.75)])
+        for fn, ref_fn in zip((nl.h, nl.dh, nl.H), ref):
+            assert np.array_equal(fn(s), ref_fn(s))
+            # a scalar gets the value of its array element
+            for x in s[: len(ends) + len(special)]:
+                assert fn(float(x)) == ref_fn(np.array([x]))[0]
 
 
 class TestProblemValidation:
@@ -351,6 +434,25 @@ class TestMultiStart:
         _descend(prob, seed, 400, 1e-8, on_step=energies.append)
         assert len(energies) > 10
         assert all(a >= b for a, b in zip(energies, energies[1:]))
+
+    def test_stalled_descent_hands_off_to_root_polish(self):
+        # the ray-witness start at 2 lambda_t, as the pde CLI picks it at
+        # 1024 cells, reaches the nontrivial minimiser; once its energy stops
+        # changing the descent must hand over instead of running out the
+        # 4000-step cap
+        from randerslab.pde import _descend
+
+        problem = example_problem(n_cells=1024)
+        bp = bonanno_parameters(problem, 1.0, 1.5, 0.5)
+        lam = 2.0 * find_transition_lambda(problem, min(200.0, bp.a_bar))
+        prob = replace_lambda(problem, lam)
+        _, witness = best_ray_witness(prob)
+        steps = []
+        u, e_val, g_norm, converged = _descend(prob, witness, 4000, 1e-8, on_step=steps.append)
+        assert converged
+        assert g_norm <= 1e-8 * (1.0 + abs(e_val))
+        assert e_val < 0 and float(np.max(u)) > 0.5
+        assert len(steps) <= 600
 
     def test_needs_enough_seeds(self, problem):
         with pytest.raises(ValueError):
