@@ -14,9 +14,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,22 +38,6 @@ def _fmt(value) -> str:
             return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
-
-
-def _threads() -> int:
-    raw = os.environ.get("RANDERS_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence):
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 class ValidationError(ValueError):
@@ -362,17 +345,18 @@ def _run_embedding(config: RunConfig) -> RunResult:
     n_grid = int(params.get("grid", 128))
     radii = _parse_range(str(params.get("y_radii", "0")))
 
-    def estimate(chart_radius: float) -> dict:
-        y = np.zeros(space.dim)
-        y[0] = chart_radius
-        value = sobolev.embedding_constant(space, y, rho, pair, n_grid=n_grid)
-        return {
-            "y_radius": float(chart_radius),
+    centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in radii]
+    # the estimate does not depend on the centre (both model geometries are
+    # homogeneous): compute it once; geodesic_distance validates every centre
+    value = sobolev.embedding_constant(space, centres[0], rho, pair, n_grid=n_grid)
+    rows = [
+        {
+            "y_radius": float(y[0]),
             "distance": geodesic_distance(space, np.zeros(space.dim), y),
             "estimate": value,
         }
-
-    rows = _parallel_map(estimate, [float(r) for r in radii])
+        for y in centres
+    ]
     checks = {"estimates_positive": all(r["estimate"] > 0 for r in rows)}
     return RunResult(config, ["y_radius", "distance", "estimate"], rows, checks)
 

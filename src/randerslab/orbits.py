@@ -610,8 +610,12 @@ def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y, n: int = 
     if action.kind == MATRIX_CONJUGATION:
         arr = np.array([[p.a, p.b, p.c] for p in pts])
         a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
-        tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
-        return math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
+        # tr(X_i^-1 X_j) = c_i a_j - 2 b_i b_j + a_i c_j, in blocks of rows
+        # so that no n x n array is formed
+        step = max(1, 2**20 // len(arr))
+        blocks = [slice(i, i + step) for i in range(0, len(arr), step)]
+        top = max(float((c[r, None] * a - 2.0 * (b[r, None] * b) + a[r, None] * c).max()) for r in blocks)
+        return math.sqrt(2.0) * math.acosh(max(1.0, top / 2.0))
     pts = np.asarray(pts, dtype=float)
     best = 0.0
     chunk = max(1, int(4e7 // max(len(pts), 1)))

@@ -27,7 +27,8 @@ import numpy as np
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
 from .randers import BetaProfile, RandersStructure, radial_conorm
 from .rearrange import RadialProfile
-from .numerics import gauss_legendre
+from .sobolev import sup_log_gradient, w1p_log_gradient, w1p_power
+from .numerics import gauss_legendre, seeded_line_search
 
 __all__ = [
     "AlphaProfile",
@@ -454,66 +455,33 @@ def coercivity_constant(d: int, a: float, p: float, kappa: float) -> float:
     return (1.0 - a * a) ** ((d + 1) / 2.0) / (1.0 + a) ** p * gap / (p**p + gap)
 
 
-def _w1p_riemann_power(problem: PDEProblem, u: np.ndarray) -> float:
-    disc = problem.disc
-    slopes = np.diff(u) / disc["dr"]
-    return float(
-        np.sum(np.abs(slopes) ** problem.p * disc["shell_g"])
-        + np.sum(disc["trap_area_g"] * np.abs(u) ** problem.p)
-    )
-
-
 def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
     """Measured bound on ||u||_inf / ||u||_{W^{1,p}_g} over the discrete
-    radial cone, with a 10 percent safety margin."""
+    radial cone, with a 10 percent safety margin.  Each seed's quotient is
+    read at the start of its last of max_iter ascent iterations."""
     p = problem.p
-    r = problem.grid
-    x = r / r[-1]
+    disc = problem.disc
+    x = disc["r"] / disc["r"][-1]
     seeds = [
         (1.0 - x) ** k for k in (0.5, 1.0, 2.0, 4.0)
     ] + [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.1, 0.3, 0.6)]
     seeds += [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.05, 0.15, 0.4)]
-    best = 0.0
-    for seed in seeds:
-        u = np.maximum(seed, 0.0)
-        u[-1] = 0.0
-        if u.max() <= 0:
-            continue
-        quot = None
-        step = 1.0
-        for _ in range(max_iter):
-            w_pow = _w1p_riemann_power(problem, u)
-            sup = float(u.max())
-            quot = sup / w_pow ** (1.0 / p)
-            # ascent direction of log quotient
-            disc = problem.disc
-            slopes = np.diff(u) / disc["dr"]
-            gw = np.zeros_like(u)
-            flux = p * np.abs(slopes) ** (p - 1.0) * np.sign(slopes) * disc["shell_g"] / disc["dr"]
-            gw[:-1] -= flux
-            gw[1:] += flux
-            gw += p * disc["trap_area_g"] * np.abs(u) ** (p - 1.0) * np.sign(u)
-            g_sup = np.zeros_like(u)
-            g_sup[int(np.argmax(u))] = 1.0
-            g = g_sup / sup - gw / (p * w_pow)
-            g[-1] = 0.0
-            improved = False
-            while step > 1e-12:
-                trial = np.maximum(u + step * g, 0.0)
-                trial[-1] = 0.0
-                if trial.max() > 0:
-                    w_t = _w1p_riemann_power(problem, trial)
-                    q_t = float(trial.max()) / w_t ** (1.0 / p)
-                    if q_t > quot * (1.0 + 1e-12):
-                        u = trial
-                        improved = True
-                        step *= 1.5
-                        break
-                step *= 0.5
-            if not improved:
-                break
-        best = max(best, quot or 0.0)
-    return 1.1 * best
+
+    weights = (disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
+
+    def quotient(u):
+        return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), w1p_power(u, *weights))]
+
+    def ascent(u):
+        g = sup_log_gradient(u) - w1p_log_gradient(u, *weights)
+        g[:, -1] = 0.0
+        return g
+
+    _, values = seeded_line_search(
+        np.array(seeds), quotient, ascent, retract=lambda u: u, grow=1.5, max_iter=max_iter - 1,
+        improves=lambda new, old: new > old * (1.0 + 1e-12),
+    )
+    return 1.1 * max([0.0] + values)
 
 
 @dataclass(frozen=True)
@@ -572,46 +540,34 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
     """
     disc = problem.disc
     p = problem.p
-    r = problem.grid
-    x = r / r[-1]
+    x = disc["r"] / disc["r"][-1]
     seeds = [
         (1.0 - x) ** k for k in (0.5, 1.0, 2.0)
     ] + [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.1, 0.3, 0.6)]
     seeds += [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.2, 0.5)]
 
+    # every function below acts on a stack of profiles, one per row
     def project(u):
-        phi, _, _ = energy(problem, u)
-        if phi > rho:
-            u = u * (rho / phi) ** (1.0 / p) * (1.0 - 1e-12)
+        conorms = radial_conorm(disc["b_mid"], np.diff(u, axis=1) / disc["dr"])
+        for i, phi_p in enumerate(np.sum(conorms**p * disc["vol_f"], axis=1)):
+            phi = float(phi_p) / p
+            if phi > rho:
+                u[i] = u[i] * (rho / phi) ** (1.0 / p) * (1.0 - 1e-12)
         return u
 
-    best = 0.0
-    for seed in seeds:
-        u = np.maximum(seed, 0.0)
-        u[-1] = 0.0
-        if u.max() <= 0:
-            continue
-        u = project(u)
-        _, j_val, _ = energy(problem, u)
-        step = 1.0
-        for _ in range(max_iter):
-            g = disc["jw"] * problem.nonlinearity.h(u)
-            g[-1] = 0.0
-            improved = False
-            while step > 1e-12:
-                trial = project(np.maximum(u + step * g, 0.0))
-                trial[-1] = 0.0
-                _, j_t, _ = energy(problem, trial)
-                if j_t > j_val * (1.0 + 1e-12) + 1e-300:
-                    u, j_val = trial, j_t
-                    improved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = max(best, j_val)
-    return best
+    def j_values(u):
+        return [float(j) for j in np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)]
+
+    def ascent(u):
+        g = disc["jw"] * problem.nonlinearity.h(u)
+        g[:, -1] = 0.0
+        return g
+
+    _, values = seeded_line_search(
+        np.array(seeds), j_values, ascent, retract=project, grow=1.5, max_iter=max_iter,
+        improves=lambda new, old: new > old * (1.0 + 1e-12) + 1e-300,
+    )
+    return max([0.0] + values)
 
 
 def bonanno_parameters(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .modelspace import SpaceForm, area_factor, sphere_area
-from .numerics import DIVERGENT, Divergent, beta_fn, gauss_legendre, is_divergent
+from .numerics import DIVERGENT, Divergent, beta_fn, gauss_legendre, is_divergent, seeded_line_search
 from .randers import RandersStructure, radial_conorm
 from .rearrange import RadialProfile, lq_norm
 
@@ -151,6 +151,31 @@ def _seed_profiles(grid: np.ndarray) -> list:
     return out
 
 
+def w1p_power(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
+    """Discrete W^{1,p} power of each row of u: slopes against the cell
+    weights `shell`, values against the nodal weights `node_w`."""
+    slopes = np.diff(u, axis=1) / dr
+    return np.sum(np.abs(slopes) ** p * shell, axis=1) + np.sum(node_w * np.abs(u) ** p, axis=1)
+
+
+def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
+    """Gradient of log(w1p_power) / p, row by row."""
+    slopes = np.diff(u, axis=1) / dr
+    gw = np.zeros_like(u)
+    flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
+    gw[:, :-1] -= flux
+    gw[:, 1:] += flux
+    gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
+    return gw / (p * w1p_power(u, dr, shell, node_w, p))[:, None]
+
+
+def sup_log_gradient(u: np.ndarray) -> np.ndarray:
+    """A gradient of log max(u), row by row: 1/max at the first maximiser."""
+    g = np.zeros_like(u)
+    g[np.arange(len(u)), np.argmax(u, axis=1)] = 1.0
+    return g / u.max(axis=1)[:, None]
+
+
 def embedding_constant(
     space: SpaceForm,
     y,
@@ -167,7 +192,8 @@ def embedding_constant(
     descent from a deterministic family of seed profiles.  The value is a
     certified upper bound on the infimum and a heuristic estimate of it.
     Both model geometries are homogeneous, so the radial reduction around
-    y uses the same area factor as around the origin.
+    y uses the same area factor as around the origin: the estimate does not
+    depend on y, which is only validated.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -183,70 +209,35 @@ def embedding_constant(
     shell = (half * rule.weights[None, :] * area).sum(axis=1)
     # trapezoid-style nodal weights for the zeroth-order terms
     node_w = np.zeros(grid.size)
-    cell_w = shell
-    node_w[:-1] += 0.5 * cell_w
-    node_w[1:] += 0.5 * cell_w
-
-    def w_energy(u):
-        slopes = np.diff(u) / dr
-        return float(np.sum(np.abs(slopes) ** p * shell) + np.sum(node_w * np.abs(u) ** p))
+    node_w[:-1] += 0.5 * shell
+    node_w[1:] += 0.5 * shell
+    weights = (dr, shell, node_w, p)
 
     def l_norm(u):
         if q == math.inf:
-            return float(np.max(u))
-        return float(np.sum(node_w * np.abs(u) ** q)) ** (1.0 / q)
+            return u.max(axis=1)
+        return np.array([float(s) ** (1.0 / q) for s in np.sum(node_w * np.abs(u) ** q, axis=1)])
 
     def quotient(u):
-        return w_energy(u) ** (1.0 / p) / l_norm(u)
+        return [float(w) ** (1.0 / p) / float(l) for w, l in zip(w1p_power(u, *weights), l_norm(u))]
 
-    def grad_log_quotient(u):
-        slopes = np.diff(u) / dr
-        w_val = w_energy(u)
-        gw = np.zeros_like(u)
-        flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
-        gw[:-1] -= flux
-        gw[1:] += flux
-        gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
+    def descent(u):
+        # minus the gradient of log quotient
         if q == math.inf:
-            gl = np.zeros_like(u)
-            gl[int(np.argmax(u))] = 1.0
-            l_val = float(np.max(u))
-            return gw / (p * w_val) - gl / l_val
-        lq_pow = float(np.sum(node_w * np.abs(u) ** q))
-        gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u)
-        return gw / (p * w_val) - gl / (q * lq_pow)
+            gl = sup_log_gradient(u)
+        else:
+            lq_pow = np.sum(node_w * np.abs(u) ** q, axis=1)
+            gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * lq_pow)[:, None]
+        g = gl - w1p_log_gradient(u, *weights)
+        g[:, -1] = 0.0  # Dirichlet rim
+        return g
 
-    best = math.inf
-    for seed in _seed_profiles(grid):
-        u = seed.copy()
-        u /= l_norm(u) if l_norm(u) > 0 else 1.0
-        f_val = math.log(quotient(u))
-        step = 1.0
-        for _ in range(max_iter):
-            g = grad_log_quotient(u)
-            g[-1] = 0.0  # Dirichlet rim
-            g_norm = float(np.linalg.norm(g))
-            if g_norm < 1e-10:
-                break
-            improved = False
-            while step > 1e-12:
-                trial = np.maximum(u - step * g, 0.0)
-                trial[-1] = 0.0
-                if trial.max() <= 0:
-                    step *= 0.5
-                    continue
-                trial /= l_norm(trial)
-                f_trial = math.log(quotient(trial))
-                if f_trial < f_val - 1e-14:
-                    u, f_val = trial, f_trial
-                    improved = True
-                    step *= 1.3
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = min(best, quotient(u))
-    return best
+    _, values = seeded_line_search(
+        np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(u)[:, None],
+        improves=lambda new, old: math.log(new) < math.log(old) - 1e-14,
+        grow=1.3, max_iter=max_iter, g_tol=1e-10,
+    )
+    return min([math.inf] + values)
 
 
 @dataclass(frozen=True)

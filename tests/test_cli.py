@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from randerslab import sobolev
 from randerslab.cli import RunConfig, ValidationError, main, run
 from randerslab.modelspace import SpaceForm
 from randerslab.orbits import FULL_ROTATION, GroupAction, expansion_profile
@@ -156,6 +157,46 @@ class TestThreadCap:
         monkeypatch.setenv("RANDERS_LAB_THREADS", "4")
         _, parallel = run_to_file(tmp_path, "parallel.csv", argv)
         assert serial == parallel
+
+
+class TestEmbeddingTable:
+    """The estimate does not depend on the centre, so a table computes it
+    once and reports it on every row."""
+
+    @pytest.mark.parametrize("radii, n_rows", [("0", 1), ("0,0.5", 2), ("0:0.8:5:lin", 5)])
+    def test_one_estimate_per_table(self, tmp_path, monkeypatch, radii, n_rows):
+        calls = []
+        original = sobolev.embedding_constant
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sobolev, "embedding_constant", counting)
+        argv = [
+            "embedding", "--space", "poincare", "--dim", "3", "--p", "2", "--q", "4",
+            "--y-radii", radii, "--grid", "32", "--format", "json",
+        ]
+        code, text = run_to_file(tmp_path, "emb.json", argv)
+        assert code == 0
+        assert len(calls) == 1
+        rows = json.loads(text)["rows"]
+        assert len(rows) == n_rows
+        expected = original(
+            SpaceForm(3, -1.0), np.zeros(3), 1.0, sobolev.classify_pair(2.0, 4.0, 3), n_grid=32
+        )
+        assert all(row["estimate"] == expected for row in rows)
+
+    def test_invalid_centre_keeps_error_record(self, capsys):
+        code = main(["embedding", "--space", "poincare", "--dim", "3", "--p", "2", "--q", "4",
+                     "--y-radii", "0,1.0", "--grid", "16"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "Poincare-ball points need Euclidean norm < 1, got 1",
+        }
 
 
 class TestEntryPoint:

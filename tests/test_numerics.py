@@ -82,6 +82,26 @@ class TestAdaptiveIntegrate:
         second = adaptive_integrate(f, 0.0, 1.0)
         assert first == second
 
+    def test_exhausted_split_budget_is_flagged(self):
+        # int_0^1 (1-s)^(-3/4) ds = 4: the split budget runs out with the
+        # error estimate (1.3e-5) above tol, and the true error is 2e-4
+        res = adaptive_integrate(lambda s: (1 - s) ** (-0.75), 0.0, 1.0, tol=1e-10)
+        assert not res.converged
+        assert res.abs_error_estimate > 1e-10
+        assert res.value == pytest.approx(4.0, rel=1e-3)
+
+    def test_converged_within_tolerance(self):
+        res = adaptive_integrate(lambda s: (1 - s) ** (-0.4), 0.0, 1.0, tol=1e-10)
+        assert res.converged
+        assert res.abs_error_estimate <= 1e-10
+        assert res.value == pytest.approx(1.0 / 0.6, abs=1e-9)
+        assert adaptive_integrate(lambda t: t * t, 0.0, 1.0).converged
+
+    def test_divergent_verdict_counts_as_converged(self):
+        res = adaptive_integrate(lambda s: 1.0 / (1.0 - s), 0.0, 1.0)
+        assert is_divergent(res.value)
+        assert res.converged
+
     def test_nonfinite_interior_value_raises(self):
         with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
             adaptive_integrate(lambda s: 1.0 / (s - 0.5), 0.0, 1.0)

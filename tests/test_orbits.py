@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,26 @@ class TestMatrixOrbitDiameter:
         )
         assert diam >= brute - 1e-12
         assert diam <= 2.0 * math.sqrt(2.0) * math.log(5.0) + 1e-9
+
+
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_chunked_maximum_equals_outer_product_formula(self, n):
+        y = MatrixPoint.diagonal(7.0)
+        pts = orbit_sample(CONJ, y, n)
+        a, b, c = (np.array([getattr(pt, k) for pt in pts]) for k in "abc")
+        tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
+        expected = math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
+        assert orbit_diameter(CONJ, None, y, n=n) == expected
+
+    def test_memory_stays_below_quadratic(self):
+        # one 3000 x 3000 float array alone is 72 MB
+        tracemalloc.start()
+        try:
+            orbit_diameter(CONJ, None, MatrixPoint.diagonal(7.0), n=3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestCoercivityProbe:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randerslab import pde
 from randerslab.modelspace import SpaceForm
 from randerslab.pde import (
     AlphaProfile,
@@ -13,6 +14,7 @@ from randerslab.pde import (
     SweepFailure,
     best_ray_witness,
     bonanno_parameters,
+    c_infinity,
     coercivity_constant,
     energy,
     energy_along_ray,
@@ -354,6 +356,143 @@ class TestBonanno:
             bonanno_parameters(
                 problem, s0=1.0, big_r=1.5, small_r=0.5, rho_sweep=[1e9]
             )
+
+
+def _serial_c_infinity(problem, max_iter=200):
+    """The one-seed-at-a-time ascent that the batched search replaced, kept
+    verbatim as the reference it must reproduce bit for bit."""
+    p = problem.p
+    r = problem.grid
+    x = r / r[-1]
+    seeds = [
+        (1.0 - x) ** k for k in (0.5, 1.0, 2.0, 4.0)
+    ] + [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.1, 0.3, 0.6)]
+    seeds += [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.05, 0.15, 0.4)]
+    disc = problem.disc
+
+    def w1p_riemann_power(u):
+        slopes = np.diff(u) / disc["dr"]
+        return float(
+            np.sum(np.abs(slopes) ** problem.p * disc["shell_g"])
+            + np.sum(disc["trap_area_g"] * np.abs(u) ** problem.p)
+        )
+
+    best = 0.0
+    for seed in seeds:
+        u = np.maximum(seed, 0.0)
+        u[-1] = 0.0
+        if u.max() <= 0:
+            continue
+        quot = None
+        step = 1.0
+        for _ in range(max_iter):
+            w_pow = w1p_riemann_power(u)
+            sup = float(u.max())
+            quot = sup / w_pow ** (1.0 / p)
+            slopes = np.diff(u) / disc["dr"]
+            gw = np.zeros_like(u)
+            flux = p * np.abs(slopes) ** (p - 1.0) * np.sign(slopes) * disc["shell_g"] / disc["dr"]
+            gw[:-1] -= flux
+            gw[1:] += flux
+            gw += p * disc["trap_area_g"] * np.abs(u) ** (p - 1.0) * np.sign(u)
+            g_sup = np.zeros_like(u)
+            g_sup[int(np.argmax(u))] = 1.0
+            g = g_sup / sup - gw / (p * w_pow)
+            g[-1] = 0.0
+            improved = False
+            while step > 1e-12:
+                trial = np.maximum(u + step * g, 0.0)
+                trial[-1] = 0.0
+                if trial.max() > 0:
+                    w_t = w1p_riemann_power(trial)
+                    q_t = float(trial.max()) / w_t ** (1.0 / p)
+                    if q_t > quot * (1.0 + 1e-12):
+                        u = trial
+                        improved = True
+                        step *= 1.5
+                        break
+                step *= 0.5
+            if not improved:
+                break
+        best = max(best, quot or 0.0)
+    return 1.1 * best
+
+
+def _serial_sup_j_under_phi_level(problem, rho, max_iter=120):
+    """The one-seed-at-a-time projected ascent that the batched search
+    replaced, kept verbatim as the reference it must reproduce bit for bit."""
+    disc = problem.disc
+    p = problem.p
+    r = problem.grid
+    x = r / r[-1]
+    seeds = [
+        (1.0 - x) ** k for k in (0.5, 1.0, 2.0)
+    ] + [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.1, 0.3, 0.6)]
+    seeds += [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.2, 0.5)]
+
+    def project(u):
+        phi, _, _ = energy(problem, u)
+        if phi > rho:
+            u = u * (rho / phi) ** (1.0 / p) * (1.0 - 1e-12)
+        return u
+
+    best = 0.0
+    for seed in seeds:
+        u = np.maximum(seed, 0.0)
+        u[-1] = 0.0
+        if u.max() <= 0:
+            continue
+        u = project(u)
+        _, j_val, _ = energy(problem, u)
+        step = 1.0
+        for _ in range(max_iter):
+            g = disc["jw"] * problem.nonlinearity.h(u)
+            g[-1] = 0.0
+            improved = False
+            while step > 1e-12:
+                trial = project(np.maximum(u + step * g, 0.0))
+                trial[-1] = 0.0
+                _, j_t, _ = energy(problem, trial)
+                if j_t > j_val * (1.0 + 1e-12) + 1e-300:
+                    u, j_val = trial, j_t
+                    improved = True
+                    step *= 1.5
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        best = max(best, j_val)
+    return best
+
+
+def _serial_bonanno_parameters(problem, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "c_infinity", _serial_c_infinity)
+        mp.setattr(pde, "sup_j_under_phi_level", _serial_sup_j_under_phi_level)
+        return bonanno_parameters(problem, *args, **kwargs)
+
+
+class TestBatchedSearches:
+    """c_inf, the sub-level supremum and the Bonanno parameters they feed
+    are exactly what the serial loops gave."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        beta_sup=st.floats(0.0, 0.5),
+        alpha_rate=st.floats(0.4, 1.5),
+        n_cells=st.integers(64, 256),
+        level=st.floats(-6.0, 0.0),
+        max_iter=st.sampled_from([1, 2, 7, 200]),
+    )
+    def test_equal_serial_references(self, beta_sup, alpha_rate, n_cells, level, max_iter):
+        prob = example_problem(beta_sup=beta_sup, alpha_rate=alpha_rate, n_cells=n_cells)
+        assert c_infinity(prob, max_iter=max_iter) == _serial_c_infinity(prob, max_iter=max_iter)
+        rho = 10.0**level
+        assert sup_j_under_phi_level(prob, rho) == _serial_sup_j_under_phi_level(prob, rho)
+        assert bonanno_parameters(prob, 1.0, 1.5, 0.5) == _serial_bonanno_parameters(prob, 1.0, 1.5, 0.5)
+
+    def test_default_problem(self, problem, params):
+        assert params == _serial_bonanno_parameters(problem, s0=1.0, big_r=1.5, small_r=0.5)
 
 
 class TestCoercivityWitness:

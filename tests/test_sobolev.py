@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randerslab.modelspace import SpaceForm
-from randerslab.numerics import is_divergent
+from randerslab.modelspace import SpaceForm, area_factor
+from randerslab.numerics import gauss_legendre, is_divergent
 from randerslab.randers import BetaProfile, RandersStructure
 from randerslab.rearrange import tent_profile
 from randerslab.sobolev import (
+    _seed_profiles,
     classify_pair,
     embedding_constant,
     funk_counterexample,
@@ -127,6 +130,139 @@ class TestEmbeddingConstant:
                 embedding_constant(HYP3, np.array([chart, 0.0, 0.0]), 1.0, pair, n_grid=96)
             )
         assert min(estimates) > 0
+
+
+def _serial_embedding_constant(space, y, rho, pair, n_grid=192, max_iter=300):
+    """The one-seed-at-a-time projected descent that the batched search
+    replaced, kept verbatim as the reference it must reproduce bit for bit."""
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    space.point(y)
+    p, q = pair.p, pair.q
+    grid = np.linspace(0.0, rho, n_grid + 1)
+    dr = np.diff(grid)
+    rule = gauss_legendre(4)
+    mid = 0.5 * (grid[:-1] + grid[1:])[:, None]
+    half = 0.5 * dr[:, None]
+    rs = mid + half * rule.nodes[None, :]
+    area = area_factor(space, rs)
+    shell = (half * rule.weights[None, :] * area).sum(axis=1)
+    node_w = np.zeros(grid.size)
+    cell_w = shell
+    node_w[:-1] += 0.5 * cell_w
+    node_w[1:] += 0.5 * cell_w
+
+    def w_energy(u):
+        slopes = np.diff(u) / dr
+        return float(np.sum(np.abs(slopes) ** p * shell) + np.sum(node_w * np.abs(u) ** p))
+
+    def l_norm(u):
+        if q == math.inf:
+            return float(np.max(u))
+        return float(np.sum(node_w * np.abs(u) ** q)) ** (1.0 / q)
+
+    def quotient(u):
+        return w_energy(u) ** (1.0 / p) / l_norm(u)
+
+    def grad_log_quotient(u):
+        slopes = np.diff(u) / dr
+        w_val = w_energy(u)
+        gw = np.zeros_like(u)
+        flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
+        gw[:-1] -= flux
+        gw[1:] += flux
+        gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
+        if q == math.inf:
+            gl = np.zeros_like(u)
+            gl[int(np.argmax(u))] = 1.0
+            l_val = float(np.max(u))
+            return gw / (p * w_val) - gl / l_val
+        lq_pow = float(np.sum(node_w * np.abs(u) ** q))
+        gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u)
+        return gw / (p * w_val) - gl / (q * lq_pow)
+
+    best = math.inf
+    for seed in _seed_profiles(grid):
+        u = seed.copy()
+        u /= l_norm(u) if l_norm(u) > 0 else 1.0
+        f_val = math.log(quotient(u))
+        step = 1.0
+        for _ in range(max_iter):
+            g = grad_log_quotient(u)
+            g[-1] = 0.0
+            g_norm = float(np.linalg.norm(g))
+            if g_norm < 1e-10:
+                break
+            improved = False
+            while step > 1e-12:
+                trial = np.maximum(u - step * g, 0.0)
+                trial[-1] = 0.0
+                if trial.max() <= 0:
+                    step *= 0.5
+                    continue
+                trial /= l_norm(trial)
+                f_trial = math.log(quotient(trial))
+                if f_trial < f_val - 1e-14:
+                    u, f_val = trial, f_trial
+                    improved = True
+                    step *= 1.3
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        best = min(best, quotient(u))
+    return best
+
+
+@st.composite
+def _embedding_cases(draw):
+    """(space, pair, rho, n_grid) over every regime, Morrey's q = inf included."""
+    d = draw(st.integers(2, 4))
+    regime = draw(st.sampled_from(["S", "MT", "M"]))
+    if regime == "S":
+        p = draw(st.floats(1.2, d - 0.2))
+        q = p + draw(st.floats(0.05, 0.95)) * (p * d / (d - p) - p)
+    elif regime == "MT":
+        p, q = float(d), d + draw(st.floats(0.1, 4.0))
+    else:
+        p, q = d + draw(st.floats(0.1, 3.0)), math.inf
+    curvature = draw(st.sampled_from([0.0, -0.25, -1.0, -4.0]))
+    pair = classify_pair(p, q, d)
+    assert pair is not None and pair.regime == regime
+    return SpaceForm(d, curvature), pair, draw(st.floats(0.3, 2.0)), draw(st.integers(16, 96))
+
+
+class TestBatchedEmbeddingSearch:
+    """The batched seeded search returns exactly what the serial loop did."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(case=_embedding_cases())
+    def test_equals_serial_reference(self, case):
+        space, pair, rho, n_grid = case
+        y = np.zeros(space.dim)
+        assert embedding_constant(space, y, rho, pair, n_grid=n_grid) == _serial_embedding_constant(
+            space, y, rho, pair, n_grid=n_grid
+        )
+
+    def test_readme_configuration(self):
+        pair = classify_pair(2.0, 4.0, 3)
+        y = np.array([0.4, 0.0, 0.0])
+        value = embedding_constant(HYP3, y, 1.0, pair, n_grid=128)
+        assert value == _serial_embedding_constant(HYP3, y, 1.0, pair, n_grid=128)
+        assert value == 3.461248740078677
+
+    def test_estimate_independent_of_centre(self):
+        pair = classify_pair(2.0, 4.0, 3)
+        values = {
+            embedding_constant(HYP3, np.array([r, 0.0, 0.0]), 1.0, pair, n_grid=48)
+            for r in (0.0, 0.3, 0.9)
+        }
+        assert len(values) == 1
+
+    def test_centre_still_validated(self):
+        pair = classify_pair(2.0, 4.0, 3)
+        with pytest.raises(ValueError, match="Euclidean norm < 1"):
+            embedding_constant(HYP3, np.array([1.0, 0.0, 0.0]), 1.0, pair, n_grid=16)
 
 
 class TestFunkCounterexample:
