@@ -27,7 +27,7 @@ import numpy as np
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
 from .randers import BetaProfile, RandersStructure, radial_conorm
 from .rearrange import RadialProfile
-from .sobolev import sup_log_gradient, w1p_log_gradient, w1p_power
+from .sobolev import BatchPowers, sup_log_gradient
 from .numerics import gauss_legendre, seeded_line_search
 
 __all__ = [
@@ -467,13 +467,13 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
     ] + [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.1, 0.3, 0.6)]
     seeds += [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.05, 0.15, 0.4)]
 
-    weights = (disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
+    powers = BatchPowers(disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
 
     def quotient(u):
-        return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), w1p_power(u, *weights))]
+        return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), powers(u))]
 
     def ascent(u):
-        g = sup_log_gradient(u) - w1p_log_gradient(u, *weights)
+        g = sup_log_gradient(u) - powers.log_gradient(u)
         g[:, -1] = 0.0
         return g
 
@@ -711,14 +711,19 @@ def _hessian_bands(problem, u, flat_floor: bool = True):
 
 
 def _solve_tridiag(diag, off, rhs):
+    """Solve the tridiagonal system on the free nodes 0 .. n-2 and return
+    it with a zero rim entry: the Dirichlet node n-1 is not an unknown, so
+    its row and column (and the coupling off[-1] into row n-2) drop out."""
     from scipy.linalg import solve_banded
 
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
+    m = diag.size - 1
+    ab = np.zeros((3, m))
+    ab[0, 1:] = off[: m - 1]
+    ab[1, :] = diag[:m]
+    ab[2, :-1] = off[: m - 1]
+    out = np.zeros(m + 1)
+    out[:m] = solve_banded((1, 1), ab, rhs[:m])
+    return out
 
 
 # stagnation hand-off of _descend (see its docstring)
@@ -738,7 +743,10 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     directions keep the energy strictly monotone.  Once the energy has
     fallen by no more than _STALL_RTOL |E| over the last _STALL_WINDOW
     accepted steps, the energy can no longer certify progress and the
-    iterate is handed straight to the root polish.
+    iterate is handed straight to the root polish.  Every linear solve
+    leaves the Dirichlet rim out of the system.  A converged iterate below
+    the zero-only level (see _zero_only_level) is reported as exactly
+    u = 0, with E = 0 and ||grad E|| = 0.
     """
     u = np.maximum(np.asarray(u0, dtype=float).copy(), 0.0)
     u[-1] = 0.0
@@ -752,12 +760,9 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
         """Backtracking Armijo step along direction; returns the accepted
         alpha or None, updating the iterate on success."""
         nonlocal u, e_val, g
-        direction = direction.copy()
-        direction[-1] = 0.0
         alpha = 1.0
         for _ in range(halvings):
             trial = np.maximum(u + alpha * direction, 0.0)
-            trial[-1] = 0.0
             _, _, e_trial = energy(problem, trial)
             decrease = float(g @ (u - trial))
             if e_trial <= e_val - 1e-4 * decrease + 1e-300 and e_trial <= e_val:
@@ -825,7 +830,42 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
         u, g_norm = _polish_root(problem, u, tol_factor)
         _, _, e_val = energy(problem, u)
     converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
+    if converged and problem.p * energy(problem, u)[0] < _zero_only_level(problem):
+        return np.zeros_like(u), 0.0, 0.0, True
     return u, e_val, g_norm, converged
+
+
+def _zero_only_level(problem) -> float:
+    """Level R such that no critical point v >= 0, v != 0, of E_lambda
+    (with v = 0 at the rim) has p Phi(v) < R; 0 when no level holds.
+
+    With p' = p/(p-1), |slope| <= (1 + |b|) F* and v = 0 at the rim,
+    Hoelder gives ||v||_inf <= A (p Phi(v))^(1/p) with
+    A = (sum ((1 + |b|) dr)^p' vol_f^(1-p'))^(1/p'), finite since p > d.
+    A critical point satisfies Euler's identity
+    p Phi(v) = lambda sum jw h(v) v <= lambda c_h ||alpha||_1 ||v||_inf^q
+    while ||v||_inf <= s1, where c_h is the largest h(s) s / s^q on a check
+    grid of (0, s1], as Nonlinearity reads its bounds.  For q > p these
+    bound p Phi(v) from below; for q <= p they bound it from above, so no
+    level is returned when lambda c_h > 0.  The level is certified when
+    h(s) s <= c_h s^q holds on all of (0, s1], as it does (with c_h = 1)
+    for the reference nonlinearity.
+    """
+    disc = problem.disc
+    p = problem.p
+    nl = problem.nonlinearity
+    pc = p / (p - 1.0)
+    cells = ((1.0 + np.abs(disc["b_mid"])) * disc["dr"]) ** pc * disc["vol_f"] ** (1.0 - pc)
+    a = float(np.sum(cells)) ** (1.0 / pc)
+    level = (nl.s1 / a) ** p
+    ss = np.geomspace(1e-8, nl.s1, 64)
+    c_h = float(np.max(np.asarray(nl.h(ss)) * ss / ss**nl.q))
+    if problem.lam > 0 and c_h > 0:
+        if nl.q <= p:
+            return 0.0
+        k = problem.lam * c_h * disc["alpha_l1"] * a**nl.q
+        level = min(level, k ** (-p / (nl.q - p)))
+    return level
 
 
 def _polish_root(problem, u, tol_factor, max_iter: int = 120):
@@ -858,7 +898,6 @@ def _polish_root(problem, u, tol_factor, max_iter: int = 120):
                 alpha = 1.0
                 for _ in range(25):
                     trial = np.maximum(u + alpha * cand, 0.0)
-                    trial[-1] = 0.0
                     g_trial = energy_gradient(problem, trial)
                     g_trial[-1] = 0.0
                     n_trial = float(np.linalg.norm(g_trial))
@@ -900,13 +939,16 @@ def multi_start_solve(
         raise ValueError("multi-start needs at least 8 seeds")
     threshold = cluster_scale if cluster_scale is not None else 1e-4 * s0
     reports = []
+    rays = None
     for lam in lambda_grid:
         prob = replace_lambda(problem, float(lam))
         lam_seeds = list(seeds)
         if lam > 0:
             # starting below the zero level makes the descent provably end
             # at a nontrivial critical point whenever one exists on a ray
-            e_wit, witness = best_ray_witness(prob)
+            if rays is None:
+                rays = _RayTable(problem)
+            e_wit, witness = rays.witness(prob.lam)
             if e_wit < -1e-12 and witness is not None:
                 lam_seeds.append(witness)
         results = []
@@ -947,16 +989,24 @@ def multi_start_solve(
     return reports
 
 
+def _ray_terms(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
+    """The lambda-free terms of E_lambda(t * shape) = t^p Phi(shape) -
+    lambda J(t * shape): the list of t^p, Phi(shape) and the list of
+    J(t * shape), one 1-D sum per t."""
+    phi0, _, _ = energy(problem, shape)
+    jw = problem.disc["jw"]
+    js = [float(np.sum(jw * problem.nonlinearity.H(t * shape))) for t in ts]
+    return [t**problem.p for t in ts], phi0, js
+
+
+def _along_ray(tp, phi0, js, lam: float) -> np.ndarray:
+    return np.asarray(tp) * phi0 - lam * np.asarray(js)
+
+
 def energy_along_ray(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
     """E_lambda(t * shape) for t in ts, using Phi(t u) = t^p Phi(u)."""
     shape = np.asarray(shape, dtype=float)
-    phi0, _, _ = energy(problem, shape)
-    jw = problem.disc["jw"]
-    out = []
-    for t in ts:
-        j_t = float(np.sum(jw * problem.nonlinearity.H(t * shape)))
-        out.append(t**problem.p * phi0 - problem.lam * j_t)
-    return np.array(out)
+    return _along_ray(*_ray_terms(problem, shape, ts), problem.lam)
 
 
 def _ray_shapes(problem: PDEProblem) -> list:
@@ -992,22 +1042,32 @@ def _ray_shapes(problem: PDEProblem) -> list:
     return out
 
 
+class _RayTable:
+    """The scanned ray family of best_ray_witness with its lambda-free
+    terms, built once; witness(lam) is then a few array operations."""
+
+    def __init__(self, problem: PDEProblem, ts: Optional[np.ndarray] = None):
+        self.ts = np.geomspace(1e-2, 64.0, 80) if ts is None else ts
+        self.rows = [(shape, *_ray_terms(problem, shape, self.ts)) for shape in _ray_shapes(problem)]
+
+    def witness(self, lam: float):
+        best_e, best_u = math.inf, None
+        for shape, tp, phi0, js in self.rows:
+            es = _along_ray(tp, phi0, js, lam)
+            k = int(np.argmin(es))
+            if es[k] < best_e:
+                best_e = float(es[k])
+                best_u = float(self.ts[k]) * shape
+        return best_e, best_u
+
+
 def best_ray_witness(problem: PDEProblem, ts: Optional[np.ndarray] = None):
     """Most negative-energy point on the scanned rays t * shape.
 
     Returns (energy, profile); the profile realizes the energy, so a value
     below zero certifies a nontrivial minimizer exists at this lambda.
     """
-    if ts is None:
-        ts = np.geomspace(1e-2, 64.0, 80)
-    best_e, best_u = math.inf, None
-    for shape in _ray_shapes(problem):
-        es = energy_along_ray(problem, shape, ts)
-        k = int(np.argmin(es))
-        if es[k] < best_e:
-            best_e = float(es[k])
-            best_u = float(ts[k]) * shape
-    return best_e, best_u
+    return _RayTable(problem, ts).witness(problem.lam)
 
 
 def find_transition_lambda(
@@ -1024,9 +1084,10 @@ def find_transition_lambda(
     the zero and nonzero critical points fastest.  Returns the high end of
     the final bracket, i.e. a lambda at which a witness was actually found.
     """
+    rays = _RayTable(problem)
 
     def found(lam: float) -> bool:
-        e_best, _ = best_ray_witness(replace_lambda(problem, lam))
+        e_best, _ = rays.witness(lam)
         return e_best < -1e-9
 
     if not found(lam_hi):

@@ -158,15 +158,39 @@ def w1p_power(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
     return np.sum(np.abs(slopes) ** p * shell, axis=1) + np.sum(node_w * np.abs(u) ** p, axis=1)
 
 
-def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
-    """Gradient of log(w1p_power) / p, row by row."""
+def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float, power) -> np.ndarray:
+    """Gradient of log(w1p_power) / p, row by row, given the rows' power."""
     slopes = np.diff(u, axis=1) / dr
     gw = np.zeros_like(u)
     flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
     gw[:, :-1] -= flux
     gw[:, 1:] += flux
     gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
-    return gw / (p * w1p_power(u, dr, shell, node_w, p))[:, None]
+    return gw / (p * np.asarray(power))[:, None]
+
+
+class BatchPowers:
+    """w1p_power of the rows of the latest batch, kept by row content.
+
+    A line search evaluates its objective on a batch of trial rows and then
+    asks for directions only at the rows it accepted from that batch;
+    `log_gradient` reads their powers back instead of recomputing them.  A
+    row outside the latest batch raises KeyError; one that is inside gets
+    the power of its own bytes, so a hit is always exact.
+    """
+
+    def __init__(self, dr, shell, node_w, p: float):
+        self.weights = (dr, shell, node_w, p)
+        self._by_row = {}
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        power = w1p_power(u, *self.weights)
+        self._by_row = {row.tobytes(): w for row, w in zip(u, power)}
+        return power
+
+    def log_gradient(self, u: np.ndarray) -> np.ndarray:
+        power = [self._by_row[row.tobytes()] for row in u]
+        return w1p_log_gradient(u, *self.weights, power)
 
 
 def sup_log_gradient(u: np.ndarray) -> np.ndarray:
@@ -211,7 +235,7 @@ def embedding_constant(
     node_w = np.zeros(grid.size)
     node_w[:-1] += 0.5 * shell
     node_w[1:] += 0.5 * shell
-    weights = (dr, shell, node_w, p)
+    powers = BatchPowers(dr, shell, node_w, p)
 
     def l_norm(u):
         if q == math.inf:
@@ -219,7 +243,7 @@ def embedding_constant(
         return np.array([float(s) ** (1.0 / q) for s in np.sum(node_w * np.abs(u) ** q, axis=1)])
 
     def quotient(u):
-        return [float(w) ** (1.0 / p) / float(l) for w, l in zip(w1p_power(u, *weights), l_norm(u))]
+        return [float(w) ** (1.0 / p) / float(l) for w, l in zip(powers(u), l_norm(u))]
 
     def descent(u):
         # minus the gradient of log quotient
@@ -228,7 +252,7 @@ def embedding_constant(
         else:
             lq_pow = np.sum(node_w * np.abs(u) ** q, axis=1)
             gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * lq_pow)[:, None]
-        g = gl - w1p_log_gradient(u, *weights)
+        g = gl - powers.log_gradient(u)
         g[:, -1] = 0.0  # Dirichlet rim
         return g
 

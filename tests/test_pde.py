@@ -596,3 +596,231 @@ class TestMultiStart:
     def test_needs_enough_seeds(self, problem):
         with pytest.raises(ValueError):
             multi_start_solve(problem, [0.0], seeds=[np.zeros(problem.grid.size)] * 3)
+
+
+@pytest.fixture(scope="module")
+def selected_1024():
+    """The 1024-cell problem and the lambda = 2 lambda_t that the pde CLI
+    picks for it."""
+    problem = example_problem(n_cells=1024)
+    bp = bonanno_parameters(problem, 1.0, 1.5, 0.5)
+    lam = min(2.0 * find_transition_lambda(problem, min(200.0, bp.a_bar)), bp.a_bar)
+    return problem, lam
+
+
+class TestRimFreeSolve:
+    """Every Newton-type solve treats the Dirichlet rim as known, not free."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 80), seed=st.integers(0, 2**32 - 1), margin=st.floats(1e-3, 10.0))
+    def test_free_rows_solved_and_rim_zero(self, n, seed, margin):
+        from randerslab.pde import _solve_tridiag
+
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        coupling = np.zeros(n)
+        coupling[:-1] += np.abs(off)
+        coupling[1:] += np.abs(off)
+        diag = rng.choice([-1.0, 1.0], n) * (coupling + margin * rng.uniform(0.1, 1.0, n))
+        rhs = rng.normal(size=n)
+        x = _solve_tridiag(diag, off, rhs)
+        assert x.shape == (n,) and x[-1] == 0.0
+        terms = np.zeros((3, n - 1))
+        terms[0] = diag[:-1] * x[:-1]
+        terms[1, 1:] = off[:-1] * x[:-2]
+        terms[2] = off * x[1:]
+        residual = terms.sum(axis=0) - rhs[:-1]
+        scale = np.abs(terms).sum(axis=0) + np.abs(rhs[:-1])
+        assert np.all(np.abs(residual) <= 1e-12 * scale)
+
+    def test_collapsing_start_reaches_zero_quickly(self, selected_1024):
+        # a tent start that falls to u = 0 at 2 lambda_t: with the rim out
+        # of the system Newton contracts u by about (p-2)/(p-1) per step
+        from randerslab.pde import _default_seeds, _descend
+
+        problem, lam = selected_1024
+        prob = replace_lambda(problem, lam)
+        steps = []
+        u, e_val, g_norm, converged = _descend(
+            prob, _default_seeds(prob, 1.0)[3], 4000, 1e-8, on_step=steps.append
+        )
+        assert converged
+        assert not u.any() and e_val == 0.0 and g_norm == 0.0
+        assert len(steps) <= 40
+
+    def test_every_start_converges(self, selected_1024):
+        problem, lam = selected_1024
+        rep = multi_start_solve(problem, [lam])[0]
+        assert rep.n_converged == rep.n_starts
+
+
+class TestZeroOnlyLevel:
+    """Below the certified level of p Phi, 0 is the only critical point."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n_cells=st.integers(64, 256),
+        lam_frac=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["noise", "tent", "spike", "plateau"]),
+        seed=st.integers(0, 2**32 - 1),
+        level_frac=st.floats(1e-6, 0.999),
+    )
+    def test_no_critical_point_below_level(self, n_cells, lam_frac, kind, seed, level_frac):
+        from randerslab.pde import _zero_only_level
+
+        problem = example_problem(n_cells=n_cells)
+        a_bar = bonanno_parameters(problem, 1.0, 1.5, 0.5).a_bar
+        prob = replace_lambda(problem, lam_frac * a_bar)
+        rng = np.random.default_rng(seed)
+        r = prob.grid
+        if kind == "noise":
+            v = rng.random(r.size)
+        elif kind == "tent":
+            v = np.clip(1.0 - r / rng.uniform(0.05, r[-1]), 0.0, 1.0)
+        elif kind == "spike":
+            v = np.zeros(r.size)
+            v[rng.integers(0, r.size - 1)] = 1.0
+        else:
+            radius = rng.uniform(0.1, 0.9) * r[-1]
+            v = np.clip((radius - r) / (0.1 * radius), 0.0, 1.0)
+        v[-1] = 0.0
+        level = _zero_only_level(prob)
+        phi, _, _ = energy(prob, v)
+        v *= (level_frac * level / (prob.p * phi)) ** (1.0 / prob.p)
+        assert prob.p * energy(prob, v)[0] < level
+        assert float(energy_gradient(prob, v) @ v) > 0.0
+
+    def test_nontrivial_minimiser_lies_above_level(self, solved, problem):
+        from randerslab.pde import _zero_only_level
+
+        _, lam_sel, reports = solved
+        prob = replace_lambda(problem, lam_sel)
+        nontrivial = [p.values for p in reports[1].profiles if p.values.any()]
+        assert nontrivial
+        for u in nontrivial:
+            assert prob.p * energy(prob, u)[0] > _zero_only_level(prob)
+
+    def test_level_below_every_ray_crossing(self, selected_1024):
+        # on small amplitudes h(s) s = s^q, so along t * shape the identity
+        # <grad E, u> = 0 has the closed-form root p Phi = L below
+        from randerslab.pde import _ray_shapes, _zero_only_level
+
+        problem, lam = selected_1024
+        checked = 0
+        for at in (replace_lambda(problem, f * lam) for f in (1.0, 4.0, 16.0)):
+            p, q = at.p, at.nonlinearity.q
+            level = _zero_only_level(at)
+            for shape in _ray_shapes(at):
+                p_phi = p * energy(at, shape)[0]
+                crossing = (p_phi ** (q / p) / (at.lam * np.sum(at.disc["jw"] * shape**q))) ** (p / (q - p))
+                if (crossing / p_phi) ** (1.0 / p) * shape.max() <= at.nonlinearity.s1:
+                    assert level < crossing
+                    checked += 1
+        assert checked >= 20
+
+    def test_no_level_unless_q_above_p(self):
+        # for q < p the small-amplitude bound runs the other way: small
+        # nontrivial minimisers exist and must not be reported as u = 0
+        import dataclasses
+
+        from randerslab.pde import _descend, _zero_only_level
+
+        base = example_problem(n_cells=128)
+        for p0 in (1.6, 2.5):  # q = p0 + 1 = 2.6 < p, then q = p = 3.5
+            prob = replace_lambda(
+                dataclasses.replace(base, nonlinearity=reference_nonlinearity(p0)), 0.1
+            )
+            assert _zero_only_level(prob) == 0.0
+        prob = replace_lambda(
+            dataclasses.replace(base, nonlinearity=reference_nonlinearity(1.6)), 0.1
+        )
+        _, witness = best_ray_witness(prob)
+        u, e_val, _, converged = _descend(prob, witness, 4000, 1e-8)
+        assert converged and e_val < 0.0
+        assert 0.05 < u.max() < prob.nonlinearity.s1
+        assert prob.p * energy(prob, u)[0] < _zero_only_level(replace_lambda(prob, 0.0))
+
+    def test_lambda_zero_single_exact_zero_cluster(self):
+        problem = example_problem(n_cells=1024)
+        rep = multi_start_solve(problem, [0.0])[0]
+        assert rep.n_distinct == 1
+        assert not rep.profiles[0].values.any()
+        assert rep.energies == [0.0] and rep.gradient_norms == [0.0]
+        assert rep.n_converged == rep.n_starts
+
+
+def _reference_energy_along_ray(problem, shape, ts):
+    """The per-lambda ray energy that the ray table replaced, kept verbatim
+    as the reference it must reproduce bit for bit."""
+    shape = np.asarray(shape, dtype=float)
+    phi0, _, _ = energy(problem, shape)
+    jw = problem.disc["jw"]
+    out = []
+    for t in ts:
+        j_t = float(np.sum(jw * problem.nonlinearity.H(t * shape)))
+        out.append(t**problem.p * phi0 - problem.lam * j_t)
+    return np.array(out)
+
+
+def _reference_best_ray_witness(problem, ts=None):
+    from randerslab.pde import _ray_shapes
+
+    if ts is None:
+        ts = np.geomspace(1e-2, 64.0, 80)
+    best_e, best_u = math.inf, None
+    for shape in _ray_shapes(problem):
+        es = _reference_energy_along_ray(problem, shape, ts)
+        k = int(np.argmin(es))
+        if es[k] < best_e:
+            best_e = float(es[k])
+            best_u = float(ts[k]) * shape
+    return best_e, best_u
+
+
+def _reference_find_transition_lambda(problem, lam_hi, bisection_steps=14):
+    def found(lam):
+        e_best, _ = _reference_best_ray_witness(replace_lambda(problem, lam))
+        return e_best < -1e-9
+
+    if not found(lam_hi):
+        raise SweepFailure("no witness")
+    lo, hi = 0.0, float(lam_hi)
+    for _ in range(bisection_steps):
+        mid = 0.5 * (lo + hi)
+        if found(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestRayTable:
+    """The lambda-free ray table gives exactly the per-lambda scan."""
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        beta_sup=st.floats(0.0, 0.5),
+        alpha_rate=st.floats(0.4, 1.5),
+        n_cells=st.integers(64, 256),
+        lams=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=3),
+    )
+    def test_equal_per_lambda_references(self, beta_sup, alpha_rate, n_cells, lams):
+        prob = example_problem(beta_sup=beta_sup, alpha_rate=alpha_rate, n_cells=n_cells)
+        for lam in lams:
+            at = replace_lambda(prob, lam)
+            e, u = best_ray_witness(at)
+            e_ref, u_ref = _reference_best_ray_witness(at)
+            assert e == e_ref and np.array_equal(u, u_ref)
+            ts = np.geomspace(0.1, 10.0, 7)
+            assert np.array_equal(energy_along_ray(at, u_ref, ts), _reference_energy_along_ray(at, u_ref, ts))
+        try:
+            expected = _reference_find_transition_lambda(prob, 200.0)
+        except SweepFailure:
+            with pytest.raises(SweepFailure):
+                find_transition_lambda(prob, 200.0)
+        else:
+            assert find_transition_lambda(prob, 200.0) == expected
+
+    def test_default_problem(self, problem, solved):
+        lam_t, _, _ = solved
+        assert lam_t == _reference_find_transition_lambda(problem, 200.0)
