@@ -19,7 +19,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .numerics import adaptive_integrate, gamma_fn, gauss_legendre
+from .numerics import adaptive_integrate, cell_nodes, gamma_fn
 
 __all__ = [
     "EUCLIDEAN",
@@ -122,13 +122,8 @@ def comparison_volume(c: float, d: int, rho: float) -> float:
     # machine accuracy while staying deterministic.
     k = math.sqrt(-c)
     panels = max(4, int(math.ceil(k * rho)))
-    rule = gauss_legendre(32)
-    edges = np.linspace(0.0, rho, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = rule.map_to(lo, hi)
-        total += float(ws @ (np.sinh(k * xs) / k) ** (d - 1))
-    return d * omega * total
+    xs, half, w = cell_nodes(np.linspace(0.0, rho, panels + 1), 32)
+    return d * omega * float(np.sum(half * w * (np.sinh(k * xs) / k) ** (d - 1)))
 
 
 def _poincare_chart_factor(space: SpaceForm, x: np.ndarray) -> float:
@@ -253,12 +248,6 @@ def cumulative_ball_volumes(space: SpaceForm, radii: np.ndarray) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii[0] != 0.0 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be a strictly increasing 1-d grid starting at 0")
-    rule = gauss_legendre(8)
-    mid = 0.5 * (radii[:-1] + radii[1:])[:, None]
-    half = 0.5 * np.diff(radii)[:, None]
-    xs = mid + half * rule.nodes[None, :]
-    vals = area_factor(space, xs)
-    shells = (half * vals * rule.weights[None, :]).sum(axis=1)
-    out = np.zeros_like(radii)
-    out[1:] = np.cumsum(shells)
-    return out
+    xs, half, w = cell_nodes(radii, 8)
+    shells = (half * area_factor(space, xs) * w).sum(axis=1)
+    return np.concatenate([[0.0], np.cumsum(shells)])

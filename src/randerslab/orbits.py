@@ -31,9 +31,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 from .modelspace import (
     EUCLIDEAN,
@@ -174,6 +171,8 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     # Kronecker low-discrepancy sequence pushed through the normal inverse CDF
+    from scipy.special import ndtri
+
     primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])[:d]
     k = np.arange(1, n + 1)[:, None]
     seq = np.mod(k * np.sqrt(primes)[None, :], 1.0)
@@ -262,6 +261,8 @@ def _pairwise_min_distance(action, space, centers) -> float:
     minimum from above; query_pairs collects every pair within the chord of
     that bound, and the exact formula measures those.
     """
+    from scipy.spatial import cKDTree
+
     if len(centers) < 2:
         return math.inf
     emb, chord, key, dist = _orbit_metric(action, space, centers)
@@ -385,6 +386,8 @@ def _greedy_walk(emb, radius, too_close) -> list:
     after each acceptance a ball query gathers the later candidates it may
     block and too_close(i, later) decides with the exact distance.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(emb, balanced_tree=False)  # sliding-midpoint splits build faster
     blocked = bytearray(len(emb))
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
@@ -746,6 +749,8 @@ def simplex_min_exponent_sum(blocks: Sequence[int]) -> float:
 
     if all(b == 2 for b in blocks):
         return 1.0
+    from scipy.optimize import minimize
+
     starts = [np.full(k, 1.0 / k)]
     for j in range(k):
         e = np.full(k, 0.05 / max(1, k - 1))

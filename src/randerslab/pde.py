@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
-from .randers import BetaProfile, RandersStructure, radial_conorm
+from .randers import BetaProfile, RandersStructure, radial_conorm, radial_density
 from .rearrange import RadialProfile
 from .sobolev import BatchPowers, sup_log_gradient
-from .numerics import gauss_legendre, seeded_line_search
+from .numerics import cell_nodes, seeded_line_search
 
 __all__ = [
     "AlphaProfile",
@@ -281,36 +281,27 @@ class PDEProblem:
 
     def _build(self) -> dict:
         base = self.randers.base
-        d = base.dim
         # exponentially graded grid, dr proportional to e^((d-1) kappa r / 2):
         # equalizes the cell-volume spread that otherwise makes the discrete
         # Hessian stiffness grow like the full volume factor, while placing
         # the finest cells where the weight alpha dV_F concentrates
-        c = (d - 1) * self.kappa / 2.0
+        c = (self.dim - 1) * self.kappa / 2.0
         xi = np.linspace(0.0, 1.0, self.n_cells + 1)
         r = -np.log1p(xi * (math.exp(-c * self.r_max) - 1.0)) / c
         r[0], r[-1] = 0.0, self.r_max
         dr = np.diff(r)
         mid = 0.5 * (r[:-1] + r[1:])
-        b_mid = np.asarray(self.randers.beta(mid), dtype=float)
-        b_node = np.asarray(self.randers.beta(r), dtype=float)
-        dens_mid = (1.0 - b_mid**2) ** ((d + 1) / 2.0)
-        dens_node = (1.0 - b_node**2) ** ((d + 1) / 2.0)
         cumvol = cumulative_ball_volumes(base, r)
         shell_g = np.diff(cumvol)
-        vol_f = dens_mid * shell_g
         area_node = np.asarray(area_factor(base, r), dtype=float)
-        af_node = dens_node * area_node
-        trap = np.zeros(r.size)
-        trap[:-1] += 0.5 * dr
-        trap[1:] += 0.5 * dr
+        trap = np.append(0.5 * dr, 0.0) + np.insert(0.5 * dr, 0, 0.0)
         alpha_node = np.asarray(self.alpha(r), dtype=float)
-        jw = trap * alpha_node * af_node
+        jw = trap * alpha_node * (radial_density(self.randers, r) * area_node)
         return {
             "r": r,
             "dr": dr,
-            "b_mid": b_mid,
-            "vol_f": vol_f,
+            "b_mid": np.asarray(self.randers.beta(mid), dtype=float),
+            "vol_f": radial_density(self.randers, mid) * shell_g,
             "shell_g": shell_g,
             "trap_area_g": trap * area_node,
             "jw": jw,
@@ -401,17 +392,10 @@ def finsler_ball_volume(problem: PDEProblem, radius_f: float) -> float:
 def _forward_distance(problem: PDEProblem) -> np.ndarray:
     """tau(r) = int_0^r (1 + b(s)) ds: the forward Finsler distance along
     the outward radial ray."""
-    disc = problem.disc
-    rule = gauss_legendre(8)
-    r = disc["r"]
-    mid = 0.5 * (r[:-1] + r[1:])[:, None]
-    half = 0.5 * disc["dr"][:, None]
-    rs = mid + half * rule.nodes[None, :]
+    r = problem.disc["r"]
+    rs, half, w = cell_nodes(r, 8)
     vals = 1.0 + np.asarray(problem.randers.beta(rs), dtype=float)
-    cell = (half * rule.weights[None, :] * vals).sum(axis=1)
-    out = np.zeros_like(r)
-    out[1:] = np.cumsum(cell)
-    return out
+    return np.concatenate([[0.0], np.cumsum((half * w * vals).sum(axis=1))])
 
 
 def test_function(problem: PDEProblem, s0: float, big_r: float, small_r: float) -> np.ndarray:
@@ -456,9 +440,11 @@ def coercivity_constant(d: int, a: float, p: float, kappa: float) -> float:
 
 
 def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
-    """Measured bound on ||u||_inf / ||u||_{W^{1,p}_g} over the discrete
-    radial cone, with a 10 percent safety margin.  Each seed's quotient is
-    read at the start of its last of max_iter ascent iterations."""
+    """Estimate of sup ||u||_inf / ||u||_{W^{1,p}_g} over the discrete
+    radial cone: the best quotient of a seeded ascent, read at the start of
+    each seed's last of max_iter iterations, times 1.1.  Not a bound: at
+    1024 cells profiles reach 0.97 against the 0.815 returned (ROADMAP.md,
+    "A certified c_inf")."""
     p = problem.p
     disc = problem.disc
     x = disc["r"] / disc["r"][-1]
@@ -581,12 +567,13 @@ def bonanno_parameters(
 
         rho0 < Phi(u1),    sup {J : Phi <= rho0} < rho0 J(u1)/Phi(u1)
 
-    hold with the supremum replaced by its analytic over-estimate
+    hold with the supremum replaced by the estimate
 
         sup {J : Phi <= rho} <= C2 ||alpha||_L1 c_inf^q (p rho / c)^(q/p),
 
-    which is sound because it dominates the true supremum.  Returns the
-    interval endpoint a_bar = (1 + rho0) / (J(u1)/Phi(u1) - sup/rho0).
+    which over-estimates it only if c_inf bounds ||u||_inf / ||u||_{W^{1,p}_g};
+    c_infinity is an ascent estimate, not such a bound (see there).  Returns
+    the interval endpoint a_bar = (1 + rho0) / (J(u1)/Phi(u1) - sup/rho0).
     """
     u1 = test_function(problem, s0, big_r, small_r)
     phi1, j1, _ = energy(problem, u1)
@@ -1106,15 +1093,7 @@ def find_transition_lambda(
 
 def replace_lambda(problem: PDEProblem, lam: float) -> PDEProblem:
     """Copy of the problem at a different lambda (discretization reused)."""
-    clone = PDEProblem(
-        randers=problem.randers,
-        p=problem.p,
-        lam=lam,
-        alpha=problem.alpha,
-        nonlinearity=problem.nonlinearity,
-        n_cells=problem.n_cells,
-        r_max=problem.r_max,
-    )
+    clone = replace(problem, lam=lam)
     clone._disc = problem._disc
     return clone
 
@@ -1141,15 +1120,7 @@ def grid_doubling_check(problem: PDEProblem, u) -> GridDoublingCheck:
     """
     from scipy.interpolate import CubicSpline
 
-    fine = PDEProblem(
-        randers=problem.randers,
-        p=problem.p,
-        lam=problem.lam,
-        alpha=problem.alpha,
-        nonlinearity=problem.nonlinearity,
-        n_cells=2 * problem.n_cells,
-        r_max=problem.r_max,
-    )
+    fine = replace(problem, n_cells=2 * problem.n_cells)
     u = np.asarray(u, dtype=float)
     if np.max(np.abs(u)) == 0.0:
         u_fine = np.zeros(fine.grid.size)

@@ -40,6 +40,7 @@ __all__ = [
     "uniformity",
     "global_uniformity",
     "volume_density",
+    "radial_density",
     "finsler_gradient",
     "funk_distance",
     "eikonal_residual",
@@ -295,6 +296,15 @@ def volume_density(structure, x) -> float:
     b = structure.beta_norm(x)
     d = structure.dim
     return (1.0 - b * b) ** ((d + 1) / 2.0)
+
+
+def radial_density(ambient, r):
+    """Hausdorff volume factor (1 - b(r)^2)^((d+1)/2) against dv_g at the
+    geodesic radii r of a RandersStructure; 1 for a plain SpaceForm."""
+    if not isinstance(ambient, RandersStructure):
+        return np.ones_like(r)
+    b = ambient.beta(r)
+    return (1.0 - b * b) ** ((ambient.dim + 1) / 2.0)
 
 
 def finsler_gradient(structure, x, du) -> np.ndarray:

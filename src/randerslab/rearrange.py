@@ -28,7 +28,8 @@ from .modelspace import (
     croke_constant,
     unit_ball_volume,
 )
-from .numerics import gauss_legendre
+from .numerics import cell_nodes
+from .randers import radial_density
 
 __all__ = [
     "RadialProfile",
@@ -87,8 +88,10 @@ class RadialProfile:
     def interp(self, r):
         return np.interp(r, self.grid, self.values)
 
-    def to_rows(self):
-        return list(zip(self.grid.tolist(), self.values.tolist()))
+    def cell_values(self, rs):
+        """The linear interpolant at the points rs[i, :] of each cell i."""
+        frac = (rs - self.grid[:-1, None]) / np.diff(self.grid)[:, None]
+        return self.values[:-1, None] + frac * np.diff(self.values)[:, None]
 
 
 @dataclass(frozen=True)
@@ -191,19 +194,8 @@ def lq_norm(u: RadialProfile, q: float, weight: str = "riemannian") -> float:
         return float(np.max(np.abs(u.values)))
     if not q > 0:
         raise ValueError(f"q must be positive or inf, got {q}")
-    rule = gauss_legendre(4)
-    mid = 0.5 * (u.grid[:-1] + u.grid[1:])[:, None]
-    half = 0.5 * np.diff(u.grid)[:, None]
-    rs = mid + half * rule.nodes[None, :]
-    frac = (rs - u.grid[:-1, None]) / np.diff(u.grid)[:, None]
-    uu = u.values[:-1, None] + frac * np.diff(u.values)[:, None]
-    area = area_factor(u.space, rs)
-    if weight == "finsler":
-        area = area * _finsler_density(u.ambient, rs)
-    elif weight != "riemannian":
-        raise ValueError(f"unknown weight {weight!r}")
-    integral = float(np.sum(half * rule.weights[None, :] * np.abs(uu) ** q * area))
-    return integral ** (1.0 / q)
+    rs, half, w, area = _cell_measure(u, weight)
+    return float(np.sum(half * w * np.abs(u.cell_values(rs)) ** q * area)) ** (1.0 / q)
 
 
 def gradient_lp_norm(u: RadialProfile, p: float, weight: str = "riemannian") -> float:
@@ -211,24 +203,21 @@ def gradient_lp_norm(u: RadialProfile, p: float, weight: str = "riemannian") -> 
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     slopes = np.diff(u.values) / np.diff(u.grid)
-    rule = gauss_legendre(4)
-    mid = 0.5 * (u.grid[:-1] + u.grid[1:])[:, None]
-    half = 0.5 * np.diff(u.grid)[:, None]
-    rs = mid + half * rule.nodes[None, :]
-    area = area_factor(u.space, rs)
-    if weight == "finsler":
-        area = area * _finsler_density(u.ambient, rs)
-    shell = (half * rule.weights[None, :] * area).sum(axis=1)
+    _, half, w, area = _cell_measure(u, weight)
+    shell = (half * w * area).sum(axis=1)
     return float(np.sum(np.abs(slopes) ** p * shell)) ** (1.0 / p)
 
 
-def _finsler_density(ambient, rs):
-    from .randers import RandersStructure  # local import to avoid a cycle
-
-    if not isinstance(ambient, RandersStructure):
-        return np.ones_like(rs)
-    b = ambient.beta(rs)
-    return (1.0 - b * b) ** ((ambient.dim + 1) / 2.0)
+def _cell_measure(u: RadialProfile, weight: str):
+    """cell_nodes of u's grid and dv_g at the nodes, times the ambient's
+    Randers density for weight "finsler"."""
+    rs, half, w = cell_nodes(u.grid, 4)
+    area = area_factor(u.space, rs)
+    if weight == "finsler":
+        area = area * radial_density(u.ambient, rs)
+    elif weight != "riemannian":
+        raise ValueError(f"unknown weight {weight!r}")
+    return rs, half, w, area
 
 
 def norm_preservation_check(u: RadialProfile, u_star: RadialProfile, q: float) -> float:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .modelspace import SpaceForm, area_factor, sphere_area
-from .numerics import DIVERGENT, Divergent, beta_fn, gauss_legendre, is_divergent, seeded_line_search
-from .randers import RandersStructure, radial_conorm
+from .numerics import DIVERGENT, Divergent, beta_fn, cell_nodes, is_divergent, seeded_line_search
+from .randers import RandersStructure, radial_conorm, radial_density
 from .rearrange import RadialProfile, lq_norm
 
 __all__ = [
@@ -88,30 +88,23 @@ def sobolev_norms(
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    space = u.space
     slopes = np.diff(u.values) / np.diff(u.grid)
-    rule = gauss_legendre(4)
-    mid = 0.5 * (u.grid[:-1] + u.grid[1:])[:, None]
-    half = 0.5 * np.diff(u.grid)[:, None]
-    rs = mid + half * rule.nodes[None, :]
-    frac = (rs - u.grid[:-1, None]) / np.diff(u.grid)[:, None]
-    uu = u.values[:-1, None] + frac * np.diff(u.values)[:, None]
-    area = area_factor(space, rs)
+    rs, half, w = cell_nodes(u.grid, 4)
+    uu = u.cell_values(rs)
+    area = area_factor(u.space, rs)
 
     def pieces(b_mid, dens):
         weighted = area * dens
-        shell = (half * rule.weights[None, :] * weighted).sum(axis=1)
+        shell = (half * w * weighted).sum(axis=1)
         conorms = radial_conorm(b_mid, slopes)
         grad_pow = float(np.sum(np.abs(conorms) ** p * shell))
-        func_pow = float(np.sum(half * rule.weights[None, :] * np.abs(uu) ** p * weighted))
+        func_pow = float(np.sum(half * w * np.abs(uu) ** p * weighted))
         return grad_pow + func_pow
 
-    zero_b = np.zeros(slopes.size)
-    riemann = pieces(zero_b, np.ones_like(rs))
+    riemann = pieces(np.zeros(slopes.size), 1.0)
     if isinstance(structure, RandersStructure) and structure.beta_sup > 0:
-        b = structure.beta(rs)
-        dens = (1.0 - b * b) ** ((structure.dim + 1) / 2.0)
-        finsler = pieces(structure.beta(0.5 * (u.grid[:-1] + u.grid[1:])), dens)
+        b_mid = structure.beta(0.5 * (u.grid[:-1] + u.grid[1:]))
+        finsler = pieces(b_mid, radial_density(structure, rs))
     else:
         finsler = riemann
     lq_values = {q: lq_norm(u, q) for q in qs}
@@ -225,16 +218,10 @@ def embedding_constant(
     p, q = pair.p, pair.q
     grid = np.linspace(0.0, rho, n_grid + 1)
     dr = np.diff(grid)
-    rule = gauss_legendre(4)
-    mid = 0.5 * (grid[:-1] + grid[1:])[:, None]
-    half = 0.5 * dr[:, None]
-    rs = mid + half * rule.nodes[None, :]
-    area = area_factor(space, rs)
-    shell = (half * rule.weights[None, :] * area).sum(axis=1)
+    rs, half, w = cell_nodes(grid, 4)
+    shell = (half * w * area_factor(space, rs)).sum(axis=1)
     # trapezoid-style nodal weights for the zeroth-order terms
-    node_w = np.zeros(grid.size)
-    node_w[:-1] += 0.5 * shell
-    node_w[1:] += 0.5 * shell
+    node_w = np.append(0.5 * shell, 0.0) + np.insert(0.5 * shell, 0, 0.0)
     powers = BatchPowers(dr, shell, node_w, p)
 
     def l_norm(u):

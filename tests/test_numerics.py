@@ -97,6 +97,23 @@ class TestAdaptiveIntegrate:
         assert res.value == pytest.approx(1.0 / 0.6, abs=1e-9)
         assert adaptive_integrate(lambda t: t * t, 0.0, 1.0).converged
 
+    @pytest.mark.parametrize(
+        "tol, alpha",
+        [(1e-10, a / 20) for a in range(8)] + [(1e-8, a / 20) for a in range(10)],
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_documented_accuracy_range(self, tol, alpha, side):
+        # the docstring's contract: (distance)^(-a) endpoint singularities
+        # reach tol 1e-10 for a <= 0.35 and tol 1e-8 for a <= 0.45, with the
+        # true error inside tol, not only the estimate
+        if side == "left":
+            f = lambda s: s ** (-alpha)
+        else:
+            f = lambda s: (1 - s) ** (-alpha)
+        res = adaptive_integrate(f, 0.0, 1.0, tol=tol)
+        assert res.converged
+        assert abs(res.value - 1.0 / (1.0 - alpha)) <= tol
+
     def test_divergent_verdict_counts_as_converged(self):
         res = adaptive_integrate(lambda s: 1.0 / (1.0 - s), 0.0, 1.0)
         assert is_divergent(res.value)
