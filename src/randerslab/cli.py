@@ -153,74 +153,56 @@ class RunResult:
 
 
 def _space_from_params(params) -> SpaceForm:
-    name = params.get("space", "euclid")
-    dim = int(params.get("dim", 2))
-    if name == "euclid":
-        return SpaceForm(dim, 0.0)
-    if name == "poincare":
-        return SpaceForm(dim, float(params.get("curvature", -1.0)))
-    raise ValidationError(f"unknown space {name!r}")
+    if params["space"] == "euclid":
+        return SpaceForm(params["dim"], 0.0)
+    if params["space"] == "poincare":
+        return SpaceForm(params["dim"], params["curvature"])
+    raise ValidationError(f"unknown space {params['space']!r}")
 
 
-def _check_keys(params: dict, allowed: set):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValidationError(f"unknown parameters: {sorted(unknown)}")
-
-
-def _run_packing(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(params, {"space", "dim", "curvature", "rho", "radii", "method"})
-    space = _space_from_params(params)
-    rho = float(params.get("rho", 1.0))
-    radii = _parse_range(str(params.get("radii", "")))
-    if radii.size == 0:
-        raise ValidationError("radii must be non-empty")
-    method = str(params.get("method", "auto"))
-    action = orbits.GroupAction(orbits.FULL_ROTATION)
-    rows = orbits.expansion_profile(action, space, rho, radii, method=method)
+def _nondecreasing(rows) -> dict:
     counts = [r["count"] for r in rows]
-    checks = {"counts_nondecreasing": all(a <= b for a, b in zip(counts, counts[1:]))}
-    return RunResult(config, ["distance", "rho", "count", "method"], rows, checks)
+    return {"counts_nondecreasing": all(a <= b for a, b in zip(counts, counts[1:]))}
 
 
-def _run_expansion(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(
-        params, {"space", "dim", "curvature", "rho", "radii", "method", "action", "blocks"}
-    )
+def _run_packing(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
-    rho = float(params.get("rho", 1.0))
-    radii = _parse_range(str(params.get("radii", "")))
-    kind = params.get("action", "full")
+    action = orbits.GroupAction(orbits.FULL_ROTATION)
+    rows = orbits.expansion_profile(
+        action, space, params["rho"], _parse_range(params["radii"]), method=params["method"]
+    )
+    return RunResult(config, ["distance", "rho", "count", "method"], rows, _nondecreasing(rows))
+
+
+def _run_expansion(config: RunConfig, params: dict) -> RunResult:
+    space = _space_from_params(params)
+    rho = params["rho"]
+    kind = params["action"]
     if kind == "full":
         action = orbits.GroupAction(orbits.FULL_ROTATION)
     elif kind == "product":
-        blocks = tuple(int(b) for b in str(params.get("blocks", "2,2")).split(","))
+        blocks = tuple(int(b) for b in params["blocks"].split(","))
         action = orbits.GroupAction(orbits.PRODUCT_ROTATION, blocks)
         space = SpaceForm(sum(blocks), 0.0)
     else:
         raise ValidationError(f"unknown action {kind!r}")
-    raw = orbits.expansion_profile(action, space, rho, radii, method=str(params.get("method", "auto")))
-    rows = []
-    for r in raw:
-        normalized = r["count"] * rho / r["distance"] if r["distance"] > 0 else 0.0
-        rows.append({**r, "normalized": normalized})
-    counts = [r["count"] for r in rows]
-    checks = {"counts_nondecreasing": all(a <= b for a, b in zip(counts, counts[1:]))}
+    raw = orbits.expansion_profile(
+        action, space, rho, _parse_range(params["radii"]), method=params["method"]
+    )
+    rows = [
+        {**r, "normalized": r["count"] * rho / r["distance"] if r["distance"] > 0 else 0.0}
+        for r in raw
+    ]
     return RunResult(
-        config, ["distance", "rho", "count", "method", "normalized"], rows, checks
+        config, ["distance", "rho", "count", "method", "normalized"], rows, _nondecreasing(rows)
     )
 
 
-def _run_hausdorff(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(params, {"example", "lambda_grid", "blocks", "samples", "scale"})
-    example = params.get("example", "matrix")
+def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
+    example = params["example"]
     if example == "matrix":
-        lams = _parse_range(str(params.get("lambda_grid", "1:1e6:25:log")))
         rows = []
-        for lam in lams:
+        for lam in _parse_range(params["lambda_grid"]):
             res = orbits.orbit_hausdorff_matrix(orbits.MatrixPoint.diagonal(float(lam)))
             rows.append(
                 {
@@ -235,14 +217,12 @@ def _run_hausdorff(config: RunConfig) -> RunResult:
             config, ["lambda", "length", "distance", "kappa_check"], rows, checks
         )
     if example == "product":
-        blocks = [int(b) for b in str(params.get("blocks", "2,2")).split(",")]
-        n = int(params.get("samples", 100))
-        scale = float(params.get("scale", 10.0))
+        blocks = [int(b) for b in params["blocks"].split(",")]
         rng = np.random.default_rng(config.seed)
         rows = []
-        for _ in range(n):
+        for _ in range(params["samples"]):
             y = rng.normal(size=sum(blocks))
-            y *= rng.uniform(1.0, scale) / np.linalg.norm(y)
+            y *= rng.uniform(1.0, params["scale"]) / np.linalg.norm(y)
             res = orbits.orbit_hausdorff_product_spheres(blocks, y)
             rows.append(
                 {
@@ -260,18 +240,13 @@ def _run_hausdorff(config: RunConfig) -> RunResult:
     raise ValidationError(f"unknown hausdorff example {example!r}")
 
 
-def _run_rearrange(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(params, {"space", "dim", "curvature", "shape", "radius", "height", "cells"})
+def _run_rearrange(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
-    shape = params.get("shape", "tent")
-    radius = float(params.get("radius", 1.0))
-    height = float(params.get("height", 1.0))
-    cells = int(params.get("cells", 2048))
+    shape, cells = params["shape"], params["cells"]
     if shape == "tent":
-        u = rearrange.tent_profile(space, radius, height, n=cells)
+        u = rearrange.tent_profile(space, params["radius"], params["height"], n=cells)
     elif shape == "plateau":
-        u = rearrange.plateau_profile(space, radius, height, n=cells)
+        u = rearrange.plateau_profile(space, params["radius"], params["height"], n=cells)
     else:
         raise ValidationError(f"unknown shape {shape!r}")
     u_star = rearrange.euclidean_rearrangement(u)
@@ -295,12 +270,10 @@ def _run_rearrange(config: RunConfig) -> RunResult:
     return RunResult(config, ["r", "u", "u_star"], rows, checks)
 
 
-def _run_funk(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(params, {"dim", "p", "q"})
-    dims = [int(v) for v in str(params.get("dim", "3")).split(",")]
-    ps = [float(v) for v in str(params.get("p", "2")).split(",")]
-    qs = [math.inf if v in ("inf", "") else float(v) for v in str(params.get("q", "4")).split(",")]
+def _run_funk(config: RunConfig, params: dict) -> RunResult:
+    dims = [int(v) for v in params["dim"].split(",")]
+    ps = [float(v) for v in params["p"].split(",")]
+    qs = [math.inf if v in ("inf", "") else float(v) for v in params["q"].split(",")]
     rows = []
     ok = True
     for d in dims:
@@ -331,24 +304,19 @@ def _run_funk(config: RunConfig) -> RunResult:
     )
 
 
-def _run_embedding(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(params, {"space", "dim", "curvature", "p", "q", "rho", "y_radii", "grid"})
+def _run_embedding(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
-    p = float(params.get("p", 2.0))
-    q_raw = str(params.get("q", "4"))
-    q = math.inf if q_raw == "inf" else float(q_raw)
+    p = params["p"]
+    q = math.inf if params["q"] == "inf" else float(params["q"])
     pair = sobolev.classify_pair(p, q, space.dim)
     if pair is None:
         raise ValidationError(f"(p, q) = ({p}, {q}) is not admissible in dim {space.dim}")
-    rho = float(params.get("rho", 1.0))
-    n_grid = int(params.get("grid", 128))
-    radii = _parse_range(str(params.get("y_radii", "0")))
-
-    centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in radii]
+    centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in _parse_range(params["y_radii"])]
     # the estimate does not depend on the centre (both model geometries are
     # homogeneous): compute it once; geodesic_distance validates every centre
-    value = sobolev.embedding_constant(space, centres[0], rho, pair, n_grid=n_grid)
+    value = sobolev.embedding_constant(
+        space, centres[0], params["rho"], pair, n_grid=params["grid"]
+    )
     rows = [
         {
             "y_radius": float(y[0]),
@@ -361,34 +329,25 @@ def _run_embedding(config: RunConfig) -> RunResult:
     return RunResult(config, ["y_radius", "distance", "estimate"], rows, checks)
 
 
-def _run_pde(config: RunConfig) -> RunResult:
-    params = config.params
-    _check_keys(
-        params,
-        {"problem", "dim", "kappa", "beta_a", "p", "alpha_rate", "cells", "lambda_grid", "s0", "big_r", "small_r"},
-    )
-    if "problem" in params:
+def _run_pde(config: RunConfig, params: dict) -> RunResult:
+    if params["problem"] is not None:
         with open(params["problem"], "r", encoding="utf-8") as fh:
             problem = pde.PDEProblem.from_dict(json.load(fh))
     else:
         problem = pde.example_problem(
-            dim=int(params.get("dim", 2)),
-            kappa=float(params.get("kappa", 1.5)),
-            beta_sup=float(params.get("beta_a", 0.2)),
-            p=float(params.get("p", 3.5)),
-            alpha_rate=float(params.get("alpha_rate", 0.75)),
-            n_cells=int(params.get("cells", 2048)),
+            dim=params["dim"],
+            kappa=params["kappa"],
+            beta_sup=params["beta_a"],
+            p=params["p"],
+            alpha_rate=params["alpha_rate"],
+            n_cells=params["cells"],
         )
-    s0 = float(params.get("s0", 1.0))
-    big_r = float(params.get("big_r", 1.5))
-    small_r = float(params.get("small_r", 0.5))
-    bp = pde.bonanno_parameters(problem, s0, big_r, small_r)
-    lam_spec = params.get("lambda_grid", "auto")
-    if lam_spec == "auto":
+    bp = pde.bonanno_parameters(problem, params["s0"], params["big_r"], params["small_r"])
+    if params["lambda_grid"] == "auto":
         lam_t = pde.find_transition_lambda(problem, min(200.0, bp.a_bar))
         lams = [0.0, min(2.0 * lam_t, bp.a_bar)]
     else:
-        lams = [float(v) for v in _parse_range(str(lam_spec))]
+        lams = [float(v) for v in _parse_range(params["lambda_grid"])]
     reports = pde.multi_start_solve(problem, lams)
     rows = []
     ok_gradient = True
@@ -419,41 +378,76 @@ def _run_pde(config: RunConfig) -> RunResult:
     for name, prof in profiles.items():
         body = ["r,u"] + [f"{_fmt(float(r))},{_fmt(float(v))}" for r, v in zip(prof.grid, prof.values)]
         extra[name + ".csv"] = "\n".join(body) + "\n"
-    return RunResult(
-        config,
-        [
-            "lambda",
-            "solution",
-            "energy",
-            "gradient_norm",
-            "sup_norm",
-            "distinct_total",
-            "converged_starts",
-        ],
-        rows,
-        checks,
-        extra_files=extra,
-    )
+    columns = ["lambda", "solution", "energy", "gradient_norm", "sup_norm", "distinct_total",
+               "converged_starts"]
+    return RunResult(config, columns, rows, checks, extra_files=extra)
 
 
-_HANDLERS = {
-    "packing": _run_packing,
-    "expansion": _run_expansion,
-    "hausdorff": _run_hausdorff,
-    "rearrange": _run_rearrange,
-    "funk": _run_funk,
-    "embedding": _run_embedding,
-    "pde": _run_pde,
+# Every parameter once: subcommand -> (handler, help line, {name: (type,
+# default)}).  The flag is "--" + name with dashes; a None default leaves the
+# key out of the config unless it is given.
+_SPACE = {"space": (str, "euclid"), "dim": (int, 2), "curvature": (float, -1.0)}
+_RAY = {"rho": (float, 1.0), "radii": (str, ""), "method": (str, "auto")}
+_SUBCOMMANDS = {
+    "packing": (_run_packing, "packing counts along a geodesic ray", {**_SPACE, **_RAY}),
+    "expansion": (
+        _run_expansion,
+        "expansion-condition table",
+        {**_SPACE, **_RAY, "action": (str, "full"), "blocks": (str, "2,2")},
+    ),
+    "hausdorff": (
+        _run_hausdorff,
+        "orbit measure growth examples",
+        {"example": (str, "matrix"), "lambda_grid": (str, "1:1e6:25:log"),
+         "blocks": (str, "2,2"), "samples": (int, 100), "scale": (float, 10.0)},
+    ),
+    "rearrange": (
+        _run_rearrange,
+        "rearrangement of a radial profile",
+        {**_SPACE, "shape": (str, "tent"), "radius": (float, 1.0), "height": (float, 1.0),
+         "cells": (int, 2048)},
+    ),
+    "funk": (
+        _run_funk,
+        "Funk-ball embedding failure table",
+        {"dim": (str, "3"), "p": (str, "2"), "q": (str, "4")},
+    ),
+    "embedding": (
+        _run_embedding,
+        "radial embedding-constant estimates",
+        {**_SPACE, "space": (str, "poincare"), "dim": (int, 3), "p": (float, 2.0),
+         "q": (str, "4"), "rho": (float, 1.0), "y_radii": (str, "0"), "grid": (int, 128)},
+    ),
+    "pde": (
+        _run_pde,
+        "quasilinear solver: interval + critical points",
+        {"problem": (str, None), "dim": (int, 2), "kappa": (float, 1.5), "beta_a": (float, 0.2),
+         "p": (float, 3.5), "alpha_rate": (float, 0.75), "cells": (int, 2048),
+         "lambda_grid": (str, "auto"), "s0": (float, 1.0), "big_r": (float, 1.5),
+         "small_r": (float, 0.5)},
+    ),
 }
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one run; raises ValidationError for malformed configs."""
-    if config.subcommand not in _HANDLERS:
+    """Execute one run; raises ValidationError for malformed configs.
+
+    Parameters absent from config.params take their table defaults, and
+    given ones are converted to their table types, as the flags are.
+    """
+    if config.subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {config.subcommand!r}")
     if config.format not in ("csv", "json"):
         raise ValidationError(f"unknown format {config.format!r}")
-    return _HANDLERS[config.subcommand](config)
+    handler, _, spec = _SUBCOMMANDS[config.subcommand]
+    unknown = set(config.params) - set(spec)
+    if unknown:
+        raise ValidationError(f"unknown parameters: {sorted(unknown)}")
+    params = {
+        name: kind(config.params[name]) if name in config.params else default
+        for name, (kind, default) in spec.items()
+    }
+    return handler(config, params)
 
 
 def _emit(result: RunResult) -> None:
@@ -469,8 +463,16 @@ def _emit(result: RunResult) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValidationError, so it gets the
+    same JSON error record as every other validation error."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randerslab",
         description=(
             "Geodesic-ball packings, rearrangement checks, Funk-model norms "
@@ -479,86 +481,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON run configuration (overrides flags)")
     sub = parser.add_subparsers(dest="subcommand")
-
-    def common(sp):
+    for name, (_, help_line, spec) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for param, (kind, default) in spec.items():
+            sp.add_argument("--" + param.replace("_", "-"), type=kind, default=default)
         sp.add_argument("--output", default=None)
-        sp.add_argument("--format", default="csv", choices=["csv", "json"])
+        sp.add_argument("--format", default="csv")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=1e-10)
-
-    sp = sub.add_parser("packing", help="packing counts along a geodesic ray")
-    sp.add_argument("--space", default="euclid", choices=["euclid", "poincare"])
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--curvature", type=float, default=-1.0)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--radii", required=True)
-    sp.add_argument("--method", default="auto")
-    common(sp)
-
-    sp = sub.add_parser("expansion", help="expansion-condition table")
-    sp.add_argument("--space", default="euclid", choices=["euclid", "poincare"])
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--curvature", type=float, default=-1.0)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--radii", required=True)
-    sp.add_argument("--method", default="auto")
-    sp.add_argument("--action", default="full", choices=["full", "product"])
-    sp.add_argument("--blocks", default="2,2")
-    common(sp)
-
-    sp = sub.add_parser("hausdorff", help="orbit measure growth examples")
-    sp.add_argument("--example", default="matrix", choices=["matrix", "product"])
-    sp.add_argument("--lambda-grid", dest="lambda_grid", default="1:1e6:25:log")
-    sp.add_argument("--blocks", default="2,2")
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--scale", type=float, default=10.0)
-    common(sp)
-
-    sp = sub.add_parser("rearrange", help="rearrangement of a radial profile")
-    sp.add_argument("--space", default="euclid", choices=["euclid", "poincare"])
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--curvature", type=float, default=-1.0)
-    sp.add_argument("--shape", default="tent", choices=["tent", "plateau"])
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--height", type=float, default=1.0)
-    sp.add_argument("--cells", type=int, default=2048)
-    common(sp)
-
-    sp = sub.add_parser("funk", help="Funk-ball embedding failure table")
-    sp.add_argument("--dim", default="3")
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="4")
-    common(sp)
-
-    sp = sub.add_parser("embedding", help="radial embedding-constant estimates")
-    sp.add_argument("--space", default="poincare", choices=["euclid", "poincare"])
-    sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--curvature", type=float, default=-1.0)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", default="4")
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--y-radii", dest="y_radii", default="0")
-    sp.add_argument("--grid", type=int, default=128)
-    common(sp)
-
-    sp = sub.add_parser("pde", help="quasilinear solver: interval + critical points")
-    sp.add_argument("--problem", default=None, help="problem JSON file")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--kappa", type=float, default=1.5)
-    sp.add_argument("--beta-a", dest="beta_a", type=float, default=0.2)
-    sp.add_argument("--p", type=float, default=3.5)
-    sp.add_argument("--alpha-rate", dest="alpha_rate", type=float, default=0.75)
-    sp.add_argument("--cells", type=int, default=2048)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", default="auto")
-    sp.add_argument("--s0", type=float, default=1.0)
-    sp.add_argument("--big-r", dest="big_r", type=float, default=1.5)
-    sp.add_argument("--small-r", dest="small_r", type=float, default=0.5)
-    common(sp)
-
     return parser
-
-
-_COMMON_KEYS = {"subcommand", "output", "format", "seed", "tol", "config"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -567,11 +498,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             return RunConfig.from_dict(json.load(fh))
     if not args.subcommand:
         raise ValidationError("a subcommand or --config is required")
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in _COMMON_KEYS and v is not None
-    }
+    spec = _SUBCOMMANDS[args.subcommand][2]
+    params = {k: getattr(args, k) for k in spec if getattr(args, k) is not None}
     return RunConfig(
         subcommand=args.subcommand,
         params=params,
@@ -583,10 +511,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(_build_parser().parse_args(argv))
         result = run(config)
     except (ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(

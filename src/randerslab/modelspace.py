@@ -126,11 +126,6 @@ def comparison_volume(c: float, d: int, rho: float) -> float:
     return d * omega * float(np.sum(half * w * (np.sinh(k * xs) / k) ** (d - 1)))
 
 
-def _poincare_chart_factor(space: SpaceForm, x: np.ndarray) -> float:
-    """Conformal factor of the metric at x: |v|_g = factor * |v|_euclid."""
-    return 2.0 / (math.sqrt(-space.curvature) * (1.0 - float(x @ x)))
-
-
 def geodesic_distance(space: SpaceForm, x, y) -> float:
     """Geodesic distance between chart points x and y."""
     xv = space.point(x)

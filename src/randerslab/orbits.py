@@ -222,7 +222,8 @@ def _orbit_metric(action, space, points):
     """Chord embedding of orbit points and their exact distance, as
     (emb, chord, key, dist): points at most d apart lie within chord(d) in
     emb, rounding included; points i and j are dist(key(i, j)) apart, and key
-    grows with it.  sinh is capped where the chord already spans the orbit.
+    grows with it.  key broadcasts over index arrays and dist is elementwise.
+    sinh is capped where the chord already spans the orbit.
     """
     if action.kind == MATRIX_CONJUGATION:
         a, b, c = np.array([[p.a, p.b, p.c] for p in points]).T
@@ -234,15 +235,15 @@ def _orbit_metric(action, space, points):
                 8.0 * math.sinh(min(d / math.sqrt(8.0), 300.0)) ** 2 * (1.0 + _CHORD_SLACK) + drift
             ),
             lambda i, j: c[i] * a[j] - 2.0 * b[i] * b[j] + a[i] * c[j],  # tr(X_i^-1 X_j)
-            lambda x: math.sqrt(2.0) * math.acosh(max(1.0, x / 2.0)),
+            lambda x: math.sqrt(2.0) * np.arccosh(np.maximum(1.0, x / 2.0)),
         )
     pts = np.asarray(points, dtype=float)
 
     def diff2(i, j):
-        return ((pts[i] - pts[j]) ** 2).sum(axis=1)
+        return ((pts[i] - pts[j]) ** 2).sum(axis=-1)
 
     if space is None or space.model == EUCLIDEAN:
-        return pts, lambda d: d * (1.0 + _CHORD_SLACK), diff2, math.sqrt
+        return pts, lambda d: d * (1.0 + _CHORD_SLACK), diff2, np.sqrt
     k = math.sqrt(-space.curvature)
     one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
     top = float(np.max(one_minus)) + 1e-15  # its rounding is absolute, a few 1e-16
@@ -250,7 +251,7 @@ def _orbit_metric(action, space, points):
         pts,
         lambda d: top * math.sqrt(math.sinh(min(k * d / 2, 300.0)) ** 2 * (1 + _CHORD_SLACK) + 1e-15),
         lambda i, j: 2.0 * diff2(i, j) / (one_minus[i] * one_minus[j]),
-        lambda x: math.acosh(max(1.0, 1.0 + x)) / k,
+        lambda x: np.arccosh(np.maximum(1.0, 1.0 + x)) / k,
     )
 
 
@@ -268,9 +269,9 @@ def _pairwise_min_distance(action, space, centers) -> float:
     emb, chord, key, dist = _orbit_metric(action, space, centers)
     tree = cKDTree(emb)
     nearest = tree.query(emb, k=2)[1][:, 1]
-    bound = dist(float(key(np.arange(len(emb)), nearest).min()))
+    bound = float(dist(key(np.arange(len(emb)), nearest).min()))
     pairs = tree.query_pairs(chord(bound), output_type="ndarray")
-    return dist(float(key(pairs[:, 0], pairs[:, 1]).min()))
+    return float(dist(key(pairs[:, 0], pairs[:, 1]).min()))
 
 
 @dataclass(frozen=True)
@@ -380,15 +381,17 @@ def _greedy_circle(space, y, rho):
     return np.array(accepted_pts)
 
 
-def _greedy_walk(emb, radius, too_close) -> list:
-    """Indices a greedy pass accepts: each candidate in order, unless closer
-    than 2 rho to an accepted one.  Such pairs lie within radius in emb, so
-    after each acceptance a ball query gathers the later candidates it may
-    block and too_close(i, later) decides with the exact distance.
+def _greedy_walk(action, space, points, rho) -> list:
+    """Indices a greedy pass over points accepts: each candidate in order,
+    unless closer than 2 rho to an accepted one.  Such pairs lie within the
+    chord of 2 rho, so after each acceptance a kd-tree ball query gathers the
+    later candidates it may block and the exact distance decides.
     """
     from scipy.spatial import cKDTree
 
+    emb, chord, key, dist = _orbit_metric(action, space, points)
     tree = cKDTree(emb, balanced_tree=False)  # sliding-midpoint splits build faster
+    radius = chord(2.0 * rho)
     blocked = bytearray(len(emb))
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
     accepted = []
@@ -398,7 +401,7 @@ def _greedy_walk(emb, radius, too_close) -> list:
         near = np.asarray(tree.query_ball_point(emb[i], radius), dtype=np.intp)
         later = near[near > i]
         later = later[~flags[later]]
-        flags[later[too_close(i, later)]] = True
+        flags[later[dist(key(later, i)) < 2.0 * rho]] = True
         i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
     return accepted
 
@@ -412,26 +415,8 @@ def _sphere_walk(space, y, rho):
     step = rho / _WALK_SUBDIVISION
     area = sphere_area(d) * radius_scale ** (d - 1)
     n_steps = int(min(_MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
-    chart_r = float(np.linalg.norm(y))
-    pts = chart_r * _sphere_points(d, n_steps)
-    if space.model == EUCLIDEAN:
-
-        def too_close(i, later):
-            return np.sqrt(((pts[later] - pts[i]) ** 2).sum(axis=1)) < 2.0 * rho
-
-    else:
-        k = math.sqrt(-space.curvature)
-        # 1 - |p|^2 by a 1-D dot for candidates, by einsum for accepted centers
-        one_minus_cand = 1.0 - np.matmul(pts[:, None, :], pts[:, :, None])[:, 0, 0]
-        one_minus_held = 1.0 - np.einsum("ij,ij->i", pts, pts)
-
-        def too_close(i, later):
-            diff2 = ((pts[later] - pts[i]) ** 2).sum(axis=1)
-            denom = one_minus_cand[later] * one_minus_held[i]
-            return np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom)) / k < 2.0 * rho
-
-    _, chord, _, _ = _orbit_metric(GroupAction(FULL_ROTATION), space, pts)
-    return pts[_greedy_walk(pts, chord(2.0 * rho), too_close)]
+    pts = float(np.linalg.norm(y)) * _sphere_points(d, n_steps)
+    return pts[_greedy_walk(GroupAction(FULL_ROTATION), space, pts, rho)]
 
 
 def _product_block_counts(space, y, blocks, rho):
@@ -550,12 +535,7 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     n_steps = int(min(_MAX_WALK, max(128, math.ceil(math.pi * speed / (rho / _WALK_SUBDIVISION)))))
     thetas = math.pi * np.arange(n_steps) / n_steps
     pts = [_conjugate(y, float(t)) for t in thetas]
-
-    def too_close(i, later):
-        return np.array([matrix_distance(pts[j], pts[i]) < 2.0 * rho for j in later], dtype=bool)
-
-    emb, chord, _, _ = _orbit_metric(action, None, pts)
-    accepted = [pts[i] for i in _greedy_walk(emb, chord(2.0 * rho), too_close)]
+    accepted = [pts[i] for i in _greedy_walk(action, None, pts, rho)]
     return _certified(action, None, y, rho, accepted, GREEDY)
 
 
@@ -591,14 +571,9 @@ def expansion_profile(
         else:
             y[0] = r
         report = packing_count(action, space, y, rho, method=method)
-        dist = (
-            float(np.linalg.norm(y))
-            if space.model == EUCLIDEAN
-            else geodesic_distance(space, np.zeros(dim), y)
-        )
         rows.append(
             {
-                "distance": dist,
+                "distance": geodesic_distance(space, np.zeros(dim), y),
                 "rho": rho,
                 "count": report.count,
                 "method": report.method,

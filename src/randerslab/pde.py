@@ -777,17 +777,17 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
         # fractional steps are the damped tier's job
         try:
             cand = _solve_tridiag(diag_phi + diag_react, off, -g)
-            if np.isfinite(cand).all() and float(g @ cand) < 0:
-                moved = try_direction(cand, 2) is not None
-        except Exception:
-            pass
+        except (np.linalg.LinAlgError, ValueError):
+            cand = None
+        if cand is not None and np.isfinite(cand).all() and float(g @ cand) < 0:
+            moved = try_direction(cand, 2) is not None
         # 2) mass-damped semi-implicit step with adaptive damping
         if not moved:
             diag_pos = diag_phi + np.maximum(diag_react, 0.0)
             for _ in range(80):
                 try:
                     cand = _solve_tridiag(diag_pos + mu * mass, off, -g)
-                except Exception:
+                except (np.linalg.LinAlgError, ValueError):
                     cand = None
                 if cand is not None and np.isfinite(cand).all() and float(g @ cand) < 0:
                     alpha = try_direction(cand, 10)
@@ -879,7 +879,7 @@ def _polish_root(problem, u, tol_factor, max_iter: int = 120):
         for _ in range(40):
             try:
                 cand = _solve_tridiag(diag + tau * mass, off, -g)
-            except Exception:
+            except (np.linalg.LinAlgError, ValueError):
                 cand = None
             if cand is not None and np.isfinite(cand).all():
                 alpha = 1.0

@@ -128,6 +128,52 @@ class TestValidation:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rearrange", "--shape", "foo"],
+            ["packing", "--space", "foo", "--radii", "1"],
+            ["funk", "--format", "xml"],
+            ["packing", "--dim", "abc", "--radii", "1"],
+            ["pde", "--rho", "1"],
+        ],
+    )
+    def test_command_line_error_gives_error_record(self, capsys, argv):
+        # a bad choice, a bad type or an unknown flag gets the same one-line
+        # JSON record as every other validation error
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "usage" not in captured.err
+        assert json.loads(lines[0])["error"] == "ValidationError"
+
+
+class TestParameterDefaults:
+    def test_run_and_flags_share_defaults(self, tmp_path):
+        # a config that names only the grid gets the same defaults as the flags
+        argv = ["embedding", "--grid", "16", "--format", "json"]
+        code, text = run_to_file(tmp_path, "emb.json", argv)
+        assert code == 0
+        assert run(RunConfig("embedding", {"grid": 16})).rows == json.loads(text)["rows"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["packing", "--rho", "1", "--radii", "10:200:4:log"],
+            ["embedding", "--grid", "16", "--dim", "2", "--p", "3", "--q", "inf"],
+        ],
+    )
+    def test_config_replay_is_byte_identical(self, tmp_path, argv):
+        code, text = run_to_file(tmp_path, "direct.csv", argv)
+        assert code == 0
+        config = json.loads(text.splitlines()[1][len("# config=") :])
+        config["output"] = str(tmp_path / "replay.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["--config", str(cfg_path)]) == 0
+        assert (tmp_path / "replay.csv").read_text() == text
+
 
 class TestConfigRoundTrip:
     def test_emitted_config_reingests_identically(self, tmp_path):

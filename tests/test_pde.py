@@ -683,6 +683,50 @@ class TestRimFreeSolve:
         assert rep.n_converged == rep.n_starts
 
 
+class TestSolveErrors:
+    """Only the errors solve_banded raises move a Newton-type step to its
+    next tier; anything else is a bug and propagates."""
+
+    @pytest.fixture
+    def start(self):
+        from randerslab.pde import _default_seeds
+
+        prob = replace_lambda(example_problem(n_cells=64), 1.0)
+        return prob, _default_seeds(prob, 1.0)[2]
+
+    def test_type_error_propagates(self, start, monkeypatch):
+        from randerslab.pde import _descend, _polish_root
+
+        def broken(diag, off, rhs):
+            raise TypeError("not a solver error")
+
+        monkeypatch.setattr(pde, "_solve_tridiag", broken)
+        prob, u0 = start
+        with pytest.raises(TypeError):
+            _descend(prob, u0, 50, 1e-8)
+        with pytest.raises(TypeError):
+            _polish_root(prob, u0, 1e-8)
+
+    def test_singular_solve_falls_through(self, start, monkeypatch):
+        from randerslab.pde import _descend
+
+        original = pde._solve_tridiag
+        calls = []
+
+        def singular_once(diag, off, rhs):
+            calls.append(diag)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(diag, off, rhs)
+
+        monkeypatch.setattr(pde, "_solve_tridiag", singular_once)
+        prob, u0 = start
+        steps = []
+        _descend(prob, u0, 1, 1e-8, on_step=steps.append)
+        # the full Newton solve failed; the damped tier took the first step
+        assert len(calls) >= 2 and len(steps) == 1
+
+
 class TestZeroOnlyLevel:
     """Below the certified level of p Phi, 0 is the only critical point."""
 
