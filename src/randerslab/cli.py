@@ -83,7 +83,6 @@ class RunConfig:
     output: Optional[str] = None
     format: str = "csv"
     seed: int = 0
-    tol: float = 1e-10
 
     def to_dict(self) -> dict:
         # the output path is deliberately not part of the embedded config:
@@ -93,12 +92,11 @@ class RunConfig:
             "params": dict(sorted(self.params.items())),
             "format": self.format,
             "seed": self.seed,
-            "tol": self.tol,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {"subcommand", "params", "output", "format", "seed", "tol"}
+        known = {"subcommand", "params", "output", "format", "seed"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -108,7 +106,6 @@ class RunConfig:
             output=data.get("output"),
             format=data.get("format", "csv"),
             seed=int(data.get("seed", 0)),
-            tol=float(data.get("tol", 1e-10)),
         )
 
 
@@ -168,9 +165,7 @@ def _nondecreasing(rows) -> dict:
 def _run_packing(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
     action = orbits.GroupAction(orbits.FULL_ROTATION)
-    rows = orbits.expansion_profile(
-        action, space, params["rho"], _parse_range(params["radii"]), method=params["method"]
-    )
+    rows = orbits.expansion_profile(action, space, params["rho"], _parse_range(params["radii"]))
     return RunResult(config, ["distance", "rho", "count", "method"], rows, _nondecreasing(rows))
 
 
@@ -186,9 +181,7 @@ def _run_expansion(config: RunConfig, params: dict) -> RunResult:
         space = SpaceForm(sum(blocks), 0.0)
     else:
         raise ValidationError(f"unknown action {kind!r}")
-    raw = orbits.expansion_profile(
-        action, space, rho, _parse_range(params["radii"]), method=params["method"]
-    )
+    raw = orbits.expansion_profile(action, space, rho, _parse_range(params["radii"]))
     rows = [
         {**r, "normalized": r["count"] * rho / r["distance"] if r["distance"] > 0 else 0.0}
         for r in raw
@@ -387,7 +380,7 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
 # default)}).  The flag is "--" + name with dashes; a None default leaves the
 # key out of the config unless it is given.
 _SPACE = {"space": (str, "euclid"), "dim": (int, 2), "curvature": (float, -1.0)}
-_RAY = {"rho": (float, 1.0), "radii": (str, ""), "method": (str, "auto")}
+_RAY = {"rho": (float, 1.0), "radii": (str, "")}
 _SUBCOMMANDS = {
     "packing": (_run_packing, "packing counts along a geodesic ray", {**_SPACE, **_RAY}),
     "expansion": (
@@ -488,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None)
         sp.add_argument("--format", default="csv")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-10)
     return parser
 
 
@@ -506,7 +498,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output=args.output,
         format=args.format,
         seed=args.seed,
-        tol=args.tol,
     )
 
 

@@ -39,9 +39,7 @@ from .modelspace import (
     geodesic_distance,
     s_c,
     sphere_area,
-    unit_ball_volume,
 )
-from .numerics import adaptive_integrate
 
 __all__ = [
     "FULL_ROTATION",
@@ -299,22 +297,25 @@ def _certified(action, space, y, rho, centers, method) -> PackingReport:
     return PackingReport(y, rho, len(centers), centers, method, min_pairwise_distance=dmin)
 
 
-def _circle_exact_count(space: SpaceForm, orbit_radius: float, rho: float):
-    """Max equally spaced points on a geodesic circle with pair distance >= 2 rho."""
-    if space.model == EUCLIDEAN:
-        if orbit_radius < rho:
-            return 1, None
-        phi_min = 2.0 * math.asin(min(1.0, rho / orbit_radius))
+def _circle_centers(space: SpaceForm, y, rho: float) -> np.ndarray:
+    """Most equally spaced points, starting at y, on the geodesic circle
+    through y (dimension 2) with pair distance >= 2 rho."""
+    r_orbit = geodesic_distance(space, np.zeros(2), y)
+    if r_orbit < rho:
+        count = 1
     else:
-        k = math.sqrt(-space.curvature)
-        s, r = k * orbit_radius, k * rho
-        if orbit_radius < rho:
-            return 1, None
-        num = math.cosh(s) ** 2 - math.cosh(2.0 * r)
-        cos_phi = num / math.sinh(s) ** 2
-        phi_min = math.acos(max(-1.0, min(1.0, cos_phi)))
-    count = max(1, int(math.floor(2.0 * math.pi / phi_min)))
-    return count, phi_min
+        if space.model == EUCLIDEAN:
+            phi_min = 2.0 * math.asin(min(1.0, rho / r_orbit))
+        else:
+            k = math.sqrt(-space.curvature)
+            s, r = k * r_orbit, k * rho
+            cos_phi = (math.cosh(s) ** 2 - math.cosh(2.0 * r)) / math.sinh(s) ** 2
+            phi_min = math.acos(max(-1.0, min(1.0, cos_phi)))
+        count = max(1, int(math.floor(2.0 * math.pi / phi_min)))
+    thetas = 2.0 * math.pi * np.arange(count) / count
+    base = math.atan2(y[1], y[0])
+    circle = np.stack([np.cos(base + thetas), np.sin(base + thetas)], axis=1)
+    return float(np.linalg.norm(y)) * circle
 
 
 def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
@@ -322,63 +323,6 @@ def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
         return geodesic_radius
     k = math.sqrt(-space.curvature)
     return math.tanh(k * geodesic_radius / 2.0)
-
-
-def _greedy_circle(space, y, rho):
-    """Greedy walk around the geodesic circle through y (dimension 2).
-
-    The circle is scanned at arc step rho/20; each acceptance is then
-    sharpened by bisecting the continuous angle at which the distance to
-    the previously accepted center first clears 2 rho, so no arc is wasted
-    to grid quantization.
-    """
-    y = np.asarray(y, dtype=float)
-    chart_r = float(np.linalg.norm(y))
-    base_angle = math.atan2(y[1], y[0])
-    r_orbit = geodesic_distance(space, np.zeros(2), y)
-    circumference = 2.0 * math.pi * s_c(space.curvature, r_orbit)
-    n_steps = int(min(_MAX_WALK, max(64, math.ceil(circumference / (rho / _WALK_SUBDIVISION)))))
-    step = 2.0 * math.pi / n_steps
-
-    def point_at(theta):
-        return chart_r * np.array(
-            [math.cos(base_angle + theta), math.sin(base_angle + theta)]
-        )
-
-    def dist_at(theta, other):
-        return geodesic_distance(space, point_at(theta), other)
-
-    accepted_angles = [0.0]
-    accepted_pts = [point_at(0.0)]
-    theta = 0.0
-    while True:
-        # scan forward for the next crossing of the 2 rho threshold
-        prev = theta
-        found = None
-        while prev < 2.0 * math.pi:
-            nxt = min(prev + step, 2.0 * math.pi)
-            if dist_at(nxt, accepted_pts[-1]) >= 2.0 * rho:
-                found = (prev, nxt)
-                break
-            prev = nxt
-        if found is None:
-            break
-        lo, hi = found
-        if dist_at(lo, accepted_pts[-1]) < 2.0 * rho:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if dist_at(mid, accepted_pts[-1]) >= 2.0 * rho:
-                    hi = mid
-                else:
-                    lo = mid
-        theta = hi
-        candidate = point_at(theta)
-        # wrap check against the first accepted center
-        if geodesic_distance(space, candidate, accepted_pts[0]) < 2.0 * rho:
-            break
-        accepted_angles.append(theta)
-        accepted_pts.append(candidate)
-    return np.array(accepted_pts)
 
 
 def _greedy_walk(action, space, points, rho) -> list:
@@ -426,7 +370,6 @@ def _product_block_counts(space, y, blocks, rho):
     which alone contributes chord >= 2 rho, so the ambient distance clears
     the threshold regardless of the other blocks.
     """
-    euclid = SpaceForm(2, 0.0)
     counts, block_centers = [], []
     offset = 0
     for bdim in blocks:
@@ -435,16 +378,9 @@ def _product_block_counts(space, y, blocks, rho):
         if rj == 0.0:
             counts.append(1)
             block_centers.append(np.zeros((1, bdim)))
-        elif bdim == 2:
-            cnt, _ = _circle_exact_count(euclid, rj, rho)
-            thetas = 2.0 * math.pi * np.arange(cnt) / cnt
-            base = math.atan2(yj[1], yj[0])
-            block_centers.append(
-                rj * np.stack([np.cos(base + thetas), np.sin(base + thetas)], axis=1)
-            )
-            counts.append(cnt)
         else:
-            centers = _sphere_walk(SpaceForm(bdim, 0.0), yj, rho)
+            walk = _circle_centers if bdim == 2 else _sphere_walk
+            centers = walk(SpaceForm(bdim, 0.0), yj, rho)
             block_centers.append(centers)
             counts.append(len(centers))
         offset += bdim
@@ -456,13 +392,14 @@ def packing_count(
     space: Optional[SpaceForm],
     y,
     rho: float,
-    method: str = "auto",
 ) -> PackingReport:
     """Number of mutually disjoint geodesic rho-balls centered on the orbit.
 
-    method "angular_exact" (circles only) uses the closed-form spacing;
-    "greedy" walks a fine orbit parametrization and reports a certified
-    lower bound; "auto" picks exact where available.
+    A full-rotation circle (dimension 2) gets the exact count of equally
+    spaced centers from the closed-form spacing (ANGULAR_EXACT).  Every
+    other orbit gets a greedy walk over a fine orbit parametrization, whose
+    count is a certified lower bound (GREEDY); a product orbit takes the
+    product grid of its per-block packings.
 
     After each acceptance the walk blocks the later candidates that a kd-tree
     ball query finds within the chord of 2 rho and the exact distance
@@ -471,7 +408,6 @@ def packing_count(
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    method = method.lower()
 
     if action.kind == MATRIX_CONJUGATION:
         return _packing_matrix(action, y, rho)
@@ -482,32 +418,17 @@ def packing_count(
             raise ValueError("full rotation needs an ambient space")
         if space.model == POINCARE_BALL:
             space.point(y)  # chart validation
-        r_chart = float(np.linalg.norm(y))
-        if r_chart == 0.0:
+        if float(np.linalg.norm(y)) == 0.0:
             return PackingReport(y, rho, 1, np.zeros((1, y.size)), GREEDY, fixed_point=True)
-        if y.size == 2 and method in ("auto", "angular_exact"):
-            r_orbit = geodesic_distance(space, np.zeros(2), y)
-            count, phi_min = _circle_exact_count(space, r_orbit, rho)
-            thetas = 2.0 * math.pi * np.arange(count) / count
-            base = math.atan2(y[1], y[0])
-            centers = r_chart * np.stack(
-                [np.cos(base + thetas), np.sin(base + thetas)], axis=1
-            )
-            return _certified(action, space, y, rho, centers, ANGULAR_EXACT)
-        if method == "angular_exact":
-            raise ValueError("angular_exact is only available for circles (dim 2)")
-        centers = (
-            _greedy_circle(space, y, rho) if y.size == 2 else _sphere_walk(space, y, rho)
-        )
-        return _certified(action, space, y, rho, centers, GREEDY)
+        if y.size == 2:
+            return _certified(action, space, y, rho, _circle_centers(space, y, rho), ANGULAR_EXACT)
+        return _certified(action, space, y, rho, _sphere_walk(space, y, rho), GREEDY)
 
     # PRODUCT_ROTATION on Euclidean space
     if space is not None and space.model != EUCLIDEAN:
         raise ValueError("product rotations act on Euclidean space")
     if sum(action.blocks) != y.size:
         raise ValueError(f"blocks {action.blocks} do not partition y of size {y.size}")
-    if method == "angular_exact":
-        raise ValueError("angular_exact is only available for circles (dim 2)")
     if float(np.linalg.norm(y)) == 0.0:
         return PackingReport(y, rho, 1, np.zeros((1, y.size)), GREEDY, fixed_point=True)
     counts, block_centers = _product_block_counts(space, y, action.blocks, rho)
@@ -544,7 +465,6 @@ def expansion_profile(
     space: SpaceForm,
     rho: float,
     radii: Sequence[float],
-    method: str = "auto",
 ):
     """Packing counts along a geodesic ray from the origin.
 
@@ -570,7 +490,7 @@ def expansion_profile(
                 offset += bdim
         else:
             y[0] = r
-        report = packing_count(action, space, y, rho, method=method)
+        report = packing_count(action, space, y, rho)
         rows.append(
             {
                 "distance": geodesic_distance(space, np.zeros(dim), y),
@@ -689,17 +609,22 @@ def tangent_packing_lower_bound(angles: Sequence[float], rho: float, t: float) -
 
 
 def spherical_cap_count(d: int, rho: float, t: float) -> float:
-    """Cap-covering estimate: sphere area / area of a cap of radius 2 rho/t."""
+    """Cap-covering estimate: sphere area / area of a cap of radius 2 rho/t.
+
+    A cap of angular radius theta <= pi/2 covers the fraction
+    I_{sin^2 theta}((d-1)/2, 1/2) / 2 of the sphere S^(d-1), a regularised
+    incomplete Beta; a wider cap covers one minus the share of its
+    complement, which has the same sin^2 theta.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if not t > rho:
         raise ValueError(f"need t > rho, got t={t}, rho={rho}")
-    cap_radius = 2.0 * rho / t
-    inner = adaptive_integrate(
-        lambda s: math.sin(s) ** (d - 2), 0.0, min(cap_radius, math.pi), tol=1e-12
-    )
-    cap_area = (d - 1) * unit_ball_volume(d - 1) * inner.value
-    return sphere_area(d) / cap_area
+    from scipy.special import betainc
+
+    theta = 2.0 * rho / t  # below 2 < pi, as t > rho
+    share = 0.5 * float(betainc(0.5 * (d - 1), 0.5, math.sin(theta) ** 2))
+    return 1.0 / (share if theta <= math.pi / 2.0 else 1.0 - share)
 
 
 @dataclass(frozen=True)
@@ -714,36 +639,31 @@ class ProductSpheresMeasure:
 
 
 def simplex_min_exponent_sum(blocks: Sequence[int]) -> float:
-    """min of sum z_i^(d_i - 1) over the simplex sum z_i = 1, z_i >= 0."""
-    blocks = [int(b) for b in blocks]
-    k = len(blocks)
-    exps = np.array([b - 1 for b in blocks], dtype=float)
+    """min of sum z_i^(d_i - 1) over the simplex sum z_i = 1, z_i >= 0.
 
-    def objective(z):
-        return float(np.sum(np.abs(z) ** exps))
+    The objective is convex, so the minimiser is its KKT point: a block with
+    e_i = d_i - 1 > 1 takes z_i = (mu / e_i)^(1 / (e_i - 1)), which grows
+    with the multiplier mu, and the blocks with e_i = 1 share whatever mass
+    is left once mu reaches their constant slope 1.  mu is bisected down to
+    the smallest float whose mass reaches 1.
+    """
+    exps = [int(b) - 1 for b in blocks]
+    if not exps or min(exps) < 1:
+        raise ValueError("blocks must all have dimension >= 2")
+    curved = [e for e in exps if e > 1]
 
-    if all(b == 2 for b in blocks):
-        return 1.0
-    from scipy.optimize import minimize
+    def shares(mu):
+        return [(mu / e) ** (1.0 / (e - 1)) for e in curved]
 
-    starts = [np.full(k, 1.0 / k)]
-    for j in range(k):
-        e = np.full(k, 0.05 / max(1, k - 1))
-        e[j] = 0.95
-        starts.append(e)
-    best = math.inf
-    for z0 in starts:
-        res = minimize(
-            objective,
-            z0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * k,
-            constraints=[{"type": "eq", "fun": lambda z: float(np.sum(z) - 1.0)}],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        if res.success:
-            best = min(best, float(res.fun))
-    return best
+    # the mass reaches 1 by mu = max e_i, where that block alone takes z = 1;
+    # blocks with e_i = 1 take mass only at mu = 1, so they cap the bracket
+    lo, hi = 0.0, 1.0 if 1 in exps else float(max(curved))
+    if sum(shares(hi)) >= 1.0:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if sum(shares(mid)) >= 1.0 else (mid, hi)
+    z = shares(hi)
+    rest = 1.0 - sum(z) if 1 in exps else 0.0
+    return sum(zi**e for zi, e in zip(z, curved)) + max(0.0, rest)
 
 
 def orbit_hausdorff_product_spheres(blocks: Sequence[int], y) -> ProductSpheresMeasure:

@@ -117,6 +117,19 @@ class TestValidation:
         cfg.write_text(json.dumps({"subcommand": "funk", "params": {}, "bogus": 1}))
         assert main(["--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"subcommand": "funk", "params": {}, "tol": 1e-10},
+            {"subcommand": "packing", "params": {"radii": "10", "method": "auto"}},
+        ],
+    )
+    def test_retired_tol_and_method_rejected(self, tmp_path, capsys, config):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
             run(RunConfig(subcommand="funk", params={"nonsense": 1}))
@@ -136,6 +149,8 @@ class TestValidation:
             ["funk", "--format", "xml"],
             ["packing", "--dim", "abc", "--radii", "1"],
             ["pde", "--rho", "1"],
+            ["packing", "--radii", "10:100:3:log", "--method", "greedy"],
+            ["funk", "--tol", "1e-9"],
         ],
     )
     def test_command_line_error_gives_error_record(self, capsys, argv):
@@ -254,6 +269,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "embedding_fails_everywhere=true" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, randerslab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_help(self):
         proc = subprocess.run(

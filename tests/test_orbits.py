@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -88,15 +90,22 @@ class TestPackingCount:
         assert report.min_pairwise_distance >= 2 * 1.5 - 1e-12
         report.verify(ROT, EUCLID2)
 
-    def test_greedy_within_one_of_exact(self):
+    def test_angular_count_matches_circle_walk(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             r = rng.uniform(3.0, 60.0)
             rho = rng.uniform(0.3, r / 3.0)
-            y = np.array([r, 0.0])
-            exact = packing_count(ROT, EUCLID2, y, rho, method="angular_exact").count
-            greedy = packing_count(ROT, EUCLID2, y, rho, method="greedy").count
-            assert exact - 1 <= greedy <= exact
+            report = packing_count(ROT, EUCLID2, np.array([r, 0.0]), rho)
+            assert report.method == ANGULAR_EXACT
+            assert report.count == _brute_circle_walk(EUCLID2, r, rho)
+
+    @pytest.mark.parametrize("curvature", [-1.0, -2.25])
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 2.0])
+    def test_hyperbolic_angular_count_matches_circle_walk(self, curvature, rho):
+        space = SpaceForm(2, curvature)
+        for chart_r in [0.05, 0.3, 0.6, 0.9, 0.99]:
+            report = packing_count(ROT, space, np.array([chart_r, 0.0]), rho)
+            assert report.count == _brute_circle_walk(space, chart_r, rho)
 
     def test_isometry_invariance(self):
         rho = 0.7
@@ -127,7 +136,7 @@ class TestPackingCount:
         assert counts[0] < counts[1] < counts[2]
 
     def test_sphere_greedy_dimension_three(self):
-        report = packing_count(ROT, EUCLID3, np.array([6.0, 0.0, 0.0]), 1.0, method="greedy")
+        report = packing_count(ROT, EUCLID3, np.array([6.0, 0.0, 0.0]), 1.0)
         assert report.method == GREEDY
         assert report.count > 50
         report.verify(ROT, EUCLID3)
@@ -141,8 +150,6 @@ class TestPackingCount:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             packing_count(ROT, EUCLID2, np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(ValueError):
-            packing_count(ROT, EUCLID3, np.array([1.0, 0, 0]), 1.0, method="angular_exact")
 
 
 class TestExpansionProfile:
@@ -300,6 +307,15 @@ class TestSphericalCap:
         large = spherical_cap_count(3, 1.0, 10_000.0)
         assert large > 1e5 * small / 1e2
 
+    @pytest.mark.parametrize("t", [10.0, 1.5, 1.25, 1.1])
+    def test_three_dimensional_closed_form(self, t):
+        # a cap of angular radius theta covers sin^2(theta / 2) of S^2; t = 10
+        # and 1.5 give theta < pi/2, t = 1.25 and 1.1 the reflected branch
+        theta = 2.0 / t
+        assert spherical_cap_count(3, 1.0, t) == pytest.approx(
+            1.0 / math.sin(theta / 2.0) ** 2, rel=1e-14
+        )
+
     def test_requires_t_above_rho(self):
         with pytest.raises(ValueError):
             spherical_cap_count(3, 2.0, 1.0)
@@ -316,11 +332,33 @@ class TestHausdorffMeasures:
     def test_simplex_minimum_all_circles_is_one(self):
         assert simplex_min_exponent_sum([2, 2, 2]) == 1.0
 
+    def test_simplex_minimum_exact_at_rational_kkt_points(self):
+        # z = (1/2, 1/2) minimises both z_1 + z_2^2 and z_1^2 + z_2^2
+        assert simplex_min_exponent_sum([2, 3]) == 0.75
+        assert simplex_min_exponent_sum([3, 3]) == 0.5
+
+    def test_simplex_minimum_rejects_blocks_below_two(self):
+        for blocks in ([], [1, 2]):
+            with pytest.raises(ValueError):
+                simplex_min_exponent_sum(blocks)
+
     def test_simplex_minimum_against_grid_search(self):
         blocks = [2, 3]
         zs = np.linspace(0.0, 1.0, 20001)
         grid_min = float(np.min(zs ** 1 + (1.0 - zs) ** 2))
         assert simplex_min_exponent_sum(blocks) == pytest.approx(grid_min, abs=1e-6)
+
+    def test_closed_forms_load_no_optimizer(self):
+        code = (
+            "import sys\n"
+            "from randerslab.orbits import simplex_min_exponent_sum, spherical_cap_count\n"
+            "spherical_cap_count(4, 1.0, 3.0)\n"
+            "simplex_min_exponent_sum([3, 4])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_product_spheres_random_points(self):
         rng = np.random.default_rng(31)
@@ -441,6 +479,40 @@ def _brute_sphere_walk(space, y, rho):
                 continue
         accepted.append(p)
     return np.array(accepted)
+
+
+def _brute_circle_walk(space, chart_r, rho):
+    """Count of a greedy pass around the circle of chart radius chart_r (dim 2).
+
+    The scan steps the angle by an arc of rho/20 from the last center until a
+    point clears 2 rho, bisects that crossing, and stops once the next center
+    would lie within 2 rho of the first one.
+    """
+
+    def dist(a, b):
+        diff2 = chart_r**2 * ((math.cos(a) - math.cos(b)) ** 2 + (math.sin(a) - math.sin(b)) ** 2)
+        if space.model == EUCLIDEAN:
+            return math.sqrt(diff2)
+        key = 2.0 * diff2 / (1.0 - chart_r**2) ** 2
+        return math.acosh(1.0 + key) / math.sqrt(-space.curvature)
+
+    r_orbit = geodesic_distance(space, np.zeros(2), np.array([chart_r, 0.0]))
+    arc = 2.0 * math.pi * s_c(space.curvature, r_orbit)
+    n_steps = int(min(orbits._MAX_WALK, max(64, math.ceil(arc / (rho / orbits._WALK_SUBDIVISION)))))
+    step = 2.0 * math.pi / n_steps
+    count, last = 1, 0.0
+    while True:
+        lo, hi = last, min(last + step, 2.0 * math.pi)
+        while dist(hi, last) < 2.0 * rho:
+            if hi == 2.0 * math.pi:
+                return count
+            lo, hi = hi, min(hi + step, 2.0 * math.pi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if dist(mid, last) >= 2.0 * rho else (mid, hi)
+        if dist(hi, 0.0) < 2.0 * rho:
+            return count
+        count, last = count + 1, hi
 
 
 def _brute_matrix_walk(y, rho):
