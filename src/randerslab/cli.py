@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -426,7 +426,10 @@ def run(config: RunConfig) -> RunResult:
     """Execute one run; raises ValidationError for malformed configs.
 
     Parameters absent from config.params take their table defaults, and
-    given ones are converted to their table types, as the flags are.
+    given ones are converted to their table types, as the flags are.  The
+    result's config records every resolved parameter except those left at
+    a None default, so a replayed config prints the header of the
+    equivalent command line.
     """
     if config.subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {config.subcommand!r}")
@@ -440,7 +443,8 @@ def run(config: RunConfig) -> RunResult:
         name: kind(config.params[name]) if name in config.params else default
         for name, (kind, default) in spec.items()
     }
-    return handler(config, params)
+    resolved = {name: value for name, value in params.items() if value is not None}
+    return handler(replace(config, params=resolved), params)
 
 
 def _emit(result: RunResult) -> None:
@@ -505,7 +509,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config_from_args(_build_parser().parse_args(argv))
         result = run(config)
-    except (ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError, pde.SweepFailure
+    ) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

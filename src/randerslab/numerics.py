@@ -138,6 +138,9 @@ _CHAIN_MIN_SPLITS = 32
 _CHAIN_WINDOW = 5
 _CHAIN_SHRINK_RATIO = 0.90 ** _CHAIN_WINDOW
 
+# split budget of adaptive_integrate; exhausting it leaves converged False
+_MAX_SPLITS = 5000
+
 
 def adaptive_integrate(
     f: Callable[[float], float],
@@ -145,16 +148,15 @@ def adaptive_integrate(
     b: float,
     tol: float = 1e-10,
     growth_cap: float = 1e12,
-    max_splits: int = 5000,
 ) -> IntegralResult:
     """Integrate f over (a, b) to absolute tolerance tol.
 
     Endpoint singularities are allowed: no node ever touches a or b.  When
     the running total blows past growth_cap, or the contribution of the
     panel chain hugging an endpoint stops shrinking under repeated halving,
-    the integral is classified DIVERGENT.  Endpoint singularities
-    (distance)^(-a) reach tol = 1e-10 for a <= 0.35 and tol = 1e-8 for
-    a <= 0.45, the true error included.  Beyond that the error estimate is
+    the integral is classified DIVERGENT.  At most 5000 panels are split.
+    Endpoint singularities (distance)^(-a) reach tol = 1e-10 for
+    a <= 0.35 and tol = 1e-8 for a <= 0.45, the true error included.  Beyond that the error estimate is
     not reliable: int_0^1 (1-s)^(-a) ds has true error 1.6e-10 at a = 0.4,
     tol 1e-10, and 1.3e-8 at a = 1/2, tol 1e-8, both with converged True;
     at a = 0.75 the split budget runs out (converged False, error 2e-4).
@@ -231,7 +233,7 @@ def adaptive_integrate(
     chains = {1: [], 2: []}
 
     splits = 0
-    while heap and splits < max_splits:
+    while heap and splits < _MAX_SPLITS:
         live_err = frozen_err + sum(item[5] for item in heap)
         if live_err <= tol:
             break
@@ -349,7 +351,8 @@ def seeded_line_search(
     Rows are clipped at zero with the last node (the Dirichlet rim) at 0;
     rows that vanish are dropped, `retract` maps the rest onto the start
     set.  Each row then searches exactly as it would alone: up to max_iter
-    times, take G = direction(u) (stop if ||G|| < g_tol) and halve the row's
+    times, take G = direction(u) with its rim entry zeroed, since the rim
+    is not an unknown (stop if ||G|| < g_tol), and halve the row's
     step until retract(clip(u + step G)) improves on u (accept, step *=
     grow) or step <= 1e-12 (stop); a trial that clips to zero is no
     improvement.  The callbacks act on stacks of rows; objective gives one
@@ -370,6 +373,7 @@ def seeded_line_search(
         turn = np.flatnonzero(active & fresh)
         if turn.size:
             g[turn] = direction(u[turn])
+            g[:, -1] = 0.0
             left[turn] -= 1
             fresh[turn] = False
             if g_tol:

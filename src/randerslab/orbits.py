@@ -126,6 +126,8 @@ class MatrixPoint:
 
     @classmethod
     def diagonal(cls, lam: float) -> "MatrixPoint":
+        if not (lam > 0 and math.isfinite(lam) and math.isfinite(1.0 / lam)):
+            raise ValueError(f"lambda and 1/lambda must be positive and finite, got {lam}")
         return cls(a=lam, b=0.0, c=1.0 / lam)
 
     @classmethod
@@ -556,14 +558,13 @@ def coercivity_probe(
     space: SpaceForm,
     t: float,
     search_radius: float,
-    n_points: int = 32,
-    orbit_samples: int = 512,
 ) -> CoercivityReport:
-    """Search the shell d(x0, x) in [R/2, R] for points with small orbits."""
+    """Search the shell d(x0, x) in [R/2, R] for points with small orbits:
+    32 directions at 5 radii, each orbit sampled at 512 points."""
     if not t > 0 or not search_radius > 0:
         raise ValueError("t and search_radius must be positive")
     dim = space.dim if action.kind != PRODUCT_ROTATION else sum(action.blocks)
-    dirs = _sphere_points(dim, n_points)
+    dirs = _sphere_points(dim, 32)
     best = math.inf
     witness = None
     for frac in np.linspace(0.5, 1.0, 5):
@@ -571,7 +572,7 @@ def coercivity_probe(
         chart = _chart_radius(space, geo)
         for u in dirs:
             x = chart * u
-            diam = orbit_diameter(action, space, x, n=orbit_samples)
+            diam = orbit_diameter(action, space, x, n=512)
             if diam < best:
                 best = diam
                 if diam <= t:

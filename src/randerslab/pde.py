@@ -166,56 +166,47 @@ def reference_nonlinearity(
     c1_ = ma * span
     c2 = 3.0 * (fb - fa) - (2.0 * ma + mb) * span
     c3 = 2.0 * (fa - fb) + (ma + mb) * span
-    coeffs = (c0, c1_, c2, c3)
-    # primitive of the cubic piece, in t, times span
-    H_a = a**q / q
-
-    def _cubic(t):
-        return c0 + t * (c1_ + t * (c2 + t * c3))
-
-    def _cubic_prime(t):
-        return c1_ + t * (2.0 * c2 + 3.0 * t * c3)
 
     def _cubic_primitive(t):
         return span * t * (c0 + t * (c1_ / 2.0 + t * (c2 / 3.0 + t * c3 / 4.0)))
 
+    H_a = a**q / q
     H_b = H_a + _cubic_primitive(1.0)
 
-    # Each kernel evaluates a branch only on the nodes where it is active:
-    # s <= 0 gives 0, (0, a] the small power, [b, inf) the large power, and
-    # everything else (the open blend interval, and NaN) the cubic.
-    def _branches(s_arr):
-        low = (s_arr > 0.0) & (s_arr <= a)
-        high = s_arr >= b
-        mid = ~((s_arr <= 0.0) | low | high)
-        return low, mid, high
+    def piecewise(low_fn, cubic_fn, high_fn):
+        """Kernel that evaluates each branch only on the nodes where it is
+        active: s <= 0 gives 0, (0, a] low_fn(s), [b, inf) high_fn(s), and
+        everything else (the open blend interval, and NaN) cubic_fn(t) at
+        t = (s - a) / span."""
 
-    def h(s):
-        s_arr = np.asarray(s, dtype=float)
-        low, mid, high = _branches(s_arr)
-        out = np.zeros_like(s_arr)
-        out[low] = s_arr[low] ** (q - 1.0)
-        out[mid] = _cubic((s_arr[mid] - a) / span)
-        out[high] = s_arr[high] ** (w - 1.0)
-        return float(out) if s_arr.ndim == 0 else out
+        def kernel(s):
+            s_arr = np.asarray(s, dtype=float)
+            low = (s_arr > 0.0) & (s_arr <= a)
+            high = s_arr >= b
+            mid = ~((s_arr <= 0.0) | low | high)
+            out = np.zeros_like(s_arr)
+            out[low] = low_fn(s_arr[low])
+            out[mid] = cubic_fn((s_arr[mid] - a) / span)
+            out[high] = high_fn(s_arr[high])
+            return float(out) if s_arr.ndim == 0 else out
 
-    def dh(s):
-        s_arr = np.asarray(s, dtype=float)
-        low, mid, high = _branches(s_arr)
-        out = np.zeros_like(s_arr)
-        out[low] = (q - 1.0) * np.maximum(s_arr[low], 1e-300) ** (q - 2.0)
-        out[mid] = _cubic_prime((s_arr[mid] - a) / span) / span
-        out[high] = (w - 1.0) * s_arr[high] ** (w - 2.0)
-        return float(out) if s_arr.ndim == 0 else out
+        return kernel
 
-    def H(s):
-        s_arr = np.asarray(s, dtype=float)
-        low, mid, high = _branches(s_arr)
-        out = np.zeros_like(s_arr)
-        out[low] = s_arr[low] ** q / q
-        out[mid] = H_a + _cubic_primitive((s_arr[mid] - a) / span)
-        out[high] = H_b + (s_arr[high] ** w - b**w) / w
-        return float(out) if s_arr.ndim == 0 else out
+    h = piecewise(
+        lambda s: s ** (q - 1.0),
+        lambda t: c0 + t * (c1_ + t * (c2 + t * c3)),
+        lambda s: s ** (w - 1.0),
+    )
+    dh = piecewise(
+        lambda s: (q - 1.0) * np.maximum(s, 1e-300) ** (q - 2.0),
+        lambda t: (c1_ + t * (2.0 * c2 + 3.0 * t * c3)) / span,
+        lambda s: (w - 1.0) * s ** (w - 2.0),
+    )
+    H = piecewise(
+        lambda s: s**q / q,
+        lambda t: H_a + _cubic_primitive(t),
+        lambda s: H_b + (s**w - b**w) / w,
+    )
 
     return Nonlinearity(
         h=h,
@@ -346,10 +337,17 @@ class PDEProblem:
 
 
 def _phi_terms(problem: PDEProblem, u: np.ndarray):
+    """Per-cell slopes and co-norms F*(Du) of a profile, or of each row of
+    a stack of profiles."""
     disc = problem.disc
     slopes = np.diff(u) / disc["dr"]
-    conorms = radial_conorm(disc["b_mid"], slopes)
-    return slopes, conorms
+    return slopes, radial_conorm(disc["b_mid"], slopes)
+
+
+def _dconorm(problem: PDEProblem, slopes: np.ndarray) -> np.ndarray:
+    """dF*/dslope per cell: 1/(1+b) for rising, -1/(1-b) for falling data."""
+    b = problem.disc["b_mid"]
+    return np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
 
 
 def energy(problem: PDEProblem, u) -> tuple:
@@ -369,15 +367,21 @@ def energy_gradient(problem: PDEProblem, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     disc = problem.disc
     slopes, conorms = _phi_terms(problem, u)
-    b = disc["b_mid"]
-    dphi_ds = np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
-    dphi_ds = np.where(slopes == 0.0, 0.0, dphi_ds)
-    flux = conorms ** (problem.p - 1.0) * dphi_ds * disc["vol_f"] / disc["dr"]
+    # a flat cell has a zero co-norm, so its flux is zero whatever the sign
+    flux = conorms ** (problem.p - 1.0) * _dconorm(problem, slopes) * disc["vol_f"] / disc["dr"]
     grad = np.zeros_like(u)
     grad[:-1] -= flux
     grad[1:] += flux
     grad -= problem.lam * disc["jw"] * problem.nonlinearity.h(u)
     return grad
+
+
+def _free_gradient(problem: PDEProblem, u: np.ndarray) -> np.ndarray:
+    """energy_gradient on the free nodes: the Dirichlet rim is not an
+    unknown, so its entry is 0."""
+    g = energy_gradient(problem, u)
+    g[-1] = 0.0
+    return g
 
 
 def finsler_ball_volume(problem: PDEProblem, radius_f: float) -> float:
@@ -459,9 +463,7 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
         return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), powers(u))]
 
     def ascent(u):
-        g = sup_log_gradient(u) - powers.log_gradient(u)
-        g[:, -1] = 0.0
-        return g
+        return sup_log_gradient(u) - powers.log_gradient(u)
 
     _, values = seeded_line_search(
         np.array(seeds), quotient, ascent, retract=lambda u: u, grow=1.5, max_iter=max_iter - 1,
@@ -494,7 +496,6 @@ class BonannoParameters:
 
 
 def example_problem(
-    lam: float = 0.0,
     dim: int = 2,
     kappa: float = 1.5,
     beta_sup: float = 0.2,
@@ -510,7 +511,7 @@ def example_problem(
     return PDEProblem(
         randers=structure,
         p=p,
-        lam=lam,
+        lam=0.0,
         alpha=AlphaProfile("gaussian", alpha_rate),
         nonlinearity=reference_nonlinearity(p),
         n_cells=n_cells,
@@ -534,7 +535,7 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
 
     # every function below acts on a stack of profiles, one per row
     def project(u):
-        conorms = radial_conorm(disc["b_mid"], np.diff(u, axis=1) / disc["dr"])
+        _, conorms = _phi_terms(problem, u)
         for i, phi_p in enumerate(np.sum(conorms**p * disc["vol_f"], axis=1)):
             phi = float(phi_p) / p
             if phi > rho:
@@ -545,9 +546,7 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
         return [float(j) for j in np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)]
 
     def ascent(u):
-        g = disc["jw"] * problem.nonlinearity.h(u)
-        g[:, -1] = 0.0
-        return g
+        return disc["jw"] * problem.nonlinearity.h(u)
 
     _, values = seeded_line_search(
         np.array(seeds), j_values, ascent, retract=project, grow=1.5, max_iter=max_iter,
@@ -668,10 +667,8 @@ def _hessian_bands(problem, u, flat_floor: bool = True):
     """
     disc = problem.disc
     p = problem.p
-    slopes = np.diff(u) / disc["dr"]
-    b = disc["b_mid"]
-    conorms = radial_conorm(b, slopes)
-    dphi = np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
+    slopes, conorms = _phi_terms(problem, u)
+    dphi = _dconorm(problem, slopes)
     if flat_floor:
         floor = 1e-6 * max(float(np.max(conorms)), 1e-30)
         conorms = np.maximum(conorms, floor)
@@ -700,7 +697,11 @@ def _hessian_bands(problem, u, flat_floor: bool = True):
 def _solve_tridiag(diag, off, rhs):
     """Solve the tridiagonal system on the free nodes 0 .. n-2 and return
     it with a zero rim entry: the Dirichlet node n-1 is not an unknown, so
-    its row and column (and the coupling off[-1] into row n-2) drop out."""
+    its row and column (and the coupling off[-1] into row n-2) drop out.
+
+    Returns None when solve_banded finds the system singular or malformed
+    (LinAlgError, ValueError) or the solution is not finite, so the caller
+    moves on to its next tier; any other error propagates."""
     from scipy.linalg import solve_banded
 
     m = diag.size - 1
@@ -709,8 +710,11 @@ def _solve_tridiag(diag, off, rhs):
     ab[1, :] = diag[:m]
     ab[2, :-1] = off[: m - 1]
     out = np.zeros(m + 1)
-    out[:m] = solve_banded((1, 1), ab, rhs[:m])
-    return out
+    try:
+        out[:m] = solve_banded((1, 1), ab, rhs[:m])
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 # stagnation hand-off of _descend (see its docstring)
@@ -738,8 +742,7 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     u = np.maximum(np.asarray(u0, dtype=float).copy(), 0.0)
     u[-1] = 0.0
     _, _, e_val = energy(problem, u)
-    g = energy_gradient(problem, u)
-    g[-1] = 0.0
+    g = _free_gradient(problem, u)
     converged = False
     recent = deque([e_val], maxlen=_STALL_WINDOW + 1)
 
@@ -754,8 +757,7 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
             decrease = float(g @ (u - trial))
             if e_trial <= e_val - 1e-4 * decrease + 1e-300 and e_trial <= e_val:
                 u, e_val = trial, e_trial
-                g = energy_gradient(problem, u)
-                g[-1] = 0.0
+                g = _free_gradient(problem, u)
                 if on_step is not None:
                     on_step(e_val)
                 return alpha
@@ -775,21 +777,15 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
         moved = False
         # 1) full Newton, but only when it earns a confident step: timid
         # fractional steps are the damped tier's job
-        try:
-            cand = _solve_tridiag(diag_phi + diag_react, off, -g)
-        except (np.linalg.LinAlgError, ValueError):
-            cand = None
-        if cand is not None and np.isfinite(cand).all() and float(g @ cand) < 0:
+        cand = _solve_tridiag(diag_phi + diag_react, off, -g)
+        if cand is not None and float(g @ cand) < 0:
             moved = try_direction(cand, 2) is not None
         # 2) mass-damped semi-implicit step with adaptive damping
         if not moved:
             diag_pos = diag_phi + np.maximum(diag_react, 0.0)
             for _ in range(80):
-                try:
-                    cand = _solve_tridiag(diag_pos + mu * mass, off, -g)
-                except (np.linalg.LinAlgError, ValueError):
-                    cand = None
-                if cand is not None and np.isfinite(cand).all() and float(g @ cand) < 0:
+                cand = _solve_tridiag(diag_pos + mu * mass, off, -g)
+                if cand is not None and float(g @ cand) < 0:
                     alpha = try_direction(cand, 10)
                     if alpha is not None:
                         moved = True
@@ -815,9 +811,9 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     g_norm = float(np.linalg.norm(g))
     if not converged:
         u, g_norm = _polish_root(problem, u, tol_factor)
-        _, _, e_val = energy(problem, u)
+    phi, _, e_val = energy(problem, u)
     converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
-    if converged and problem.p * energy(problem, u)[0] < _zero_only_level(problem):
+    if converged and problem.p * phi < _zero_only_level(problem):
         return np.zeros_like(u), 0.0, 0.0, True
     return u, e_val, g_norm, converged
 
@@ -855,8 +851,9 @@ def _zero_only_level(problem) -> float:
     return level
 
 
-def _polish_root(problem, u, tol_factor, max_iter: int = 120):
-    """Damped Newton iteration on grad E = 0 with the exact Jacobian.
+def _polish_root(problem, u, tol_factor):
+    """Damped Newton iteration on grad E = 0 with the exact Jacobian, at
+    most 120 steps.
 
     Steps are accepted on gradient-norm decrease, which is immune to the
     floating resolution of the energy, so this phase finishes critical
@@ -864,12 +861,11 @@ def _polish_root(problem, u, tol_factor, max_iter: int = 120):
     energy descent can only approach.
     """
     u = u.copy()
-    g = energy_gradient(problem, u)
-    g[-1] = 0.0
+    g = _free_gradient(problem, u)
     g_norm = float(np.linalg.norm(g))
     mass = problem.disc["trap_area_g"] + 1e-300
     tau = 0.0
-    for _ in range(max_iter):
+    for _ in range(120):
         _, _, e_val = energy(problem, u)
         if g_norm <= tol_factor * (1.0 + abs(e_val)):
             break
@@ -877,16 +873,12 @@ def _polish_root(problem, u, tol_factor, max_iter: int = 120):
         diag = diag_phi + diag_react
         stepped = False
         for _ in range(40):
-            try:
-                cand = _solve_tridiag(diag + tau * mass, off, -g)
-            except (np.linalg.LinAlgError, ValueError):
-                cand = None
-            if cand is not None and np.isfinite(cand).all():
+            cand = _solve_tridiag(diag + tau * mass, off, -g)
+            if cand is not None:
                 alpha = 1.0
                 for _ in range(25):
                     trial = np.maximum(u + alpha * cand, 0.0)
-                    g_trial = energy_gradient(problem, trial)
-                    g_trial[-1] = 0.0
+                    g_trial = _free_gradient(problem, trial)
                     n_trial = float(np.linalg.norm(g_trial))
                     if n_trial < g_norm * (1.0 - 1e-4 * alpha):
                         u, g, g_norm = trial, g_trial, n_trial
@@ -910,21 +902,22 @@ def multi_start_solve(
     seeds: Optional[Sequence[np.ndarray]] = None,
     max_iter: int = 4000,
     tol_factor: float = 1e-8,
-    cluster_scale: Optional[float] = None,
 ) -> list:
     """Deterministic multi-start descent on E_lambda for each lambda.
 
     Converged profiles are clustered by L^inf distance (threshold
-    1e-4 s0 by default) with the lowest-energy representative kept; the
-    zero profile is always included since h(0) = 0 makes it critical.
-    Non-convergence of an individual start is recorded, not fatal.
+    1e-4 s0) with the lowest-energy representative kept; the zero profile
+    is always included since h(0) = 0 makes it critical.  A cluster opens
+    only beyond the threshold of every earlier one, so all representatives
+    are pairwise distinct.  Non-convergence of an individual start is
+    recorded, not fatal.
     """
     s0 = problem.nonlinearity.s0
     if seeds is None:
         seeds = _default_seeds(problem, s0)
     if len(seeds) < 8:
         raise ValueError("multi-start needs at least 8 seeds")
-    threshold = cluster_scale if cluster_scale is not None else 1e-4 * s0
+    threshold = 1e-4 * s0
     reports = []
     rays = None
     for lam in lambda_grid:
@@ -936,7 +929,7 @@ def multi_start_solve(
             if rays is None:
                 rays = _RayTable(problem)
             e_wit, witness = rays.witness(prob.lam)
-            if e_wit < -1e-12 and witness is not None:
+            if e_wit < -1e-12:
                 lam_seeds.append(witness)
         results = []
         n_conv = 0
@@ -952,23 +945,13 @@ def multi_start_solve(
         for u, e_val, g_norm in results:
             if all(float(np.max(np.abs(u - c[0]))) > threshold for c in clusters):
                 clusters.append((u, e_val, g_norm))
-        profiles = [prob.profile(c[0]) for c in clusters]
-        energies = [c[1] for c in clusters]
-        g_norms = [c[2] for c in clusters]
-        m = len(clusters)
-        distinct = np.ones((m, m), dtype=bool)
-        for i in range(m):
-            distinct[i, i] = False
-            for j in range(i + 1, m):
-                far = float(np.max(np.abs(clusters[i][0] - clusters[j][0]))) > threshold
-                distinct[i, j] = distinct[j, i] = far
         reports.append(
             CriticalPointReport(
                 lam=float(lam),
-                profiles=profiles,
-                energies=energies,
-                gradient_norms=g_norms,
-                distinct=distinct,
+                profiles=[prob.profile(c[0]) for c in clusters],
+                energies=[c[1] for c in clusters],
+                gradient_norms=[c[2] for c in clusters],
+                distinct=~np.eye(len(clusters), dtype=bool),
                 n_converged=n_conv,
                 n_starts=len(lam_seeds),
             )
@@ -977,23 +960,19 @@ def multi_start_solve(
 
 
 def _ray_terms(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
-    """The lambda-free terms of E_lambda(t * shape) = t^p Phi(shape) -
-    lambda J(t * shape): the list of t^p, Phi(shape) and the list of
-    J(t * shape), one 1-D sum per t."""
+    """The lambda-free terms of E_lambda(t * shape) = Phi(t * shape) -
+    lambda J(t * shape): the arrays of Phi(t * shape) = t^p Phi(shape) and
+    of J(t * shape), one 1-D sum per t."""
     phi0, _, _ = energy(problem, shape)
     jw = problem.disc["jw"]
     js = [float(np.sum(jw * problem.nonlinearity.H(t * shape))) for t in ts]
-    return [t**problem.p for t in ts], phi0, js
-
-
-def _along_ray(tp, phi0, js, lam: float) -> np.ndarray:
-    return np.asarray(tp) * phi0 - lam * np.asarray(js)
+    return np.asarray([t**problem.p for t in ts]) * phi0, np.asarray(js)
 
 
 def energy_along_ray(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
     """E_lambda(t * shape) for t in ts, using Phi(t u) = t^p Phi(u)."""
-    shape = np.asarray(shape, dtype=float)
-    return _along_ray(*_ray_terms(problem, shape, ts), problem.lam)
+    phis, js = _ray_terms(problem, np.asarray(shape, dtype=float), ts)
+    return phis - problem.lam * js
 
 
 def _ray_shapes(problem: PDEProblem) -> list:
@@ -1031,39 +1010,38 @@ def _ray_shapes(problem: PDEProblem) -> list:
 
 class _RayTable:
     """The scanned ray family of best_ray_witness with its lambda-free
-    terms, built once; witness(lam) is then a few array operations."""
+    terms, built once as (shapes x ts) arrays; witness(lam) is then one
+    array expression and one argmin."""
 
-    def __init__(self, problem: PDEProblem, ts: Optional[np.ndarray] = None):
-        self.ts = np.geomspace(1e-2, 64.0, 80) if ts is None else ts
-        self.rows = [(shape, *_ray_terms(problem, shape, self.ts)) for shape in _ray_shapes(problem)]
+    ts = np.geomspace(1e-2, 64.0, 80)
+
+    def __init__(self, problem: PDEProblem):
+        self.shapes = _ray_shapes(problem)
+        self.phis, self.js = map(np.array, zip(*(_ray_terms(problem, s, self.ts) for s in self.shapes)))
 
     def witness(self, lam: float):
-        best_e, best_u = math.inf, None
-        for shape, tp, phi0, js in self.rows:
-            es = _along_ray(tp, phi0, js, lam)
-            k = int(np.argmin(es))
-            if es[k] < best_e:
-                best_e = float(es[k])
-                best_u = float(self.ts[k]) * shape
-        return best_e, best_u
+        """(E, t * shape) at the lowest energy of the table; ties go to the
+        first shape, then the smallest t (row-major argmin)."""
+        es = self.phis - lam * self.js
+        i, k = np.unravel_index(int(np.argmin(es)), es.shape)
+        return float(es[i, k]), float(self.ts[k]) * self.shapes[i]
 
 
-def best_ray_witness(problem: PDEProblem, ts: Optional[np.ndarray] = None):
+def best_ray_witness(problem: PDEProblem):
     """Most negative-energy point on the scanned rays t * shape.
 
     Returns (energy, profile); the profile realizes the energy, so a value
     below zero certifies a nontrivial minimizer exists at this lambda.
     """
-    return _RayTable(problem, ts).witness(problem.lam)
+    return _RayTable(problem).witness(problem.lam)
 
 
 def find_transition_lambda(
     problem: PDEProblem,
     lam_hi: float,
-    bisection_steps: int = 14,
 ) -> float:
-    """Smallest lambda (up to bisection resolution) at which the scanned
-    ray family reaches a negative energy level.
+    """Smallest lambda (up to 14 bisection steps) at which the scanned ray
+    family reaches a negative energy level.
 
     Above the returned value the energy has a nontrivial minimizer with
     E < 0 (the ray witness realizes the negative value), and just above it
@@ -1082,7 +1060,7 @@ def find_transition_lambda(
             f"no negative-energy ray witness up to lambda = {lam_hi}; raise the bound"
         )
     lo, hi = 0.0, float(lam_hi)
-    for _ in range(bisection_steps):
+    for _ in range(14):
         mid = 0.5 * (lo + hi)
         if found(mid):
             hi = mid
@@ -1105,8 +1083,9 @@ class GridDoublingCheck:
     gradient_norm: float
     drift: float  # sup distance between the refined point and the interpolant
 
-    def stable(self, gradient_tol: float = 1e-6, drift_tol: float = 1e-2) -> bool:
-        return self.gradient_norm < gradient_tol and self.drift < drift_tol
+    def stable(self) -> bool:
+        """Gradient norm below 1e-6 and drift below 1e-2."""
+        return self.gradient_norm < 1e-6 and self.drift < 1e-2
 
 
 def grid_doubling_check(problem: PDEProblem, u) -> GridDoublingCheck:

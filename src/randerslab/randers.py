@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5
+# radii at which global_reversibility and global_uniformity sample beta
+_SAMPLE_RADII = np.linspace(0.0, 100.0, 2001)
 
 
 @dataclass(frozen=True)
@@ -267,12 +269,12 @@ def reversibility(structure, x) -> float:
     return (1.0 + b) / (1.0 - b)
 
 
-def global_reversibility(structure, sample_radii=None) -> float:
-    """sup_x r_F(x); +inf for the Funk model."""
+def global_reversibility(structure) -> float:
+    """sup_x r_F(x), sampled at 2001 radii in [0, 100]; +inf for the Funk
+    model."""
     if isinstance(structure, FunkModel):
         return math.inf
-    radii = np.linspace(0.0, 100.0, 2001) if sample_radii is None else np.asarray(sample_radii)
-    b_max = float(np.max(structure.beta(radii)))
+    b_max = float(np.max(structure.beta(_SAMPLE_RADII)))
     return (1.0 + b_max) / (1.0 - b_max)
 
 
@@ -282,12 +284,12 @@ def uniformity(structure, x) -> float:
     return ((1.0 - b) / (1.0 + b)) ** 2
 
 
-def global_uniformity(structure, sample_radii=None) -> float:
-    """inf_x l_F(x); 0 for the Funk model."""
+def global_uniformity(structure) -> float:
+    """inf_x l_F(x), sampled at 2001 radii in [0, 100]; 0 for the Funk
+    model."""
     if isinstance(structure, FunkModel):
         return 0.0
-    radii = np.linspace(0.0, 100.0, 2001) if sample_radii is None else np.asarray(sample_radii)
-    b_max = float(np.max(structure.beta(radii)))
+    b_max = float(np.max(structure.beta(_SAMPLE_RADII)))
     return ((1.0 - b_max) / (1.0 + b_max)) ** 2
 
 
@@ -351,7 +353,7 @@ def _distance_from(structure, base, x) -> float:
     return geodesic_distance(structure.base, base, x)
 
 
-def eikonal_residual(structure, base, x, step: float = _FD_STEP) -> float:
+def eikonal_residual(structure, base, x) -> float:
     """|F*(x, D d(base, .)) - 1| with the differential by central differences.
 
     The distance-from-base function satisfies the eikonal identity
@@ -362,7 +364,7 @@ def eikonal_residual(structure, base, x, step: float = _FD_STEP) -> float:
     base = np.asarray(base, dtype=float)
     if np.array_equal(x, base):
         raise ValueError("the distance function is not differentiable at the base")
-    h = step * max(1.0, float(np.linalg.norm(x)))
+    h = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
     grad = np.zeros(x.size)
     for i in range(x.size):
         e = np.zeros(x.size)

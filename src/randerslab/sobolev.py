@@ -199,7 +199,6 @@ def embedding_constant(
     rho: float,
     pair: AdmissiblePair,
     n_grid: int = 192,
-    max_iter: int = 300,
 ) -> float:
     """Upper bound on the Rayleigh quotient infimum
 
@@ -210,10 +209,13 @@ def embedding_constant(
     certified upper bound on the infimum and a heuristic estimate of it.
     Both model geometries are homogeneous, so the radial reduction around
     y uses the same area factor as around the origin: the estimate does not
-    depend on y, which is only validated.
+    depend on y, which is only validated.  Each seed takes at most 300
+    descent steps.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     space.point(y)
     p, q = pair.p, pair.q
     grid = np.linspace(0.0, rho, n_grid + 1)
@@ -239,14 +241,12 @@ def embedding_constant(
         else:
             lq_pow = np.sum(node_w * np.abs(u) ** q, axis=1)
             gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * lq_pow)[:, None]
-        g = gl - powers.log_gradient(u)
-        g[:, -1] = 0.0  # Dirichlet rim
-        return g
+        return gl - powers.log_gradient(u)
 
     _, values = seeded_line_search(
         np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(u)[:, None],
         improves=lambda new, old: math.log(new) < math.log(old) - 1e-14,
-        grow=1.3, max_iter=max_iter, g_tol=1e-10,
+        grow=1.3, max_iter=300, g_tol=1e-10,
     )
     return min([math.inf] + values)
 

@@ -164,6 +164,26 @@ class TestValidation:
         assert json.loads(lines[0])["error"] == "ValidationError"
 
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["embedding", "--grid", "0"], "ValueError"),
+            (["hausdorff", "--example", "matrix", "--lambda-grid", "0"], "ValueError"),
+            (["hausdorff", "--example", "matrix", "--lambda-grid", "1,inf"], "ValueError"),
+            (["pde", "--cells", "1", "--lambda-grid", "0"], "SweepFailure"),
+        ],
+    )
+    def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
+        # an empty embedding grid, a matrix orbit at lambda <= 0 or lambda =
+        # inf, and a pde sweep that finds no interval all exit 2 with the
+        # one-line JSON record, not a traceback
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
 class TestParameterDefaults:
     def test_run_and_flags_share_defaults(self, tmp_path):
         # a config that names only the grid gets the same defaults as the flags
@@ -171,6 +191,18 @@ class TestParameterDefaults:
         code, text = run_to_file(tmp_path, "emb.json", argv)
         assert code == 0
         assert run(RunConfig("embedding", {"grid": 16})).rows == json.loads(text)["rows"]
+
+    def test_config_run_records_resolved_parameters(self, tmp_path):
+        # a config that names only the grid prints the header of the flags
+        code, text = run_to_file(tmp_path, "emb.csv", ["embedding", "--grid", "16"])
+        assert code == 0
+        assert run(RunConfig("embedding", {"grid": 16})).render_csv() == text
+        config = run(RunConfig("funk", {"dim": "2"})).config
+        assert config.params == {"dim": "2", "p": "2", "q": "4"}
+        # a None default (no --problem file) stays out of the record
+        assert "problem" not in run(
+            RunConfig("pde", {"cells": 64, "lambda_grid": "0"})
+        ).config.params
 
     @pytest.mark.parametrize(
         "argv",

@@ -421,6 +421,12 @@ class TestMatrixDistance:
         y = MatrixPoint.diagonal(1.7)
         assert matrix_distance(x, y) == pytest.approx(matrix_distance(y, x), rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, 1e-310])
+    def test_diagonal_rejects_nonpositive_or_nonfinite(self, lam):
+        # at 1e-310 the inverse overflows to inf
+        with pytest.raises(ValueError):
+            MatrixPoint.diagonal(lam)
+
 
 POINCARE3 = SpaceForm(3, -1.0)
 PROD23 = GroupAction(PRODUCT_ROTATION, (2, 3))

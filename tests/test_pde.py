@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from randerslab.pde import (
     sup_j_under_phi_level,
 )
 from randerslab.pde import test_function as ramp_profile
-from randerslab.randers import RandersStructure, global_reversibility
+from randerslab.randers import RandersStructure, global_reversibility, radial_conorm
 from randerslab.rearrange import RadialProfile, gradient_lp_norm
 
 
@@ -695,12 +696,14 @@ class TestSolveErrors:
         return prob, _default_seeds(prob, 1.0)[2]
 
     def test_type_error_propagates(self, start, monkeypatch):
+        import scipy.linalg
+
         from randerslab.pde import _descend, _polish_root
 
-        def broken(diag, off, rhs):
+        def broken(*args, **kwargs):
             raise TypeError("not a solver error")
 
-        monkeypatch.setattr(pde, "_solve_tridiag", broken)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", broken)
         prob, u0 = start
         with pytest.raises(TypeError):
             _descend(prob, u0, 50, 1e-8)
@@ -708,18 +711,20 @@ class TestSolveErrors:
             _polish_root(prob, u0, 1e-8)
 
     def test_singular_solve_falls_through(self, start, monkeypatch):
+        import scipy.linalg
+
         from randerslab.pde import _descend
 
-        original = pde._solve_tridiag
+        original = scipy.linalg.solve_banded
         calls = []
 
-        def singular_once(diag, off, rhs):
-            calls.append(diag)
+        def singular_once(*args, **kwargs):
+            calls.append(args)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("singular matrix")
-            return original(diag, off, rhs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(pde, "_solve_tridiag", singular_once)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", singular_once)
         prob, u0 = start
         steps = []
         _descend(prob, u0, 1, 1e-8, on_step=steps.append)
@@ -897,3 +902,112 @@ class TestRayTable:
     def test_default_problem(self, problem, solved):
         lam_t, _, _ = solved
         assert lam_t == _reference_find_transition_lambda(problem, 200.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _example_at(n_cells):
+    return example_problem(n_cells=n_cells)
+
+
+def _masked_energy_gradient(problem, u):
+    """energy_gradient with the explicit zero derivative at flat cells that
+    it used to carry, kept as the reference the unmasked flux must match."""
+    u = np.asarray(u, dtype=float)
+    disc = problem.disc
+    slopes = np.diff(u) / disc["dr"]
+    b = disc["b_mid"]
+    conorms = radial_conorm(b, slopes)
+    dphi_ds = np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
+    dphi_ds = np.where(slopes == 0.0, 0.0, dphi_ds)
+    flux = conorms ** (problem.p - 1.0) * dphi_ds * disc["vol_f"] / disc["dr"]
+    grad = np.zeros_like(u)
+    grad[:-1] -= flux
+    grad[1:] += flux
+    grad -= problem.lam * disc["jw"] * problem.nonlinearity.h(u)
+    return grad
+
+
+def _loop_ray_witness(problem, lam):
+    """The shape-by-shape witness loop that the ray table's one row-major
+    argmin replaced: a later shape wins only with a strictly lower energy."""
+    from randerslab.pde import _ray_shapes
+
+    ts = np.geomspace(1e-2, 64.0, 80)
+    jw = problem.disc["jw"]
+    best_e, best_u = math.inf, None
+    for shape in _ray_shapes(problem):
+        phi0, _, _ = energy(problem, shape)
+        tp = [t**problem.p for t in ts]
+        js = [float(np.sum(jw * problem.nonlinearity.H(t * shape))) for t in ts]
+        es = np.asarray(tp) * phi0 - lam * np.asarray(js)
+        k = int(np.argmin(es))
+        if es[k] < best_e:
+            best_e = float(es[k])
+            best_u = float(ts[k]) * shape
+    return best_e, best_u
+
+
+def _pairwise_distinct(profiles, threshold):
+    """The pairwise sup-distance loop that filled CriticalPointReport.distinct."""
+    m = len(profiles)
+    distinct = np.ones((m, m), dtype=bool)
+    for i in range(m):
+        distinct[i, i] = False
+        for j in range(i + 1, m):
+            far = float(np.max(np.abs(profiles[i] - profiles[j]))) > threshold
+            distinct[i, j] = distinct[j, i] = far
+    return distinct
+
+
+class TestRetiredLoops:
+    """The one-line forms of the gradient flux, the ray witness and the
+    distinct matrix give exactly what the loops and masks they replaced
+    gave."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n_cells=st.sampled_from([256, 1024]),
+        kind=st.sampled_from(["noise", "tent", "steps", "plateau"]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 100.0),
+    )
+    def test_gradient_equals_masked_reference(self, n_cells, kind, seed, lam):
+        prob = replace_lambda(_example_at(n_cells), lam)
+        rng = np.random.default_rng(seed)
+        r = prob.grid
+        if kind == "noise":
+            u = rng.normal(size=r.size)
+        elif kind == "tent":
+            u = rng.uniform(0.1, 3.0) * np.clip(1.0 - r / rng.uniform(0.05, r[-1]), 0.0, 1.0)
+        elif kind == "steps":
+            # many flat cells, rising and falling steps between them
+            u = 0.5 * rng.integers(-1, 4, size=r.size).astype(float)
+            u = np.repeat(u[:: 8], 8)[: r.size]
+        else:
+            radius = rng.uniform(0.1, 0.9) * r[-1]
+            u = np.clip((radius - r) / (0.1 * radius), 0.0, 1.0)
+        u[-1] = 0.0
+        assert np.array_equal(energy_gradient(prob, u), _masked_energy_gradient(prob, u))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        n_cells=st.sampled_from([256, 1024]),
+        lams=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=4),
+    )
+    def test_witness_equals_loop(self, n_cells, lams):
+        from randerslab.pde import _RayTable
+
+        prob = _example_at(n_cells)
+        table = _RayTable(prob)
+        for lam in lams:
+            e, u = table.witness(lam)
+            e_ref, u_ref = _loop_ray_witness(prob, lam)
+            assert e == e_ref and np.array_equal(u, u_ref)
+
+    @pytest.mark.parametrize("n_cells", [256, 1024])
+    def test_distinct_equals_pairwise_loop(self, n_cells):
+        prob = _example_at(n_cells)
+        lam_t = find_transition_lambda(prob, 200.0)
+        for rep in multi_start_solve(prob, [0.0, lam_t, 2.0 * lam_t, 5.0 * lam_t]):
+            expected = _pairwise_distinct([p.values for p in rep.profiles], 1e-4)
+            assert np.array_equal(rep.distinct, expected)
