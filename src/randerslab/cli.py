@@ -44,6 +44,15 @@ class ValidationError(ValueError):
     pass
 
 
+def _convert(kind, value, name: str):
+    """A config value read as its flag text, kind(str(value)): a config
+    accepts exactly what the command line accepts."""
+    try:
+        return kind(str(value))
+    except ValueError as exc:
+        raise ValidationError(f"{name}: cannot read {value!r} as {kind.__name__}") from exc
+
+
 def _parse_range(spec: str) -> np.ndarray:
     """Range syntax: 'a:b:n:lin', 'a:b:n:log', 'a:b:log' (n = 10), or a
     comma-separated list of values."""
@@ -96,16 +105,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValidationError("a config must be a JSON object")
         known = {"subcommand", "params", "output", "format", "seed"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        subcommand, params, output = data.get("subcommand"), data.get("params", {}), data.get("output")
+        if not isinstance(subcommand, str):
+            raise ValidationError(f"config subcommand must be a name, got {subcommand!r}")
+        if not isinstance(params, dict):
+            raise ValidationError(f"config params must be an object, got {params!r}")
+        if output is not None and not isinstance(output, str):
+            raise ValidationError(f"config output must be a path, got {output!r}")
         return cls(
-            subcommand=data["subcommand"],
-            params=dict(data.get("params", {})),
-            output=data.get("output"),
+            subcommand=subcommand,
+            params=dict(params),
+            output=output,
             format=data.get("format", "csv"),
-            seed=int(data.get("seed", 0)),
+            seed=_convert(int, data.get("seed", 0), "seed"),
         )
 
 
@@ -324,6 +342,13 @@ def _run_embedding(config: RunConfig, params: dict) -> RunResult:
 
 def _run_pde(config: RunConfig, params: dict) -> RunResult:
     if params["problem"] is not None:
+        # the file replaces the built-in problem's parameters: one away from
+        # its default is an error, and the record leaves them all out
+        built_in, spec = ("dim", "kappa", "beta_a", "p", "alpha_rate", "cells"), _SUBCOMMANDS["pde"][2]
+        clash = ["--" + k.replace("_", "-") for k in built_in if params[k] != spec[k][1]]
+        if clash:
+            raise ValidationError(f"a --problem file replaces {', '.join(clash)}; leave them out")
+        config = replace(config, params={k: v for k, v in config.params.items() if k not in built_in})
         with open(params["problem"], "r", encoding="utf-8") as fh:
             problem = pde.PDEProblem.from_dict(json.load(fh))
     else:
@@ -425,11 +450,11 @@ _SUBCOMMANDS = {
 def run(config: RunConfig) -> RunResult:
     """Execute one run; raises ValidationError for malformed configs.
 
-    Parameters absent from config.params take their table defaults, and
-    given ones are converted to their table types, as the flags are.  The
+    Parameters absent from config.params or null there take their table
+    defaults; given ones are read from their text as the flags are.  The
     result's config records every resolved parameter except those left at
-    a None default, so a replayed config prints the header of the
-    equivalent command line.
+    a None default or replaced by a `pde` problem file, so a replayed
+    config prints the header of the equivalent command line.
     """
     if config.subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {config.subcommand!r}")
@@ -440,7 +465,7 @@ def run(config: RunConfig) -> RunResult:
     if unknown:
         raise ValidationError(f"unknown parameters: {sorted(unknown)}")
     params = {
-        name: kind(config.params[name]) if name in config.params else default
+        name: default if config.params.get(name) is None else _convert(kind, config.params[name], name)
         for name, (kind, default) in spec.items()
     }
     resolved = {name: value for name, value in params.items() if value is not None}
@@ -495,7 +520,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not args.subcommand:
         raise ValidationError("a subcommand or --config is required")
     spec = _SUBCOMMANDS[args.subcommand][2]
-    params = {k: getattr(args, k) for k in spec if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in spec}
     return RunConfig(
         subcommand=args.subcommand,
         params=params,

@@ -351,18 +351,21 @@ def seeded_line_search(
     Rows are clipped at zero with the last node (the Dirichlet rim) at 0;
     rows that vanish are dropped, `retract` maps the rest onto the start
     set.  Each row then searches exactly as it would alone: up to max_iter
-    times, take G = direction(u) with its rim entry zeroed, since the rim
-    is not an unknown (stop if ||G|| < g_tol), and halve the row's
+    times, take G = direction(u, state) with its rim entry zeroed, since
+    the rim is not an unknown (stop if ||G|| < g_tol), and halve the row's
     step until retract(clip(u + step G)) improves on u (accept, step *=
     grow) or step <= 1e-12 (stop); a trial that clips to zero is no
-    improvement.  The callbacks act on stacks of rows; objective gives one
-    Python float per row, so each accept test sees the scalars of a
-    one-seed search.  Returns the rows and their objective values.
+    improvement.  The callbacks act on stacks of rows; objective returns
+    one Python float per row, so each accept test sees the scalars of a
+    one-seed search, and one state row per row, which direction receives
+    with the row it was computed for.  Returns the rows and their
+    objective values.
     """
     u = np.maximum(np.asarray(seeds, dtype=float), 0.0)
     u[:, -1] = 0.0
     u = retract(u[u.max(axis=1) > 0])
-    f = list(objective(u))
+    f, state = objective(u)
+    f, state = list(f), np.array(state)
     g = np.zeros_like(u)
     step = np.ones(len(f))
     left = np.full(len(f), max_iter)  # iterations each row may still start
@@ -372,7 +375,7 @@ def seeded_line_search(
         active &= (step > 1e-12) & ~(fresh & (left <= 0))
         turn = np.flatnonzero(active & fresh)
         if turn.size:
-            g[turn] = direction(u[turn])
+            g[turn] = direction(u[turn], state[turn])
             g[:, -1] = 0.0
             left[turn] -= 1
             fresh[turn] = False
@@ -385,10 +388,10 @@ def seeded_line_search(
         trial[:, -1] = 0.0
         alive = trial.max(axis=1) > 0
         trial = retract(trial[alive])
-        f_trial = objective(trial)
+        f_trial, state_trial = objective(trial)
         for i, ok, j in zip(rows, alive, np.cumsum(alive) - 1):
             if ok and improves(f_trial[j], f[i]):
-                u[i], f[i], fresh[i] = trial[j], f_trial[j], True
+                u[i], f[i], state[i], fresh[i] = trial[j], f_trial[j], state_trial[j], True
                 step[i] *= grow
             else:
                 step[i] *= 0.5

@@ -145,14 +145,15 @@ def matrix_distance(x: MatrixPoint, y: MatrixPoint) -> float:
     return math.sqrt(2.0) * math.acosh(max(1.0, tr / 2.0))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def _conjugate(x: MatrixPoint, theta: float) -> MatrixPoint:
-    m = _rotation(theta) @ x.matrix @ _rotation(theta).T
-    return MatrixPoint(a=m[0, 0], b=m[0, 1], c=m[1, 1])
+def _conjugates(x: MatrixPoint, thetas) -> np.ndarray:
+    """(a, b, c) rows of R x R^T for R = [[cos t, sin t], [-sin t, cos t]],
+    one per angle t.  The stdlib cos and sin keep every row bit for bit
+    equal to one 2x2 conjugation; numpy's may round differently."""
+    ts = np.asarray(thetas, dtype=float).tolist()
+    cos, sin = np.array([math.cos(t) for t in ts]), np.array([math.sin(t) for t in ts])
+    rot = np.stack([cos, sin, -sin, cos], axis=1).reshape(-1, 2, 2)
+    m = rot @ x.matrix @ rot.transpose(0, 2, 1)
+    return np.stack([m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]], axis=1)
 
 
 def _sphere_points(d: int, n: int) -> np.ndarray:
@@ -183,12 +184,12 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
 
 
 def orbit_sample(action: GroupAction, y, n: int, space: Optional[SpaceForm] = None):
-    """n deterministic points on the orbit of y (uniform parameter grids)."""
+    """n deterministic points on the orbit of y (uniform parameter grids);
+    a conjugation orbit gives (a, b, c) rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if action.kind == MATRIX_CONJUGATION:
-        thetas = 2.0 * math.pi * np.arange(n) / n
-        return [_conjugate(y, float(t)) for t in thetas]
+        return _conjugates(y, 2.0 * math.pi * np.arange(n) / n)
     y = np.asarray(y, dtype=float)
     if action.kind == FULL_ROTATION:
         r = float(np.linalg.norm(y))
@@ -226,7 +227,7 @@ def _orbit_metric(action, space, points):
     sinh is capped where the chord already spans the orbit.
     """
     if action.kind == MATRIX_CONJUGATION:
-        a, b, c = np.array([[p.a, p.b, p.c] for p in points]).T
+        a, b, c = np.asarray(points, dtype=float).T
         # |X-Y|_F^2 = 2 (tr(X^-1 Y) - 2) + (tr X - tr Y)^2, up to the det drift
         drift = float(np.ptp(a + c)) ** 2 + 1e-9 * float(np.max(a * a + 2.0 * b * b + c * c))
         return (
@@ -276,7 +277,8 @@ def _pairwise_min_distance(action, space, centers) -> float:
 
 @dataclass(frozen=True)
 class PackingReport:
-    """Certified family of disjoint geodesic rho-balls centered on an orbit."""
+    """Certified family of disjoint geodesic rho-balls centered on an orbit;
+    centers has one row per ball, (a, b, c) on a conjugation orbit."""
 
     y: object
     rho: float
@@ -448,18 +450,15 @@ def packing_count(
 
 def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     if abs(y.a - 1.0) < 1e-12 and abs(y.b) < 1e-12 and abs(y.c - 1.0) < 1e-12:
-        return PackingReport(y, rho, 1, [y], GREEDY, fixed_point=True)
+        return PackingReport(y, rho, 1, np.array([[y.a, y.b, y.c]]), GREEDY, fixed_point=True)
     # conjugation orbit is a closed curve of period pi
-    probe = [
-        matrix_distance(_conjugate(y, t), _conjugate(y, t + 1e-4)) / 1e-4
-        for t in np.linspace(0.0, math.pi, 64)
-    ]
-    speed = max(max(probe), 1e-12)
+    probe = np.linspace(0.0, math.pi, 64)
+    (a0, b0, c0), (a1, b1, c1) = _conjugates(y, probe).T, _conjugates(y, probe + 1e-4).T
+    tr = c0 * a1 - 2.0 * b0 * b1 + a0 * c1  # tr(X^-1 Y), as in matrix_distance
+    speed = max(max(math.sqrt(2.0) * math.acosh(max(1.0, t / 2.0)) / 1e-4 for t in tr), 1e-12)
     n_steps = int(min(_MAX_WALK, max(128, math.ceil(math.pi * speed / (rho / _WALK_SUBDIVISION)))))
-    thetas = math.pi * np.arange(n_steps) / n_steps
-    pts = [_conjugate(y, float(t)) for t in thetas]
-    accepted = [pts[i] for i in _greedy_walk(action, None, pts, rho)]
-    return _certified(action, None, y, rho, accepted, GREEDY)
+    pts = _conjugates(y, math.pi * np.arange(n_steps) / n_steps)
+    return _certified(action, None, y, rho, pts[_greedy_walk(action, None, pts, rho)], GREEDY)
 
 
 def expansion_profile(
@@ -508,12 +507,11 @@ def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y, n: int = 
     """Max pairwise geodesic distance over a dense deterministic orbit sample."""
     pts = orbit_sample(action, y, n, space=space)
     if action.kind == MATRIX_CONJUGATION:
-        arr = np.array([[p.a, p.b, p.c] for p in pts])
-        a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
+        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
         # tr(X_i^-1 X_j) = c_i a_j - 2 b_i b_j + a_i c_j, in blocks of rows
         # so that no n x n array is formed
-        step = max(1, 2**20 // len(arr))
-        blocks = [slice(i, i + step) for i in range(0, len(arr), step)]
+        step = max(1, 2**20 // n)
+        blocks = [slice(i, i + step) for i in range(0, n, step)]
         top = max(float((c[r, None] * a - 2.0 * (b[r, None] * b) + a[r, None] * c).max()) for r in blocks)
         return math.sqrt(2.0) * math.acosh(max(1.0, top / 2.0))
     pts = np.asarray(pts, dtype=float)

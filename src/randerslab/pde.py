@@ -27,7 +27,7 @@ import numpy as np
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
 from .randers import BetaProfile, RandersStructure, radial_conorm, radial_density
 from .rearrange import RadialProfile
-from .sobolev import BatchPowers, sup_log_gradient
+from .sobolev import sup_log_gradient, w1p_log_gradient, w1p_power
 from .numerics import cell_nodes, seeded_line_search
 
 __all__ = [
@@ -98,7 +98,7 @@ class AlphaProfile:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Continuous h with primitive H and the certified growth parameters.
+    """Continuous h, its derivative dh and primitive H, and the certified growth parameters.
 
     The constructor checks on grids that H is positive on (0, s0], that
     |h(s)| <= C (1 + |s|^(w-1)) with 1 < w, and that H(s)/|s|^q stays
@@ -112,9 +112,9 @@ class Nonlinearity:
     w: float
     q: float
     c1: float
+    dh: Callable
     s1: float = 1.0
     name: str = "custom"
-    dh: Optional[Callable] = None  # exact h', used by the Newton solver
 
     def __post_init__(self):
         if not (self.s0 > 0 and self.C > 0 and self.c1 > 0 and 0 < self.s1):
@@ -282,8 +282,7 @@ class PDEProblem:
         r[0], r[-1] = 0.0, self.r_max
         dr = np.diff(r)
         mid = 0.5 * (r[:-1] + r[1:])
-        cumvol = cumulative_ball_volumes(base, r)
-        shell_g = np.diff(cumvol)
+        shell_g = np.diff(cumulative_ball_volumes(base, r))
         area_node = np.asarray(area_factor(base, r), dtype=float)
         trap = np.append(0.5 * dr, 0.0) + np.insert(0.5 * dr, 0, 0.0)
         alpha_node = np.asarray(self.alpha(r), dtype=float)
@@ -297,7 +296,6 @@ class PDEProblem:
             "trap_area_g": trap * area_node,
             "jw": jw,
             "alpha_l1": float(jw.sum()),
-            "cumvol": cumvol,
         }
 
     def profile(self, values: np.ndarray) -> RadialProfile:
@@ -457,13 +455,15 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
     ] + [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.1, 0.3, 0.6)]
     seeds += [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.05, 0.15, 0.4)]
 
-    powers = BatchPowers(disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
+    weights = (disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
 
     def quotient(u):
-        return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), powers(u))]
+        # each row's state is its W^{1,p} power
+        power = w1p_power(u, *weights)
+        return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), power)], power
 
-    def ascent(u):
-        return sup_log_gradient(u) - powers.log_gradient(u)
+    def ascent(u, power):
+        return sup_log_gradient(u) - w1p_log_gradient(u, *weights, power)
 
     _, values = seeded_line_search(
         np.array(seeds), quotient, ascent, retract=lambda u: u, grow=1.5, max_iter=max_iter - 1,
@@ -543,9 +543,10 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
         return u
 
     def j_values(u):
-        return [float(j) for j in np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)]
+        j = np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)
+        return [float(v) for v in j], j  # the ascent needs no state
 
-    def ascent(u):
+    def ascent(u, _):
         return disc["jw"] * problem.nonlinearity.h(u)
 
     _, values = seeded_line_search(
@@ -684,13 +685,7 @@ def _hessian_bands(problem, u, flat_floor: bool = True):
     diag_phi[:-1] += w
     diag_phi[1:] += w
     off = -w
-    nl = problem.nonlinearity
-    if nl.dh is not None:
-        hprime = np.asarray(nl.dh(u), dtype=float)
-    else:
-        eps = 1e-7 * max(1.0, float(np.max(np.abs(u))))
-        hprime = (np.asarray(nl.h(u + eps)) - np.asarray(nl.h(u - eps))) / (2.0 * eps)
-    diag_react = -problem.lam * disc["jw"] * hprime
+    diag_react = -problem.lam * disc["jw"] * np.asarray(problem.nonlinearity.dh(u), dtype=float)
     return diag_phi, off, diag_react
 
 
@@ -725,15 +720,15 @@ _STALL_RTOL = 4.0 * np.finfo(float).eps
 def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     """Projected Newton-type descent on the discrete energy.
 
-    Each iteration tries, in order: the full tridiagonal Newton step, the
-    positive-curvature Newton step (concave reaction curvature dropped,
-    always positive definite), and a diagonally preconditioned gradient
-    step; the first direction whose Armijo backtracking succeeds wins.
-    Near a nondegenerate minimum the full step is accepted with alpha = 1
-    and convergence is quadratic; in the nonconvex transit the fallback
-    directions keep the energy strictly monotone.  Once the energy has
-    fallen by no more than _STALL_RTOL |E| over the last _STALL_WINDOW
-    accepted steps, the energy can no longer certify progress and the
+    Each iteration tries two directions, the first whose Armijo
+    backtracking succeeds winning: the full tridiagonal Newton step, then
+    the positive-curvature step damped by mu times the lumped mass (concave
+    reaction curvature dropped, so always positive definite; mu adapts to
+    the accepted step).  Near a nondegenerate minimum the full step is
+    accepted with alpha = 1 and convergence is quadratic; in the nonconvex
+    transit the damped step keeps the energy strictly monotone.  When
+    neither step succeeds, or the energy has fallen by no more than
+    _STALL_RTOL |E| over the last _STALL_WINDOW accepted steps, the
     iterate is handed straight to the root polish.  Every linear solve
     leaves the Dirichlet rim out of the system.  A converged iterate below
     the zero-only level (see _zero_only_level) is reported as exactly

@@ -162,30 +162,6 @@ def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float, power) -> np.nd
     return gw / (p * np.asarray(power))[:, None]
 
 
-class BatchPowers:
-    """w1p_power of the rows of the latest batch, kept by row content.
-
-    A line search evaluates its objective on a batch of trial rows and then
-    asks for directions only at the rows it accepted from that batch;
-    `log_gradient` reads their powers back instead of recomputing them.  A
-    row outside the latest batch raises KeyError; one that is inside gets
-    the power of its own bytes, so a hit is always exact.
-    """
-
-    def __init__(self, dr, shell, node_w, p: float):
-        self.weights = (dr, shell, node_w, p)
-        self._by_row = {}
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        power = w1p_power(u, *self.weights)
-        self._by_row = {row.tobytes(): w for row, w in zip(u, power)}
-        return power
-
-    def log_gradient(self, u: np.ndarray) -> np.ndarray:
-        power = [self._by_row[row.tobytes()] for row in u]
-        return w1p_log_gradient(u, *self.weights, power)
-
-
 def sup_log_gradient(u: np.ndarray) -> np.ndarray:
     """A gradient of log max(u), row by row: 1/max at the first maximiser."""
     g = np.zeros_like(u)
@@ -224,27 +200,29 @@ def embedding_constant(
     shell = (half * w * area_factor(space, rs)).sum(axis=1)
     # trapezoid-style nodal weights for the zeroth-order terms
     node_w = np.append(0.5 * shell, 0.0) + np.insert(0.5 * shell, 0, 0.0)
-    powers = BatchPowers(dr, shell, node_w, p)
 
-    def l_norm(u):
-        if q == math.inf:
-            return u.max(axis=1)
-        return np.array([float(s) ** (1.0 / q) for s in np.sum(node_w * np.abs(u) ** q, axis=1)])
+    def l_power(u):
+        # ||u||_q^q per row, or the sup when q = inf
+        return u.max(axis=1) if q == math.inf else np.sum(node_w * np.abs(u) ** q, axis=1)
+
+    def l_norm(power):
+        return power if q == math.inf else np.array([float(s) ** (1.0 / q) for s in power])
 
     def quotient(u):
-        return [float(w) ** (1.0 / p) / float(l) for w, l in zip(powers(u), l_norm(u))]
+        # each row's state: its W^{1,p} power and its l_power
+        state = np.stack([w1p_power(u, dr, shell, node_w, p), l_power(u)], axis=1)
+        return [float(w) ** (1.0 / p) / float(l) for w, l in zip(state[:, 0], l_norm(state[:, 1]))], state
 
-    def descent(u):
+    def descent(u, state):
         # minus the gradient of log quotient
         if q == math.inf:
             gl = sup_log_gradient(u)
         else:
-            lq_pow = np.sum(node_w * np.abs(u) ** q, axis=1)
-            gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * lq_pow)[:, None]
-        return gl - powers.log_gradient(u)
+            gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * state[:, 1])[:, None]
+        return gl - w1p_log_gradient(u, dr, shell, node_w, p, state[:, 0])
 
     _, values = seeded_line_search(
-        np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(u)[:, None],
+        np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(l_power(u))[:, None],
         improves=lambda new, old: math.log(new) < math.log(old) - 1e-14,
         grow=1.3, max_iter=300, g_tol=1e-10,
     )

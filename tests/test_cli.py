@@ -9,6 +9,7 @@ from randerslab import sobolev
 from randerslab.cli import RunConfig, ValidationError, main, run
 from randerslab.modelspace import SpaceForm
 from randerslab.orbits import FULL_ROTATION, GroupAction, expansion_profile
+from randerslab.pde import example_problem
 
 
 def run_to_file(tmp_path, name, argv):
@@ -220,6 +221,78 @@ class TestParameterDefaults:
         cfg_path.write_text(json.dumps(config))
         assert main(["--config", str(cfg_path)]) == 0
         assert (tmp_path / "replay.csv").read_text() == text
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"subcommand": "funk", "seed": None},
+            {"subcommand": "funk", "seed": 2.5},
+            {"subcommand": "funk", "params": None},
+            {"subcommand": "funk", "params": ["dim", "3"]},
+            {"params": {}},
+            {"subcommand": ["pde"]},
+            {"subcommand": "funk", "output": 3},
+            ["funk"],
+            {"subcommand": "embedding", "params": {"dim": 2.7}},
+            {"subcommand": "embedding", "params": {"grid": True}},
+        ],
+    )
+    def test_rejected_with_error_record(self, tmp_path, capsys, config):
+        # each one is read as its flag text is: --dim 2.7 and --grid True
+        # are not integers
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"grid": None},
+            {"grid": None, "dim": None, "q": None},
+        ],
+    )
+    def test_null_parameter_takes_its_default(self, params):
+        assert run(RunConfig("embedding", params)).render_csv() == run(RunConfig("embedding")).render_csv()
+
+    def test_null_problem_solves_the_built_in_problem(self):
+        base = {"cells": 32, "lambda_grid": "0"}
+        with_null = run(RunConfig("pde", {**base, "problem": None}))
+        assert with_null.render_csv() == run(RunConfig("pde", base)).render_csv()
+
+
+class TestPdeProblemFile:
+    @pytest.fixture
+    def problem_file(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(example_problem(n_cells=64).to_dict()))
+        return str(path)
+
+    def test_config_records_only_what_the_run_uses(self, problem_file):
+        # the file replaces the built-in problem's parameters, so they stay
+        # out of the record; a flag at its default is accepted
+        result = run(RunConfig("pde", {"problem": problem_file, "lambda_grid": "0", "dim": 2}))
+        assert result.config.params == {
+            "big_r": 1.5, "lambda_grid": "0", "problem": problem_file, "s0": 1.0, "small_r": 0.5,
+        }
+        grid = next(iter(result.extra_files.values())).splitlines()
+        assert len(grid) == 1 + 65
+
+    @pytest.mark.parametrize(
+        "flags", [["--cells", "999"], ["--dim", "3"], ["--kappa", "2", "--p", "4"]]
+    )
+    def test_replaced_parameters_are_rejected(self, problem_file, capsys, flags):
+        assert main(["pde", "--problem", problem_file, "--lambda-grid", "0"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError"
+        assert all(flag in record["message"] for flag in flags[::2])
 
 
 class TestConfigRoundTrip:

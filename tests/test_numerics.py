@@ -13,6 +13,7 @@ from randerslab.numerics import (
     gauss_legendre,
     is_divergent,
     lgamma_fn,
+    seeded_line_search,
 )
 
 
@@ -174,3 +175,29 @@ class TestGammaBeta:
     def test_divergent_token_is_singleton(self):
         assert beta_fn(3.0, -1.0) is DIVERGENT
         assert repr(DIVERGENT) == "DIVERGENT"
+
+
+class TestSeededLineSearch:
+    def test_direction_gets_the_state_of_its_row(self):
+        # each state row names the objective batch and position it came
+        # from, which the direction cannot work out from the row alone
+        target = np.array([0.5, 1.0, 2.0, 1.0, 0.0])
+        batches, handed = [], []
+
+        def objective(u):
+            batches.append(u.copy())
+            state = np.stack([np.full(len(u), len(batches) - 1), np.arange(len(u))], axis=1)
+            return [float(v) for v in ((u - target) ** 2).sum(axis=1)], state
+
+        def direction(u, state):
+            for row, (batch, j) in zip(u, state.astype(int)):
+                handed.append(np.array_equal(row, batches[batch][j]))
+            return 2.0 * (target - u)
+
+        seeds = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [3.0, 0.0, 1.0, 2.0, 0.0], [0.2, 0.4, 0.6, 0.8, 0.0]])
+        u, values = seeded_line_search(
+            seeds, objective, direction, retract=lambda u: u, improves=lambda new, old: new < old,
+            grow=1.5, max_iter=8,
+        )
+        assert len(handed) > len(seeds) and all(handed)
+        assert values == [float(v) for v in ((u - target) ** 2).sum(axis=1)]

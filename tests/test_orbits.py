@@ -53,13 +53,20 @@ class TestOrbitSample:
 
     def test_matrix_identity_is_fixed_by_conjugation(self):
         samples = orbit_sample(CONJ, MatrixPoint.identity(), 16)
-        for s in samples:
-            assert s.matrix == pytest.approx(np.eye(2), abs=1e-12)
+        assert samples == pytest.approx(np.tile([1.0, 0.0, 1.0], (16, 1)), abs=1e-12)
 
     def test_matrix_samples_keep_determinant(self):
         samples = orbit_sample(CONJ, MatrixPoint(2.0, 0.5, 0.625), 32)
-        for s in samples:
-            assert s.a * s.c - s.b**2 == pytest.approx(1.0, abs=1e-10)
+        assert samples.shape == (32, 3)
+        a, b, c = samples.T
+        assert a * c - b**2 == pytest.approx(np.ones(32), abs=1e-10)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(lam=st.floats(1.0, 1e5), phase=st.floats(0.0, math.pi), n=st.integers(1, 400))
+    def test_matrix_rows_match_pointwise_conjugation(self, lam, phase, n):
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
+        expected = np.array([_conjugate(y, float(t)) for t in 2.0 * math.pi * np.arange(n) / n])
+        assert np.array_equal(orbit_sample(CONJ, y, n), expected)
 
     def test_sphere_samples_have_right_radius(self):
         y = np.array([0.0, 0.0, 2.5])
@@ -208,7 +215,7 @@ class TestMatrixOrbitDiameter:
         diam = orbit_diameter(CONJ, None, y, n=512)
         samples = orbit_sample(CONJ, y, 512)
         brute = max(
-            matrix_distance(samples[i], samples[j])
+            _row_distance(samples[i], samples[j])
             for i in range(0, 512, 16)
             for j in range(0, 512, 16)
         )
@@ -219,8 +226,7 @@ class TestMatrixOrbitDiameter:
     @pytest.mark.parametrize("n", [500, 1500])
     def test_chunked_maximum_equals_outer_product_formula(self, n):
         y = MatrixPoint.diagonal(7.0)
-        pts = orbit_sample(CONJ, y, n)
-        a, b, c = (np.array([getattr(pt, k) for pt in pts]) for k in "abc")
+        a, b, c = orbit_sample(CONJ, y, n).T
         tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
         expected = math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
         assert orbit_diameter(CONJ, None, y, n=n) == expected
@@ -462,6 +468,22 @@ class TestPinnedPackings:
 # -- brute-force oracles: the greedy walks one candidate at a time, O(steps x accepted)
 
 
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def _conjugate(x, theta):
+    """(a, b, c) row of R(theta) x R(theta)^T, one point at a time."""
+    m = _rotation(theta) @ x.matrix @ _rotation(theta).T
+    return np.array([m[0, 0], m[0, 1], m[1, 1]])
+
+
+def _row_distance(x, y):
+    """matrix_distance between two (a, b, c) rows."""
+    return matrix_distance(MatrixPoint(*x), MatrixPoint(*y))
+
+
 def _brute_sphere_walk(space, y, rho):
     """Greedy pass over the spiral candidates of the orbit sphere through y."""
     d = y.size
@@ -524,7 +546,7 @@ def _brute_circle_walk(space, chart_r, rho):
 def _brute_matrix_walk(y, rho):
     """Greedy pass over the conjugation angle grid of the orbit through y."""
     probe = [
-        matrix_distance(orbits._conjugate(y, t), orbits._conjugate(y, t + 1e-4)) / 1e-4
+        matrix_distance(MatrixPoint(*_conjugate(y, t)), MatrixPoint(*_conjugate(y, t + 1e-4))) / 1e-4
         for t in np.linspace(0.0, math.pi, 64)
     ]
     speed = max(max(probe), 1e-12)
@@ -532,10 +554,10 @@ def _brute_matrix_walk(y, rho):
     n_steps = int(min(orbits._MAX_WALK, max(128, math.ceil(math.pi * speed / step))))
     accepted = []
     for t in math.pi * np.arange(n_steps) / n_steps:
-        p = orbits._conjugate(y, float(t))
+        p = MatrixPoint(*_conjugate(y, float(t)))
         if all(matrix_distance(p, q) >= 2.0 * rho for q in accepted):
             accepted.append(p)
-    return accepted
+    return np.array([[p.a, p.b, p.c] for p in accepted])
 
 
 def _brute_min_distance(space, centers):
@@ -611,9 +633,9 @@ class TestGreedyAgainstBruteForce:
         lam=st.floats(1.5, 10.0), rho=st.floats(0.5, 2.0), phase=st.floats(0.0, math.pi)
     )
     def test_conjugation_orbit(self, lam, rho, phase):
-        y = orbits._conjugate(MatrixPoint.diagonal(lam), phase)
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
         report = packing_count(CONJ, None, y, rho)
-        assert report.centers == _brute_matrix_walk(y, rho)
+        assert np.array_equal(report.centers, _brute_matrix_walk(y, rho))
 
 
 class TestCertificate:
@@ -629,10 +651,11 @@ class TestCertificate:
     )
     @example(lam=10.0, rho=0.5, phase=0.0)
     def test_matrix_minimum_is_the_closest_pair(self, lam, rho, phase):
-        y = orbits._conjugate(MatrixPoint.diagonal(lam), phase)
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
         report = packing_count(CONJ, None, y, rho)
+        centers = report.centers
         pairwise = min(
-            (matrix_distance(p, q) for p in report.centers for q in report.centers if p is not q),
+            (_row_distance(p, q) for i, p in enumerate(centers) for j, q in enumerate(centers) if i != j),
             default=math.inf,
         )
         assert report.min_pairwise_distance == pytest.approx(pairwise, rel=1e-14)
@@ -641,7 +664,7 @@ class TestCertificate:
         y = MatrixPoint.diagonal(4.0)
         report = packing_count(CONJ, None, y, 0.5)
         report.verify(CONJ, None)
-        crowded = PackingReport(y, 0.5, 2, [y, orbits._conjugate(y, 1e-3)], GREEDY)
+        crowded = PackingReport(y, 0.5, 2, np.array([[y.a, y.b, y.c], _conjugate(y, 1e-3)]), GREEDY)
         with pytest.raises(RuntimeError):
             crowded.verify(CONJ, None)
 
@@ -653,9 +676,8 @@ class TestLargeMatrixOrbits:
     def test_orbit_sample(self, lam):
         # at 360 samples, conjugation drifts det(diag(1e3)) by 1.2e-10
         samples = orbit_sample(CONJ, MatrixPoint.diagonal(lam), 360)
-        assert len(samples) == 360
-        for s in samples:
-            assert s.a + s.c == pytest.approx(lam + 1.0 / lam, rel=1e-12)
+        assert samples.shape == (360, 3)
+        assert samples[:, 0] + samples[:, 2] == pytest.approx(np.full(360, lam + 1.0 / lam), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1e3, 1e6])
     def test_orbit_diameter(self, lam):

@@ -86,6 +86,7 @@ class TestNonlinearity:
                 w=1.5,
                 q=3.0,
                 c1=1.0,
+                dh=lambda s: -np.ones_like(np.asarray(s, dtype=float)),
             )
 
 
