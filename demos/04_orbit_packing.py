@@ -9,6 +9,7 @@ from randerslab import GroupAction, MatrixPoint, SpaceForm, packing_count
 from randerslab.orbits import (
     FULL_ROTATION,
     PRODUCT_ROTATION,
+    coercivity_probe,
     expansion_profile,
     orbit_hausdorff_matrix,
     orbit_hausdorff_product_spheres,
@@ -24,6 +25,14 @@ for row in expansion_profile(rotation, euclid, 1.0, np.geomspace(10, 1000, 5)):
     print(
         f"  |y| = {row['distance']:8.2f}: {row['count']:5d} balls"
         f"   (count / pi|y| = {row['count'] / (np.pi * row['distance']):.4f})"
+    )
+
+print("\ncoerciveness (Skrzypczak-Tintarev): no orbit of diameter <= 1 far out")
+for radius in [10.0, 100.0, 1000.0]:
+    rep = coercivity_probe(rotation, euclid, 1.0, radius)
+    print(
+        f"  shell d in [{radius / 2:g}, {radius:g}]: smallest orbit diameter"
+        f" {rep.min_diameter:.2f}, orbit of diameter <= 1 found: {rep.small_orbit_found}"
     )
 
 hyp = SpaceForm(2, -1.0)

@@ -77,8 +77,8 @@ def _parse_range(spec: str) -> np.ndarray:
     if n < 1:
         raise ValidationError("range needs at least one point")
     if kind == "log":
-        if a <= 0:
-            raise ValidationError("log ranges need a positive start")
+        if not (a > 0 and b > 0):
+            raise ValidationError("log ranges need positive ends")
         return np.geomspace(a, b, n)
     if kind != "lin":
         raise ValidationError(f"unknown range kind {kind!r}")
@@ -171,6 +171,8 @@ def _space_from_params(params) -> SpaceForm:
     if params["space"] == "euclid":
         return SpaceForm(params["dim"], 0.0)
     if params["space"] == "poincare":
+        if not params["curvature"] < 0:
+            raise ValidationError(f"poincare needs a negative curvature, got {params['curvature']}")
         return SpaceForm(params["dim"], params["curvature"])
     raise ValidationError(f"unknown space {params['space']!r}")
 
@@ -229,6 +231,8 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
         )
     if example == "product":
         blocks = [int(b) for b in params["blocks"].split(",")]
+        if params["samples"] < 1:
+            raise ValidationError(f"samples must be at least 1, got {params['samples']}")
         rng = np.random.default_rng(config.seed)
         rows = []
         for _ in range(params["samples"]):

@@ -478,7 +478,6 @@ class BonannoParameters:
 
     rho0: float
     a_bar: float
-    interval_end: float
     phi_u1: float
     j_u1: float
     sup_bound_at_rho0: float
@@ -615,7 +614,6 @@ def bonanno_parameters(
     return BonannoParameters(
         rho0=rho0,
         a_bar=a_bar,
-        interval_end=a_bar,
         phi_u1=phi1,
         j_u1=j1,
         sup_bound_at_rho0=sup_bound(rho0),

@@ -96,7 +96,7 @@ class TestRangeParsing:
     def test_malformed_forms_rejected(self):
         from randerslab.cli import _parse_range
 
-        for bad in ["", "1:2:3:4:5", "a:b", "1:10:0:lin", "0:10:3:log"]:
+        for bad in ["", "1:2:3:4:5", "a:b", "1:10:0:lin", "0:10:3:log", "10:-5:log", "1:0:3:log"]:
             with pytest.raises(ValidationError):
                 _parse_range(bad)
 
@@ -152,6 +152,8 @@ class TestValidation:
             ["pde", "--rho", "1"],
             ["packing", "--radii", "10:100:3:log", "--method", "greedy"],
             ["funk", "--tol", "1e-9"],
+            ["hausdorff", "--example", "product", "--samples", "0"],
+            ["expansion", "--space", "poincare", "--curvature", "0", "--radii", "1"],
         ],
     )
     def test_command_line_error_gives_error_record(self, capsys, argv):

@@ -221,6 +221,16 @@ class TestCrokeConstant:
         expected = (4.0 * omega4) ** 0.75 * (3.0 * omega3 * math.pi / 16.0) ** (-0.5)
         assert croke_constant(4) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("d", range(3, 12))
+    def test_beta_closed_form(self, d):
+        # int_0^{pi/2} cos^a t sin^b t dt = B((b+1)/2, (a+1)/2) / 2
+        x, y = (d - 1) / 2.0, (d / (d - 2.0) + 1.0) / 2.0
+        inner = 0.5 * math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+        expected = (d * unit_ball_volume(d)) ** (1.0 - 1.0 / d) * (
+            (d - 1) * unit_ball_volume(d - 1) * inner
+        ) ** (2.0 / d - 1.0)
+        assert croke_constant(d) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
 class TestBishopGromov:
     def test_euclidean_ratio_is_one(self):
@@ -275,7 +285,7 @@ class TestBishopGromov:
                     lo = mid
                 else:
                     hi = mid
-            xs, ws = rule.map_to(0.0, lo)
+            xs, ws = 0.5 * lo + 0.5 * lo * rule.nodes, 0.5 * lo * rule.weights
             pts = center[None, :] + xs[:, None] * u[None, :]
             dens = (2.0 / (1.0 - (pts**2).sum(axis=1))) ** 2
             total += float(ws @ (dens * xs)) * (2.0 * math.pi / len(thetas))

@@ -72,6 +72,8 @@ class TestAdaptiveIntegrate:
     def test_logarithmic_divergence_is_divergent(self):
         res = adaptive_integrate(lambda s: 1.0 / (1.0 - s), 0.0, 1.0)
         assert is_divergent(res.value)
+        res = adaptive_integrate(lambda s: 1.0 / s, 0.0, 1.0)
+        assert is_divergent(res.value)
 
     def test_growth_cap_divergence(self):
         res = adaptive_integrate(lambda s: math.exp(80 * s), 0.0, 1.0, growth_cap=1e12)
@@ -84,8 +86,9 @@ class TestAdaptiveIntegrate:
         assert first == second
 
     def test_exhausted_split_budget_is_flagged(self):
-        # int_0^1 (1-s)^(-3/4) ds = 4: the split budget runs out with the
-        # error estimate (1.3e-5) above tol, and the true error is 2e-4
+        # int_0^1 (1-s)^(-3/4) ds = 4: no two levels agree to tol/10, so
+        # every level runs and the error estimate (1.6e-8) stays above tol;
+        # the true error is 1.9e-8
         res = adaptive_integrate(lambda s: (1 - s) ** (-0.75), 0.0, 1.0, tol=1e-10)
         assert not res.converged
         assert res.abs_error_estimate > 1e-10
@@ -100,12 +103,12 @@ class TestAdaptiveIntegrate:
 
     @pytest.mark.parametrize(
         "tol, alpha",
-        [(1e-10, a / 20) for a in range(8)] + [(1e-8, a / 20) for a in range(10)],
+        [(1e-10, a / 20) for a in range(10)] + [(1e-8, a / 20) for a in range(11)],
     )
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_documented_accuracy_range(self, tol, alpha, side):
         # the docstring's contract: (distance)^(-a) endpoint singularities
-        # reach tol 1e-10 for a <= 0.35 and tol 1e-8 for a <= 0.45, with the
+        # reach tol 1e-10 for a <= 0.45 and tol 1e-8 for a <= 1/2, with the
         # true error inside tol, not only the estimate
         if side == "left":
             f = lambda s: s ** (-alpha)
@@ -114,6 +117,14 @@ class TestAdaptiveIntegrate:
         res = adaptive_integrate(f, 0.0, 1.0, tol=tol)
         assert res.converged
         assert abs(res.value - 1.0 / (1.0 - alpha)) <= tol
+
+    def test_narrow_interval_is_sampled_inside(self):
+        # narrower than four endpoint floors of 1e3 ulp: the floor shrinks
+        a, b = 1.0, 1.0 + 4e-13
+        seen = []
+        res = adaptive_integrate(lambda s: seen.append(s) or math.sqrt((s - a) * (b - s)), a, b)
+        assert all(a < s < b for s in seen)
+        assert res.value == pytest.approx(math.pi / 8.0 * (b - a) ** 2, rel=1e-6)
 
     def test_divergent_verdict_counts_as_converged(self):
         res = adaptive_integrate(lambda s: 1.0 / (1.0 - s), 0.0, 1.0)

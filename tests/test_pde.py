@@ -339,7 +339,6 @@ class TestBonanno:
 
     def test_interval_endpoint_positive(self, params):
         assert params.a_bar > 0
-        assert params.interval_end == params.a_bar
         # the interval reaches past the ramp's own transition ratio
         assert params.a_bar > params.phi_u1 / params.j_u1
 

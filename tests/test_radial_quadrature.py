@@ -219,7 +219,7 @@ def _ref_comparison_volume(c, d, rho):
     edges = np.linspace(0.0, rho, panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = rule.map_to(lo, hi)
+        xs, ws = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes, 0.5 * (hi - lo) * rule.weights
         total += float(ws @ (np.sinh(k * xs) / k) ** (d - 1))
     return d * unit_ball_volume(d) * total
 
