@@ -281,6 +281,17 @@ def beta_fn(x: float, y: float) -> Union[float, Divergent]:
     return math.exp(lgamma_fn(x) + lgamma_fn(y) - lgamma_fn(x + y))
 
 
+def _trial(u, g, step, rows) -> np.ndarray:
+    """max(u + step G, 0) on `rows`, with the rim at 0, built in place in
+    the gathered copy of G: the same roundings as the plain expression."""
+    trial = g[rows]
+    trial *= step[rows, None]
+    trial += u if rows.size == len(u) else u[rows]
+    np.maximum(trial, 0.0, out=trial)
+    trial[:, -1] = 0.0
+    return trial
+
+
 def seeded_line_search(
     seeds, objective, direction, retract, improves, grow: float, max_iter: int, g_tol: float = 0.0
 ):
@@ -322,10 +333,9 @@ def seeded_line_search(
         rows = np.flatnonzero(active)
         if not rows.size:
             return u, f
-        trial = np.maximum(u[rows] + step[rows, None] * g[rows], 0.0)
-        trial[:, -1] = 0.0
+        trial = _trial(u, g, step, rows)
         alive = trial.max(axis=1) > 0
-        trial = retract(trial[alive])
+        trial = retract(trial if alive.all() else trial[alive])
         f_trial, state_trial = objective(trial)
         for i, ok, j in zip(rows, alive, np.cumsum(alive) - 1):
             if ok and improves(f_trial[j], f[i]):

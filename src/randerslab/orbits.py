@@ -19,9 +19,12 @@ packed here: a FULL_ROTATION orbit keeps one chart radius r, so in the
 Poincare ball d = acosh(1 + 2|x-y|^2 / (1-r^2)^2) / k; product orbits are
 Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
 tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
-the Frobenius norm.  The greedy walks and the certificate search a
-scipy.spatial.cKDTree of that embedding and measure the pairs it returns
-with the exact distance formulas.
+the Frobenius norm.  The greedy walks and the certificate of a greedy
+report search a scipy.spatial.cKDTree of that embedding and measure the
+pairs it returns with the exact distance formulas.  On one centred circle
+distance grows with the angular gap, so the certificate of an exact
+circle count measures only the pairs adjacent in angle, and no scipy
+module is loaded for it.
 """
 
 from __future__ import annotations
@@ -275,6 +278,28 @@ def _pairwise_min_distance(action, space, centers) -> float:
     return float(dist(key(pairs[:, 0], pairs[:, 1]).min()))
 
 
+def _angular_min_distance(action, space, centers) -> float:
+    """Smallest pairwise distance among centers on one centred circle.
+
+    There distance grows with the angular gap, so the closest pair is
+    adjacent in angle: the centers are sorted by angle and each adjacent
+    pair, the wrap included, is measured with the exact distance of
+    _orbit_metric, in O(n log n).  Raises unless the centers are points of
+    the plane that share one norm, to rounding.
+    """
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != 2:
+        raise RuntimeError("packing certificate: ANGULAR_EXACT centers must be points of the plane")
+    if len(centers) < 2:
+        return math.inf
+    norms = np.hypot(centers[:, 0], centers[:, 1])
+    if not np.ptp(norms) <= 1e-12 * norms.max():
+        raise RuntimeError("packing certificate: ANGULAR_EXACT centers do not share one norm")
+    _, _, key, dist = _orbit_metric(action, space, centers)
+    order = np.argsort(np.arctan2(centers[:, 1], centers[:, 0]))
+    return float(dist(key(order, np.roll(order, -1)).min()))
+
+
 @dataclass(frozen=True)
 class PackingReport:
     """Certified family of disjoint geodesic rho-balls centered on an orbit;
@@ -294,16 +319,24 @@ class PackingReport:
 
 
 def _certified(action, space, y, rho, centers, method) -> PackingReport:
-    """Report on centers after one pass of the pairwise certificate; raises on failure."""
-    dmin = _pairwise_min_distance(action, space, centers)
+    """Report on centers after one pass of the pairwise certificate (the
+    adjacent angles of an ANGULAR_EXACT circle, the kd-tree pairs of every
+    GREEDY orbit); raises on failure."""
+    certify = _angular_min_distance if method == ANGULAR_EXACT else _pairwise_min_distance
+    dmin = certify(action, space, centers)
     if dmin < 2.0 * rho - 1e-12:
         raise RuntimeError(f"packing certificate violated: min distance {dmin} < 2 rho")
     return PackingReport(y, rho, len(centers), centers, method, min_pairwise_distance=dmin)
 
 
+def _too_many(count) -> ValueError:
+    return ValueError(f"packing materializes {count} centers; increase rho for a desk-scale run")
+
+
 def _circle_centers(space: SpaceForm, y, rho: float) -> np.ndarray:
     """Most equally spaced points, starting at y, on the geodesic circle
-    through y (dimension 2) with pair distance >= 2 rho."""
+    through y (dimension 2) with pair distance >= 2 rho; raises ValueError
+    before any array is built if they number more than _MAX_CENTERS."""
     r_orbit = geodesic_distance(space, np.zeros(2), y)
     if r_orbit < rho:
         count = 1
@@ -315,7 +348,10 @@ def _circle_centers(space: SpaceForm, y, rho: float) -> np.ndarray:
             s, r = k * r_orbit, k * rho
             cos_phi = (math.cosh(s) ** 2 - math.cosh(2.0 * r)) / math.sinh(s) ** 2
             phi_min = math.acos(max(-1.0, min(1.0, cos_phi)))
-        count = max(1, int(math.floor(2.0 * math.pi / phi_min)))
+        turns = 2.0 * math.pi / phi_min if phi_min > 0.0 else math.inf
+        if turns >= _MAX_CENTERS + 1:  # floor(turns) > _MAX_CENTERS
+            raise _too_many(math.floor(turns) if math.isfinite(turns) else "infinitely many")
+        count = max(1, int(math.floor(turns)))
     thetas = 2.0 * math.pi * np.arange(count) / count
     base = math.atan2(y[1], y[0])
     circle = np.stack([np.cos(base + thetas), np.sin(base + thetas)], axis=1)
@@ -403,12 +439,15 @@ def packing_count(
     spaced centers from the closed-form spacing (ANGULAR_EXACT).  Every
     other orbit gets a greedy walk over a fine orbit parametrization, whose
     count is a certified lower bound (GREEDY); a product orbit takes the
-    product grid of its per-block packings.
+    product grid of its per-block packings.  A packing of more than
+    _MAX_CENTERS centers raises ValueError before its centers are built.
 
     After each acceptance the walk blocks the later candidates that a kd-tree
     ball query finds within the chord of 2 rho and the exact distance
-    confirms; the certificate measures exactly the near-minimal pairs the
-    tree returns, once per report, and raises below 2 rho.
+    confirms.  The certificate runs once per report and raises below 2 rho:
+    on an ANGULAR_EXACT circle it measures the pairs adjacent in angle
+    (no scipy import), on a GREEDY orbit the near-minimal pairs the kd-tree
+    returns.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -438,9 +477,7 @@ def packing_count(
     counts, block_centers = _product_block_counts(space, y, action.blocks, rho)
     total = int(np.prod(counts))
     if total > _MAX_CENTERS:
-        raise ValueError(
-            f"packing materializes {total} centers; increase rho for a desk-scale run"
-        )
+        raise _too_many(total)
     grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
     centers = np.concatenate(
         [block_centers[j][g.ravel()] for j, g in enumerate(grids)], axis=1

@@ -463,7 +463,9 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
         return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), power)], power
 
     def ascent(u, power):
-        return sup_log_gradient(u) - w1p_log_gradient(u, *weights, power)
+        g = sup_log_gradient(u)
+        g -= w1p_log_gradient(u, *weights, power)
+        return g
 
     _, values = seeded_line_search(
         np.array(seeds), quotient, ascent, retract=lambda u: u, grow=1.5, max_iter=max_iter - 1,

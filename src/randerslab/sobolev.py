@@ -146,27 +146,52 @@ def _seed_profiles(grid: np.ndarray) -> list:
 
 def w1p_power(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
     """Discrete W^{1,p} power of each row of u: slopes against the cell
-    weights `shell`, values against the nodal weights `node_w`."""
-    slopes = np.diff(u, axis=1) / dr
-    return np.sum(np.abs(slopes) ** p * shell, axis=1) + np.sum(node_w * np.abs(u) ** p, axis=1)
+    weights `shell`, values against the nodal weights `node_w`.  Each
+    term is built in place in one buffer."""
+    slopes = np.diff(u, axis=1)
+    slopes /= dr
+    np.abs(slopes, out=slopes)
+    slopes **= p
+    slopes *= shell
+    nodal = np.abs(u)
+    nodal **= p
+    nodal *= node_w
+    return slopes.sum(axis=1) + nodal.sum(axis=1)
 
 
 def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float, power) -> np.ndarray:
-    """Gradient of log(w1p_power) / p, row by row, given the rows' power."""
-    slopes = np.diff(u, axis=1) / dr
-    gw = np.zeros_like(u)
-    flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
+    """Gradient of log(w1p_power) / p, row by row, given the rows' power;
+    built in place, in the operation order of the plain expression
+    p |slope|^(p-1) sign(slope) shell / dr per cell and
+    p node_w |u|^(p-1) sign(u) per node."""
+    gw = np.empty_like(u)  # holds sign(slope), then sign(u), then the gradient
+    flux = np.diff(u, axis=1)
+    flux /= dr
+    np.sign(flux, out=gw[:, :-1])
+    np.abs(flux, out=flux)
+    flux **= p - 1
+    flux *= p
+    flux *= gw[:, :-1]
+    flux *= shell
+    flux /= dr
+    nodal = np.abs(u)
+    nodal **= p - 1
+    nodal *= p * node_w
+    nodal *= np.sign(u, out=gw)
+    gw.fill(0.0)
     gw[:, :-1] -= flux
     gw[:, 1:] += flux
-    gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
-    return gw / (p * np.asarray(power))[:, None]
+    gw += nodal
+    gw /= (p * np.asarray(power))[:, None]
+    return gw
 
 
 def sup_log_gradient(u: np.ndarray) -> np.ndarray:
     """A gradient of log max(u), row by row: 1/max at the first maximiser."""
     g = np.zeros_like(u)
     g[np.arange(len(u)), np.argmax(u, axis=1)] = 1.0
-    return g / u.max(axis=1)[:, None]
+    g /= u.max(axis=1)[:, None]
+    return g
 
 
 def embedding_constant(
@@ -219,7 +244,8 @@ def embedding_constant(
             gl = sup_log_gradient(u)
         else:
             gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * state[:, 1])[:, None]
-        return gl - w1p_log_gradient(u, dr, shell, node_w, p, state[:, 0])
+        gl -= w1p_log_gradient(u, dr, shell, node_w, p, state[:, 0])
+        return gl
 
     _, values = seeded_line_search(
         np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(l_power(u))[:, None],

@@ -383,6 +383,24 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_circle_tables_load_no_scipy(self):
+        # the README packing and 2-D expansion tables certify exact circle
+        # counts by adjacent angles, with no kd-tree
+        code = (
+            "import sys\n"
+            "from randerslab.cli import RunConfig, run\n"
+            "for name, params in [\n"
+            "    ('packing', {'space': 'euclid', 'dim': 2, 'rho': 1, 'radii': '10:1000:log'}),\n"
+            "    ('expansion', {'space': 'poincare', 'dim': 2, 'rho': 1, 'radii': '0.9,0.99,0.999'}),\n"
+            "]:\n"
+            "    result = run(RunConfig(subcommand=name, params=params))\n"
+            "    assert result.passed and 'ANGULAR_EXACT' in result.render_csv()\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "randerslab", "--help"], capture_output=True, text=True

@@ -6,6 +6,7 @@ import pytest
 
 from randerslab.numerics import (
     DIVERGENT,
+    _trial,
     EvaluationError,
     adaptive_integrate,
     beta_fn,
@@ -212,3 +213,17 @@ class TestSeededLineSearch:
         )
         assert len(handed) > len(seeds) and all(handed)
         assert values == [float(v) for v in ((u - target) ** 2).sum(axis=1)]
+
+    @pytest.mark.parametrize("nodes", [2, 3, 129])
+    @pytest.mark.parametrize("rows", [[], [0], [1, 2, 4], [0, 1, 2, 3, 4]])
+    def test_trial_is_bit_identical_to_the_plain_expression(self, nodes, rows):
+        rng = np.random.default_rng(nodes)
+        u, g = rng.normal(size=(5, nodes)), rng.normal(size=(5, nodes))  # negative entries
+        u[3] = 0.0
+        step = np.array([1.0, 0.5, 1.3**7, 2.0**-40, 1e-12])
+        rows = np.array(rows, dtype=np.intp)
+        plain = np.maximum(u[rows] + step[rows, None] * g[rows], 0.0)
+        plain[:, -1] = 0.0
+        before = u.copy(), g.copy()
+        assert np.array_equal(_trial(u, g, step, rows), plain)
+        assert np.array_equal(u, before[0]) and np.array_equal(g, before[1])

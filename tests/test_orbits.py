@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -667,6 +668,75 @@ class TestCertificate:
         crowded = PackingReport(y, 0.5, 2, np.array([[y.a, y.b, y.c], _conjugate(y, 1e-3)]), GREEDY)
         with pytest.raises(RuntimeError):
             crowded.verify(CONJ, None)
+
+
+class TestAngularCertificate:
+    """An ANGULAR_EXACT circle is certified by its pairs adjacent in angle."""
+
+    @_PROPERTY
+    @given(
+        model=st.sampled_from(["euclid", "poincare"]),
+        curvature=st.floats(-4.0, -0.25),
+        radius=st.floats(0.05, 0.99),
+        ratio=st.floats(0.005, 2.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    @example(model="euclid", curvature=-1.0, radius=0.5, ratio=1.5, phase=0.0)  # 1 center
+    @example(model="euclid", curvature=-1.0, radius=0.5, ratio=0.9, phase=1.0)  # 2 centers
+    @example(model="euclid", curvature=-1.0, radius=0.5, ratio=0.8, phase=2.0)  # 3 centers
+    @example(model="poincare", curvature=-1.0, radius=0.3, ratio=0.9, phase=3.0)  # 2 centers
+    def test_adjacent_minimum_is_the_kd_tree_minimum(self, model, curvature, radius, ratio, phase):
+        # Euclidean radii span [5, 99]; Poincare chart radii run out to 0.99
+        space = EUCLID2 if model == "euclid" else SpaceForm(2, curvature)
+        chart_r = 100.0 * radius if model == "euclid" else radius
+        y = chart_r * np.array([math.cos(phase), math.sin(phase)])
+        rho = ratio * geodesic_distance(space, np.zeros(2), y)
+        centers = orbits._circle_centers(space, y, rho)
+        adjacent = orbits._angular_min_distance(ROT, space, centers)
+        assert adjacent == orbits._pairwise_min_distance(ROT, space, centers)
+
+    def test_centers_off_one_circle_are_refused(self):
+        # the closest pair, (1, 0) and (1, 0.1), is not adjacent in angle:
+        # adjacency alone would certify 4.0 >= 2 rho
+        centers = np.array([[1.0, 0.0], [5.0, 0.2], [1.0, 0.1], [-5.0, 0.0]])
+        assert orbits._pairwise_min_distance(ROT, EUCLID2, centers) == pytest.approx(0.1)
+        report = PackingReport(np.array([1.0, 0.0]), 1.0, 4, centers, ANGULAR_EXACT)
+        with pytest.raises(RuntimeError, match="one norm"):
+            report.verify(ROT, EUCLID2)
+
+    def test_verify_rejects_crowded_circle(self):
+        report = packing_count(ROT, HYP2, np.array([0.6, 0.0]), 0.4)
+        report.verify(ROT, HYP2)
+        crowded = 0.6 * np.array([[1.0, 0.0], [math.cos(1e-3), math.sin(1e-3)]])
+        with pytest.raises(RuntimeError, match="violated"):
+            PackingReport(report.y, 0.4, 2, crowded, ANGULAR_EXACT).verify(ROT, HYP2)
+
+
+class TestCircleCap:
+    """A circle of more than _MAX_CENTERS centers is refused before it is built."""
+
+    def test_count_just_above_the_cap_raises(self):
+        # pi r / rho is about 249k centers
+        with pytest.raises(ValueError, match="materializes"):
+            packing_count(ROT, EUCLID2, np.array([1000.0, 0.0]), 0.0126)
+
+    def test_count_at_the_cap_is_built(self):
+        rho = 1000.0 * math.sin(math.pi / (orbits._MAX_CENTERS + 0.5))
+        assert packing_count(ROT, EUCLID2, np.array([1000.0, 0.0]), rho).count == orbits._MAX_CENTERS
+
+    def test_vanishing_spacing_raises(self):
+        # cosh(2 rho) rounds to 1, so the angular spacing is 0
+        with pytest.raises(ValueError, match="materializes"):
+            packing_count(ROT, HYP2, np.array([0.5, 0.0]), 1e-300)
+
+    def test_cli_gives_error_record(self, capsys):
+        from randerslab.cli import main
+
+        argv = ["packing", "--space", "euclid", "--dim", "2", "--rho", "0.0126", "--radii", "1000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 class TestLargeMatrixOrbits:

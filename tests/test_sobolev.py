@@ -15,6 +15,9 @@ from randerslab.sobolev import (
     embedding_constant,
     funk_counterexample,
     sobolev_norms,
+    sup_log_gradient,
+    w1p_log_gradient,
+    w1p_power,
 )
 
 EUCLID2 = SpaceForm(2, 0.0)
@@ -314,3 +317,65 @@ class TestFunkCounterexample:
             if prev is not None:
                 assert second > prev
             prev = second
+
+
+# -- the row kernels as first written, one fresh array per operation
+
+
+def _ref_w1p_power(u, dr, shell, node_w, p):
+    slopes = np.diff(u, axis=1) / dr
+    return np.sum(np.abs(slopes) ** p * shell, axis=1) + np.sum(node_w * np.abs(u) ** p, axis=1)
+
+
+def _ref_w1p_log_gradient(u, dr, shell, node_w, p, power):
+    slopes = np.diff(u, axis=1) / dr
+    gw = np.zeros_like(u)
+    flux = p * np.abs(slopes) ** (p - 1) * np.sign(slopes) * shell / dr
+    gw[:, :-1] -= flux
+    gw[:, 1:] += flux
+    gw += p * node_w * np.abs(u) ** (p - 1) * np.sign(u)
+    return gw / (p * np.asarray(power))[:, None]
+
+
+def _ref_sup_log_gradient(u):
+    g = np.zeros_like(u)
+    g[np.arange(len(u)), np.argmax(u, axis=1)] = 1.0
+    return g / u.max(axis=1)[:, None]
+
+
+def _stack(kind, nodes):
+    rng = np.random.default_rng(nodes)
+    if kind == "empty":
+        return np.zeros((0, nodes))
+    if kind == "one row":
+        return rng.normal(size=(1, nodes))
+    u = rng.normal(size=(10, nodes))  # negative entries included
+    if kind == "zero rows":
+        u[[0, 3]] = 0.0
+    return u
+
+
+class TestInPlaceRowKernels:
+    """The in-place row kernels round exactly as the plain expressions do."""
+
+    @pytest.mark.parametrize("kind", ["empty", "zero rows", "one row", "signed"])
+    @pytest.mark.parametrize("nodes", [2, 3, 257])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 4.5])
+    def test_bit_identical_to_plain_expressions(self, kind, nodes, p):
+        u = _stack(kind, nodes)
+        grid = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, nodes))
+        grid[0], grid[-1] = 0.0, 1.0
+        dr = np.diff(grid)
+        shell = np.random.default_rng(2).uniform(0.1, 2.0, nodes - 1)
+        node_w = np.append(0.5 * shell, 0.0) + np.insert(0.5 * shell, 0, 0.0)
+        before = u.copy()
+        with np.errstate(all="ignore"):  # zero rows divide 0 by 0, as before
+            power = _ref_w1p_power(u, dr, shell, node_w, p)
+            assert np.array_equal(w1p_power(u, dr, shell, node_w, p), power)
+            assert np.array_equal(
+                w1p_log_gradient(u, dr, shell, node_w, p, power),
+                _ref_w1p_log_gradient(u, dr, shell, node_w, p, power),
+                equal_nan=True,
+            )
+            assert np.array_equal(sup_log_gradient(u), _ref_sup_log_gradient(u), equal_nan=True)
+        assert np.array_equal(u, before)  # the rows themselves are not written
