@@ -14,10 +14,12 @@ from randerslab import (
     finsler_norm,
     funk_distance,
     polar_transform,
+    RadialProfile,
     reversibility,
     volume_density,
 )
 from randerslab.randers import global_reversibility
+from randerslab.sobolev import sobolev_norms
 
 structure = RandersStructure(SpaceForm(3, -1.0), BetaProfile("tanh", 0.4))
 x = np.array([0.3, 0.1, 0.0])
@@ -35,6 +37,14 @@ fstar = polar_transform(structure, x, du)
 print("\nLegendre-transform gradient identities:")
 print("  du(grad)     =", float(du @ grad), " = F*(x, du)^2 =", fstar**2)
 print("  F(x, grad)   =", finsler_norm(structure, x, grad), " = F*(x, du) =", fstar)
+
+grid = np.linspace(0.0, 1.5, 401)
+tent = RadialProfile(grid, np.clip(1.0 - grid / 1.5, 0.0, 1.0), structure)
+norms = sobolev_norms(tent, structure, 2.5, qs=(2.0, 4.0))
+print("\nW^{1,2.5} energy of the tent 1 - r/1.5, as p-th powers:")
+print("  Finsler:    int F*(x, Du)^p dV_F + int |u|^p dV_F =", norms.w1p_finsler)
+print("  Riemannian: int |grad u|^p dv_g + int |u|^p dv_g   =", norms.w1p_riemann)
+print(f"  ||u||_2 = {norms.lq[2.0]:.6f}, ||u||_4 = {norms.lq[4.0]:.6f}, ||u||_inf = {norms.linf}")
 
 funk = FunkModel(3)
 print("\nFunk model: r_F =", global_reversibility(funk))

@@ -3,7 +3,7 @@ coercivity constants, the parameter interval of the three-solution setup,
 and the multi-start search that exhibits the zero and a nontrivial
 critical point of the energy.
 
-Takes about half a minute at the default resolution.
+Takes a few seconds at the default resolution.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from randerslab.pde import (
     coercivity_constant,
     energy_along_ray,
     find_transition_lambda,
+    finsler_ball_volume,
     grid_doubling_check,
     mckean_bound,
     replace_lambda,
@@ -31,6 +32,8 @@ print("\nthree-solution setup (ramp witness with s0=1, R=1.5, r=0.5):")
 print(f"  Phi(u1) = {bp.phi_u1:.4f}, J(u1) = {bp.j_u1:.6f}")
 print(f"  sub-level threshold rho0 = {bp.rho0:.3e}")
 print(f"  interval endpoint a_bar = {bp.a_bar:.4f} (strict inequalities hold: {bp.hypotheses_hold})")
+for radius in (0.5, 1.5):
+    print(f"  dV_F volume of the forward ball of radius {radius}: {finsler_ball_volume(problem, radius):.6f}")
 
 print("\ncoercivity: energy along the ray t * tent ->")
 prob5 = replace_lambda(problem, 5.0)

@@ -742,6 +742,7 @@ class MatrixOrbitMeasure:
     length: float
     distance_to_identity: float
     kappa_check: bool
+    conjugation_length: float
 
 
 def orbit_hausdorff_matrix(y: MatrixPoint) -> MatrixOrbitMeasure:
@@ -750,6 +751,8 @@ def orbit_hausdorff_matrix(y: MatrixPoint) -> MatrixOrbitMeasure:
 
     The orbit curve is theta -> y @ rotation(theta), whose speed in the
     Frobenius norm is the constant ||y||_F, giving length 2 pi ||y||_F.
+    conjugation_length is that of the conjugation orbit theta -> R y R^T
+    over its period pi, with speed sqrt(2) (l1 - l2) for eigenvalues l1 >= l2.
     """
     frob = math.sqrt(y.a**2 + 2.0 * y.b**2 + y.c**2)
     length = 2.0 * math.pi * frob
@@ -759,4 +762,5 @@ def orbit_hausdorff_matrix(y: MatrixPoint) -> MatrixOrbitMeasure:
         length=length,
         distance_to_identity=dist,
         kappa_check=length >= math.pi * dist - 1e-12,
+        conjugation_length=math.sqrt(2.0) * math.pi * (lam1 - lam2),
     )

@@ -251,6 +251,7 @@ class PDEProblem:
                 "alpha decay rate must exceed (d-1) kappa for integrability"
             )
         self._disc = None
+        self._rays = None
 
     @property
     def kappa(self) -> float:
@@ -269,6 +270,13 @@ class PDEProblem:
         if self._disc is None:
             self._disc = self._build()
         return self._disc
+
+    @property
+    def rays(self) -> "_RayTable":
+        """The lambda-free ray table, built once per discretisation."""
+        if self._rays is None:
+            self._rays = _RayTable(self)
+        return self._rays
 
     def _build(self) -> dict:
         base = self.randers.base
@@ -694,21 +702,23 @@ def _solve_tridiag(diag, off, rhs):
     it with a zero rim entry: the Dirichlet node n-1 is not an unknown, so
     its row and column (and the coupling off[-1] into row n-2) drop out.
 
-    Returns None when solve_banded finds the system singular or malformed
-    (LinAlgError, ValueError) or the solution is not finite, so the caller
-    moves on to its next tier; any other error propagates."""
-    from scipy.linalg import solve_banded
+    Calls LAPACK's dgtsv, which solve_banded wraps for one band either
+    side, directly.  Returns None when an entry of the system or of the
+    solution is not finite or dgtsv finds it singular (info > 0), so the
+    caller moves on to its next tier; any other error propagates."""
+    from scipy.linalg.lapack import dgtsv
 
     m = diag.size - 1
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off[: m - 1]
-    ab[1, :] = diag[:m]
-    ab[2, :-1] = off[: m - 1]
-    out = np.zeros(m + 1)
-    try:
-        out[:m] = solve_banded((1, 1), ab, rhs[:m])
-    except (np.linalg.LinAlgError, ValueError):
+    d, e, b = diag[:m], off[: m - 1], rhs[:m]
+    if not all(np.isfinite(a).all() for a in (d, e, b)):
         return None
+    # dgtsv rejects the empty off-diagonals of a 1x1 system: divide instead
+    with np.errstate(all="ignore"):
+        x, info = (b / d, 0) if m == 1 else dgtsv(e, d, e, b)[3:]
+    if info > 0:
+        return None
+    out = np.zeros(m + 1)
+    out[:m] = x
     return out if np.isfinite(out).all() else None
 
 
@@ -905,7 +915,8 @@ def multi_start_solve(
     is always included since h(0) = 0 makes it critical.  A cluster opens
     only beyond the threshold of every earlier one, so all representatives
     are pairwise distinct.  Non-convergence of an individual start is
-    recorded, not fatal.
+    recorded, not fatal.  Each lambda > 0 adds the ray witness of the
+    problem's one ray table (PDEProblem.rays) as a start.
     """
     s0 = problem.nonlinearity.s0
     if seeds is None:
@@ -914,16 +925,13 @@ def multi_start_solve(
         raise ValueError("multi-start needs at least 8 seeds")
     threshold = 1e-4 * s0
     reports = []
-    rays = None
     for lam in lambda_grid:
         prob = replace_lambda(problem, float(lam))
         lam_seeds = list(seeds)
         if lam > 0:
             # starting below the zero level makes the descent provably end
             # at a nontrivial critical point whenever one exists on a ray
-            if rays is None:
-                rays = _RayTable(problem)
-            e_wit, witness = rays.witness(prob.lam)
+            e_wit, witness = problem.rays.witness(prob.lam)
             if e_wit < -1e-12:
                 lam_seeds.append(witness)
         results = []
@@ -954,20 +962,21 @@ def multi_start_solve(
     return reports
 
 
-def _ray_terms(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
+def _ray_terms(problem: PDEProblem, shapes: np.ndarray, ts: Sequence[float]):
     """The lambda-free terms of E_lambda(t * shape) = Phi(t * shape) -
-    lambda J(t * shape): the arrays of Phi(t * shape) = t^p Phi(shape) and
-    of J(t * shape), one 1-D sum per t."""
-    phi0, _, _ = energy(problem, shape)
+    lambda J(t * shape) for each row of a (shapes x nodes) stack: the
+    (shapes x ts) arrays of Phi(t * shape) = t^p Phi(shape) and of
+    J(t * shape), with one H call over the whole stack per t."""
+    phi0 = np.array([energy(problem, shape)[0] for shape in shapes])
     jw = problem.disc["jw"]
-    js = [float(np.sum(jw * problem.nonlinearity.H(t * shape))) for t in ts]
-    return np.asarray([t**problem.p for t in ts]) * phi0, np.asarray(js)
+    js = [np.sum(jw * problem.nonlinearity.H(t * shapes), axis=1) for t in ts]
+    return np.outer(phi0, [t**problem.p for t in ts]), np.stack(js, axis=1)
 
 
 def energy_along_ray(problem: PDEProblem, shape: np.ndarray, ts: Sequence[float]):
     """E_lambda(t * shape) for t in ts, using Phi(t u) = t^p Phi(u)."""
-    phis, js = _ray_terms(problem, np.asarray(shape, dtype=float), ts)
-    return phis - problem.lam * js
+    phis, js = _ray_terms(problem, np.asarray(shape, dtype=float)[None], ts)
+    return phis[0] - problem.lam * js[0]
 
 
 def _ray_shapes(problem: PDEProblem) -> list:
@@ -1005,14 +1014,15 @@ def _ray_shapes(problem: PDEProblem) -> list:
 
 class _RayTable:
     """The scanned ray family of best_ray_witness with its lambda-free
-    terms, built once as (shapes x ts) arrays; witness(lam) is then one
-    array expression and one argmin."""
+    terms, built in one pass over ts as (shapes x ts) arrays, once per
+    problem (PDEProblem.rays); witness(lam) is then one array expression
+    and one argmin."""
 
     ts = np.geomspace(1e-2, 64.0, 80)
 
     def __init__(self, problem: PDEProblem):
-        self.shapes = _ray_shapes(problem)
-        self.phis, self.js = map(np.array, zip(*(_ray_terms(problem, s, self.ts) for s in self.shapes)))
+        self.shapes = np.array(_ray_shapes(problem))
+        self.phis, self.js = _ray_terms(problem, self.shapes, self.ts)
 
     def witness(self, lam: float):
         """(E, t * shape) at the lowest energy of the table; ties go to the
@@ -1027,8 +1037,9 @@ def best_ray_witness(problem: PDEProblem):
 
     Returns (energy, profile); the profile realizes the energy, so a value
     below zero certifies a nontrivial minimizer exists at this lambda.
+    The scan reads the problem's one ray table (PDEProblem.rays).
     """
-    return _RayTable(problem).witness(problem.lam)
+    return problem.rays.witness(problem.lam)
 
 
 def find_transition_lambda(
@@ -1043,11 +1054,11 @@ def find_transition_lambda(
     that minimizer is shallow, which is where a multi-start run resolves
     the zero and nonzero critical points fastest.  Returns the high end of
     the final bracket, i.e. a lambda at which a witness was actually found.
+    Every step reads the problem's one ray table (PDEProblem.rays).
     """
-    rays = _RayTable(problem)
 
     def found(lam: float) -> bool:
-        e_best, _ = rays.witness(lam)
+        e_best, _ = problem.rays.witness(lam)
         return e_best < -1e-9
 
     if not found(lam_hi):
@@ -1065,9 +1076,10 @@ def find_transition_lambda(
 
 
 def replace_lambda(problem: PDEProblem, lam: float) -> PDEProblem:
-    """Copy of the problem at a different lambda (discretization reused)."""
+    """Copy of the problem at a different lambda (discretization and ray
+    table reused)."""
     clone = replace(problem, lam=lam)
-    clone._disc = problem._disc
+    clone._disc, clone._rays = problem._disc, problem._rays
     return clone
 
 

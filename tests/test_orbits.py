@@ -401,6 +401,22 @@ class TestHausdorffMeasures:
         res = orbit_hausdorff_matrix(MatrixPoint(2.0, 0.5, 0.625))
         assert res.length == pytest.approx(float(seglen.sum()), abs=1e-6)
 
+    def test_matrix_conjugation_length_sampled_polygon(self):
+        # arclength of theta -> R X R^T over its period pi in the Frobenius
+        # norm, by fine polygonal approximation, next to the curve length
+        # of theta -> X R(theta) that `length` keeps reporting
+        y = MatrixPoint.diagonal(10.0)
+        thetas = np.linspace(0.0, math.pi, 20001)
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        rot = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=-2)
+        mats = rot @ y.matrix @ rot.transpose(0, 2, 1)
+        seglen = np.sqrt(((np.diff(mats, axis=0)) ** 2).sum(axis=(1, 2)))
+        res = orbit_hausdorff_matrix(y)
+        assert res.conjugation_length == pytest.approx(float(seglen.sum()), abs=1e-6)
+        assert round(res.conjugation_length, 2) == 43.98
+        assert round(res.length, 2) == 62.83
+        assert orbit_hausdorff_matrix(MatrixPoint.identity()).conjugation_length == 0.0
+
     def test_matrix_kappa_check_on_log_grid(self):
         for lam in np.geomspace(1.0, 1e6, 25):
             res = orbit_hausdorff_matrix(MatrixPoint.diagonal(float(lam)))

@@ -684,9 +684,91 @@ class TestRimFreeSolve:
         assert rep.n_converged == rep.n_starts
 
 
+def _reference_solve_tridiag(diag, off, rhs):
+    """The free-row solve through scipy.linalg.solve_banded that the direct
+    LAPACK call replaced, kept verbatim as the reference it must
+    reproduce bit for bit."""
+    from scipy.linalg import solve_banded
+
+    m = diag.size - 1
+    ab = np.zeros((3, m))
+    ab[0, 1:] = off[: m - 1]
+    ab[1, :] = diag[:m]
+    ab[2, :-1] = off[: m - 1]
+    out = np.zeros(m + 1)
+    try:
+        out[:m] = solve_banded((1, 1), ab, rhs[:m])
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+class TestLapackSolve:
+    """The direct dgtsv call returns what solve_banded returned, array or
+    None, on every kind of system the Newton-type tiers can hand it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 80),
+        kind=st.sampled_from(["dominant", "near_singular", "laplacian", "zero_row", "nonfinite"]),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.sampled_from(["diag", "off", "rhs"]),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    )
+    def test_equals_solve_banded(self, n, kind, seed, where, bad):
+        from randerslab.pde import _solve_tridiag
+
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        coupling = np.zeros(n)
+        coupling[:-1] += np.abs(off)
+        coupling[1:] += np.abs(off)
+        diag = rng.choice([-1.0, 1.0], n) * (coupling + rng.uniform(0.1, 1.0, n))
+        rhs = rng.normal(size=n)
+        m = n - 1
+        if kind == "near_singular":
+            # a weighted path Laplacian on the free rows, which is singular,
+            # moved off singularity by a few parts in 1e14
+            weights = np.abs(off[: m - 1])
+            off[: m - 1] = -weights
+            diag[:m] = 0.0
+            diag[: m - 1] += weights
+            diag[1:m] += weights
+            diag[:m] *= 1.0 + 1e-14 * rng.uniform(-1.0, 1.0, m)
+        elif kind == "laplacian":
+            # integer path Laplacian on the free rows: exactly singular,
+            # with an exact zero last pivot
+            scale = 2.0 ** int(rng.integers(-20, 20))
+            off[:] = -scale
+            diag[:m] = 2.0 * scale
+            diag[0] = diag[m - 1] = scale
+            if m == 1:
+                diag[0] = 0.0
+        elif kind == "zero_row":
+            row = int(rng.integers(0, m))
+            diag[row] = 0.0
+            off[max(row - 1, 0) : row + 1] = 0.0
+        elif kind == "nonfinite":
+            # solve_banded refused these; dgtsv alone can return a finite
+            # solution for an infinite diagonal entry
+            target = {"diag": diag, "off": off, "rhs": rhs}[where]
+            target[int(rng.integers(0, target.size))] = bad
+        given_arrays = [a.copy() for a in (diag, off, rhs)]
+        with np.errstate(all="ignore"):
+            expected = _reference_solve_tridiag(diag, off, rhs)
+        x = _solve_tridiag(diag, off, rhs)
+        if expected is None:
+            assert x is None
+        else:
+            assert x is not None and np.array_equal(x, expected)
+        for before, after in zip(given_arrays, (diag, off, rhs)):
+            assert np.array_equal(before, after, equal_nan=True)
+
+
 class TestSolveErrors:
-    """Only the errors solve_banded raises move a Newton-type step to its
-    next tier; anything else is a bug and propagates."""
+    """Only a singular (info > 0) or non-finite system moves a Newton-type
+    step to its next tier; any other error from the LAPACK call is a bug
+    and propagates."""
 
     @pytest.fixture
     def start(self):
@@ -696,14 +778,14 @@ class TestSolveErrors:
         return prob, _default_seeds(prob, 1.0)[2]
 
     def test_type_error_propagates(self, start, monkeypatch):
-        import scipy.linalg
+        import scipy.linalg.lapack
 
         from randerslab.pde import _descend, _polish_root
 
         def broken(*args, **kwargs):
             raise TypeError("not a solver error")
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", broken)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", broken)
         prob, u0 = start
         with pytest.raises(TypeError):
             _descend(prob, u0, 50, 1e-8)
@@ -711,20 +793,21 @@ class TestSolveErrors:
             _polish_root(prob, u0, 1e-8)
 
     def test_singular_solve_falls_through(self, start, monkeypatch):
-        import scipy.linalg
+        import scipy.linalg.lapack
 
         from randerslab.pde import _descend
 
-        original = scipy.linalg.solve_banded
+        original = scipy.linalg.lapack.dgtsv
         calls = []
 
         def singular_once(*args, **kwargs):
             calls.append(args)
+            out = original(*args, **kwargs)
             if len(calls) == 1:
-                raise np.linalg.LinAlgError("singular matrix")
-            return original(*args, **kwargs)
+                return (*out[:-1], 1)  # info > 0: a zero pivot
+            return out
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", singular_once)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular_once)
         prob, u0 = start
         steps = []
         _descend(prob, u0, 1, 1e-8, on_step=steps.append)
@@ -902,6 +985,62 @@ class TestRayTable:
     def test_default_problem(self, problem, solved):
         lam_t, _, _ = solved
         assert lam_t == _reference_find_transition_lambda(problem, 200.0)
+
+
+def _reference_ray_table(problem):
+    """The (shapes x ts) terms as the per-(shape, t) loop built them, kept
+    verbatim as the reference the one-pass table must reproduce."""
+    from randerslab.pde import _ray_shapes
+
+    ts = np.geomspace(1e-2, 64.0, 80)
+
+    def ray_terms(shape):
+        phi0, _, _ = energy(problem, shape)
+        jw = problem.disc["jw"]
+        js = [float(np.sum(jw * problem.nonlinearity.H(t * shape))) for t in ts]
+        return np.asarray([t**problem.p for t in ts]) * phi0, np.asarray(js)
+
+    return tuple(map(np.array, zip(*(ray_terms(s) for s in _ray_shapes(problem)))))
+
+
+class TestOneRayTable:
+    """Each problem builds its lambda-free ray table once, in one pass."""
+
+    def test_transition_and_multi_start_share_one_table(self, monkeypatch):
+        problem = example_problem(n_cells=128)
+        calls = []
+        original = pde._ray_shapes
+
+        def counted(prob):
+            calls.append(prob.n_cells)
+            return original(prob)
+
+        monkeypatch.setattr(pde, "_ray_shapes", counted)
+        lam_t = find_transition_lambda(problem, 200.0)
+        report = multi_start_solve(problem, [0.0, 2.0 * lam_t])[1]
+        assert calls == [128]
+        assert report.n_starts == len(pde._default_seeds(problem, 1.0)) + 1
+        assert best_ray_witness(replace_lambda(problem, 2.0 * lam_t))[0] < 0.0
+        assert calls == [128]
+
+    def test_lambda_clone_shares_and_regrid_rebuilds(self):
+        import dataclasses
+
+        problem = example_problem(n_cells=128)
+        table = problem.rays
+        assert replace_lambda(problem, 3.0).rays is table
+        fine = dataclasses.replace(problem, n_cells=256)
+        assert fine.rays is not table
+        assert fine.rays.shapes.shape[1] == 257 and fine.rays is fine.rays
+
+    @pytest.mark.parametrize("n_cells", [1024, 2048])
+    def test_table_equals_per_shape_loop(self, n_cells):
+        from randerslab.pde import _RayTable
+
+        problem = example_problem(n_cells=n_cells)
+        table = _RayTable(problem)
+        phis, js = _reference_ray_table(problem)
+        assert np.array_equal(table.phis, phis) and np.array_equal(table.js, js)
 
 
 @functools.lru_cache(maxsize=None)
