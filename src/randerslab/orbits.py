@@ -21,10 +21,12 @@ Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
 tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
 the Frobenius norm.  The greedy walks and the certificate of a greedy
 report search a scipy.spatial.cKDTree of that embedding and measure the
-pairs it returns with the exact distance formulas.  On one centred circle
-distance grows with the angular gap, so the certificate of an exact
-circle count measures only the pairs adjacent in angle, and no scipy
-module is loaded for it.
+pairs it returns with the exact distance formulas.  A walk builds one lean
+tree over its candidates and fetches the ball of each accepted center as
+an index array, from a one-point tree's sparse_distance_matrix against
+it.  On one centred circle distance grows with the angular gap, so the
+certificate of an exact circle count measures only the pairs adjacent in
+angle, and no scipy module is loaded for it.
 """
 
 from __future__ import annotations
@@ -167,13 +169,27 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         thetas = 2.0 * math.pi * np.arange(n) / n
         return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     if d == 3:
-        # Fibonacci spiral
+        # Fibonacci spiral z = 1 - 2 (k + 1/2) / n, phi = 2 pi k / golden,
+        # (r cos phi, r sin phi, z) with r = sqrt(max(0, 1 - z^2)), written
+        # into one (n, 3) buffer one rounded operation at a time; the middle
+        # column holds r until it is scaled by sin phi
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        k = np.arange(n)
-        z = 1.0 - 2.0 * (k + 0.5) / n
-        phi = 2.0 * math.pi * k / golden
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+        pts = np.empty((n, 3))
+        x, r, z = pts.T
+        phi = np.arange(n, dtype=float)
+        np.add(phi, 0.5, out=z)
+        z *= 2.0
+        z /= n
+        np.subtract(1.0, z, out=z)
+        phi *= 2.0 * math.pi
+        phi /= golden
+        np.multiply(z, z, out=r)
+        np.subtract(1.0, r, out=r)
+        np.maximum(0.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(r, np.cos(phi), out=x)
+        r *= np.sin(phi)
+        return pts
     # Kronecker low-discrepancy sequence pushed through the normal inverse CDF
     from scipy.special import ndtri
 
@@ -368,13 +384,21 @@ def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
 def _greedy_walk(action, space, points, rho) -> list:
     """Indices a greedy pass over points accepts: each candidate in order,
     unless closer than 2 rho to an accepted one.  Such pairs lie within the
-    chord of 2 rho, so after each acceptance a kd-tree ball query gathers the
-    later candidates it may block and the exact distance decides.
+    chord of 2 rho, so after each acceptance the later candidates in that
+    ball are the ones it may block, and the exact distance decides.
+
+    The candidates get one kd-tree, built on the embedding without copying
+    it (every embedding here is C-contiguous), with sliding-midpoint splits
+    into wide leaves that are left uncompacted, which builds fastest.  Each
+    ball comes back as an index array: the "j" column of a one-point tree's
+    sparse_distance_matrix against the candidate tree, with no Python list
+    of indices in between.  That one-point tree costs some 15 us per
+    acceptance, which walks with many small balls pay.
     """
     from scipy.spatial import cKDTree
 
     emb, chord, key, dist = _orbit_metric(action, space, points)
-    tree = cKDTree(emb, balanced_tree=False)  # sliding-midpoint splits build faster
+    tree = cKDTree(emb, leafsize=128, balanced_tree=False, compact_nodes=False, copy_data=False)
     radius = chord(2.0 * rho)
     blocked = bytearray(len(emb))
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
@@ -382,7 +406,7 @@ def _greedy_walk(action, space, points, rho) -> list:
     i = 0
     while i >= 0:
         accepted.append(i)
-        near = np.asarray(tree.query_ball_point(emb[i], radius), dtype=np.intp)
+        near = cKDTree(emb[i : i + 1]).sparse_distance_matrix(tree, radius, output_type="ndarray")["j"]
         later = near[near > i]
         later = later[~flags[later]]
         flags[later[dist(key(later, i)) < 2.0 * rho]] = True
@@ -399,7 +423,8 @@ def _sphere_walk(space, y, rho):
     step = rho / _WALK_SUBDIVISION
     area = sphere_area(d) * radius_scale ** (d - 1)
     n_steps = int(min(_MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
-    pts = float(np.linalg.norm(y)) * _sphere_points(d, n_steps)
+    pts = _sphere_points(d, n_steps)
+    pts *= float(np.linalg.norm(y))
     return pts[_greedy_walk(GroupAction(FULL_ROTATION), space, pts, rho)]
 
 
@@ -442,12 +467,13 @@ def packing_count(
     product grid of its per-block packings.  A packing of more than
     _MAX_CENTERS centers raises ValueError before its centers are built.
 
-    After each acceptance the walk blocks the later candidates that a kd-tree
-    ball query finds within the chord of 2 rho and the exact distance
-    confirms.  The certificate runs once per report and raises below 2 rho:
-    on an ANGULAR_EXACT circle it measures the pairs adjacent in angle
-    (no scipy import), on a GREEDY orbit the near-minimal pairs the kd-tree
-    returns.
+    After each acceptance the walk blocks the later candidates that lie
+    within the chord of 2 rho and that the exact distance confirms; it
+    fetches that ball as an index array from a one-point kd-tree queried
+    against one tree of all the candidates.  The certificate runs once per
+    report and raises below 2 rho: on an ANGULAR_EXACT circle it measures
+    the pairs adjacent in angle (no scipy import), on a GREEDY orbit the
+    near-minimal pairs the kd-tree returns.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")

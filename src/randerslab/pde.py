@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -250,8 +251,9 @@ class PDEProblem:
             raise ValueError(
                 "alpha decay rate must exceed (d-1) kappa for integrability"
             )
-        self._disc = None
-        self._rays = None
+        # the lambda-free discretisation and ray table, built on first use
+        # and shared with every replace_lambda clone
+        self._cache = SimpleNamespace(disc=None, rays=None)
 
     @property
     def kappa(self) -> float:
@@ -267,16 +269,16 @@ class PDEProblem:
 
     @property
     def disc(self) -> dict:
-        if self._disc is None:
-            self._disc = self._build()
-        return self._disc
+        if self._cache.disc is None:
+            self._cache.disc = self._build()
+        return self._cache.disc
 
     @property
     def rays(self) -> "_RayTable":
         """The lambda-free ray table, built once per discretisation."""
-        if self._rays is None:
-            self._rays = _RayTable(self)
-        return self._rays
+        if self._cache.rays is None:
+            self._cache.rays = _RayTable(self)
+        return self._cache.rays
 
     def _build(self) -> dict:
         base = self.randers.base
@@ -1076,10 +1078,10 @@ def find_transition_lambda(
 
 
 def replace_lambda(problem: PDEProblem, lam: float) -> PDEProblem:
-    """Copy of the problem at a different lambda (discretization and ray
-    table reused)."""
+    """Copy of the problem at a different lambda that shares its
+    discretization and ray table, whichever of the two builds them first."""
     clone = replace(problem, lam=lam)
-    clone._disc, clone._rays = problem._disc, problem._rays
+    clone._cache = problem._cache
     return clone
 
 

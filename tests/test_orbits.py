@@ -655,6 +655,71 @@ class TestGreedyAgainstBruteForce:
         assert np.array_equal(report.centers, _brute_matrix_walk(y, rho))
 
 
+# -- reference copies: the Fibonacci spiral as np.stack of its columns, and the
+# greedy walk with query_ball_point lists on a balanced kd-tree.  The brute-force
+# oracles above reuse orbits._sphere_points and reach only radii <= 2 rho, so
+# these pin the spiral and the walk at the sizes the benchmark runs.
+
+
+def _reference_sphere_points3(n):
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    k = np.arange(n)
+    z = 1.0 - 2.0 * (k + 0.5) / n
+    phi = 2.0 * math.pi * k / golden
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def _reference_greedy_walk(action, space, points, rho) -> list:
+    from scipy.spatial import cKDTree
+
+    emb, chord, key, dist = orbits._orbit_metric(action, space, points)
+    tree = cKDTree(emb, balanced_tree=False)  # sliding-midpoint splits build faster
+    radius = chord(2.0 * rho)
+    blocked = bytearray(len(emb))
+    flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
+    accepted = []
+    i = 0
+    while i >= 0:
+        accepted.append(i)
+        near = np.asarray(tree.query_ball_point(emb[i], radius), dtype=np.intp)
+        later = near[near > i]
+        later = later[~flags[later]]
+        flags[later[dist(key(later, i)) < 2.0 * rho]] = True
+        i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
+    return accepted
+
+
+class TestWalkAgainstReferenceCopies:
+    @pytest.mark.parametrize("n", [256, 1000, 59088, 500000])
+    def test_spiral_is_bit_identical(self, n):
+        assert np.array_equal(orbits._sphere_points(3, n), _reference_sphere_points3(n))
+
+    @pytest.mark.parametrize(
+        "space, radius, rho, n_steps",
+        [
+            (POINCARE3, 0.85, 1.0, 188644),
+            (EUCLID3, 10.0, 1.0, 500000),
+            (EUCLID3, 20.0 / math.sqrt(2.0), 2.0, 251328),  # a 3-block of the product (2, 3)
+        ],
+    )
+    def test_sphere_walk(self, space, radius, rho, n_steps):
+        y = np.array([radius, 0.0, 0.0])
+        pts = radius * _reference_sphere_points3(n_steps)
+        accepted = _reference_greedy_walk(ROT, space, pts, rho)
+        assert orbits._greedy_walk(ROT, space, pts, rho) == accepted
+        assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
+
+    def test_conjugation_walk(self):
+        y, rho = MatrixPoint.diagonal(100.0), 0.5
+        report = packing_count(CONJ, None, y, rho)
+        n_steps = 17770
+        pts = orbits._conjugates(y, math.pi * np.arange(n_steps) / n_steps)
+        accepted = _reference_greedy_walk(CONJ, None, pts, rho)
+        assert orbits._greedy_walk(CONJ, None, pts, rho) == accepted
+        assert report.centers.tobytes() == pts[accepted].tobytes()
+
+
 class TestCertificate:
     def test_verify_rejects_overlapping_centers(self):
         centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -1043,6 +1043,44 @@ class TestOneRayTable:
         assert np.array_equal(table.phis, phis) and np.array_equal(table.js, js)
 
 
+class TestLambdaClonesShareTheirBuild:
+    """A lambda clone shares its problem's discretisation and ray table even
+    when it, not the problem, builds them first."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"shapes": 0, "build": 0}
+        shapes, build = pde._ray_shapes, PDEProblem._build
+
+        def counted_shapes(prob):
+            counts["shapes"] += 1
+            return shapes(prob)
+
+        def counted_build(prob):
+            counts["build"] += 1
+            return build(prob)
+
+        monkeypatch.setattr(pde, "_ray_shapes", counted_shapes)
+        monkeypatch.setattr(PDEProblem, "_build", counted_build)
+        return counts
+
+    def test_clones_of_a_fresh_problem_build_once(self, counts):
+        problem = example_problem(n_cells=256)
+        witnesses = [best_ray_witness(replace_lambda(problem, lam)) for lam in (1.0, 2.0, 3.0)]
+        assert counts == {"shapes": 1, "build": 1}
+        assert problem.rays.witness(2.0)[0] == witnesses[1][0]
+        assert counts == {"shapes": 1, "build": 1}
+
+    def test_dataclass_replace_starts_afresh(self, counts):
+        import dataclasses
+
+        problem = example_problem(n_cells=256)
+        clone = replace_lambda(problem, 2.0)
+        other = dataclasses.replace(clone, lam=3.0)
+        assert other.disc is not problem.disc and clone.disc is problem.disc
+        assert counts == {"shapes": 0, "build": 2}
+
+
 @functools.lru_cache(maxsize=None)
 def _example_at(n_cells):
     return example_problem(n_cells=n_cells)
