@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
-from .randers import BetaProfile, RandersStructure, radial_conorm, radial_density
+from .randers import BetaProfile, RandersStructure, radial_density
 from .rearrange import RadialProfile
 from .sobolev import sup_log_gradient, w1p_log_gradient, w1p_power
 from .numerics import cell_nodes, seeded_line_search
@@ -251,9 +251,9 @@ class PDEProblem:
             raise ValueError(
                 "alpha decay rate must exceed (d-1) kappa for integrability"
             )
-        # the lambda-free discretisation and ray table, built on first use
-        # and shared with every replace_lambda clone
-        self._cache = SimpleNamespace(disc=None, rays=None)
+        # the lambda-free discretisation, its kernel factors and ray table,
+        # built on first use and shared with every replace_lambda clone
+        self._cache = SimpleNamespace(disc=None, factors=None, rays=None)
 
     @property
     def kappa(self) -> float:
@@ -272,6 +272,22 @@ class PDEProblem:
         if self._cache.disc is None:
             self._cache.disc = self._build()
         return self._cache.disc
+
+    @property
+    def factors(self) -> SimpleNamespace:
+        """The lambda-free per-cell factors of the kernels, built once per
+        discretisation: the co-norm denominators 1 +- b_mid, dF*/dslope on
+        rising (1/(1+b)) and falling (-1/(1-b)) cells with their squares,
+        and dr^2."""
+        if self._cache.factors is None:
+            disc = self.disc
+            rise, fall = 1.0 + disc["b_mid"], 1.0 - disc["b_mid"]
+            d_rise, d_fall = 1.0 / rise, -1.0 / fall
+            self._cache.factors = SimpleNamespace(
+                rise=rise, fall=fall, d_rise=d_rise, d_fall=d_fall,
+                d_rise2=d_rise**2, d_fall2=d_fall**2, dr2=disc["dr"] ** 2,
+            )
+        return self._cache.factors
 
     @property
     def rays(self) -> "_RayTable":
@@ -344,52 +360,94 @@ class PDEProblem:
         )
 
 
+def _rows(problem: PDEProblem, u) -> np.ndarray:
+    """u as a C-contiguous (rows x nodes) stack of profiles on the problem
+    grid; every kernel takes its profiles through here."""
+    u = np.ascontiguousarray(u, dtype=float)
+    n = problem.disc["r"].size
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"profile must live on the {n}-node grid")
+    return u
+
+
 def _phi_terms(problem: PDEProblem, u: np.ndarray):
-    """Per-cell slopes and co-norms F*(Du) of a profile, or of each row of
-    a stack of profiles."""
+    """Per-cell slopes, their signs (slope >= 0) and co-norms F*(Du) of
+    each row of a stack of profiles: randers.radial_conorm with the
+    denominators of PDEProblem.factors."""
+    f = problem.factors
+    slopes = np.diff(u) / problem.disc["dr"]
+    rising = slopes >= 0
+    return slopes, rising, np.where(rising, slopes / f.rise, -slopes / f.fall)
+
+
+def _energies(problem: PDEProblem, u) -> list:
+    """(Phi, J, E_lambda) of each row of a stack of profiles."""
+    u = _rows(problem, u)
     disc = problem.disc
-    slopes = np.diff(u) / disc["dr"]
-    return slopes, radial_conorm(disc["b_mid"], slopes)
+    p = problem.p
+    _, _, conorms = _phi_terms(problem, u)
+    phis = np.sum(conorms**p * disc["vol_f"], axis=1)
+    js = np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)
+    out = []
+    for phi, j in zip(phis.tolist(), js.tolist()):
+        phi /= p
+        out.append((phi, j, phi - problem.lam * j))
+    return out
 
 
-def _dconorm(problem: PDEProblem, slopes: np.ndarray) -> np.ndarray:
-    """dF*/dslope per cell: 1/(1+b) for rising, -1/(1-b) for falling data."""
-    b = problem.disc["b_mid"]
-    return np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
+def _gradients(problem: PDEProblem, u):
+    """Exact gradients of the discretized energy at each row of a stack,
+    with the rows' cell signs and co-norms for the Hessian bands."""
+    u = _rows(problem, u)
+    disc = problem.disc
+    f = problem.factors
+    _, rising, conorms = _phi_terms(problem, u)
+    # a flat cell has a zero co-norm, so its flux is zero whatever the sign
+    dphi = np.where(rising, f.d_rise, f.d_fall)
+    flux = conorms ** (problem.p - 1.0) * dphi * disc["vol_f"] / disc["dr"]
+    grad = np.zeros_like(u)
+    grad[:, :-1] -= flux
+    grad[:, 1:] += flux
+    grad -= problem.lam * disc["jw"] * problem.nonlinearity.h(u)
+    return grad, rising, conorms
+
+
+def _gradients_and_bands(problem: PDEProblem, u, flat_floors):
+    """Gradients and tridiagonal Hessian bands of each row of a stack, from
+    one evaluation of the cell terms; flat_floors holds each row's
+    flat_floor (see _hessian_bands)."""
+    u = _rows(problem, u)
+    grad, rising, conorms = _gradients(problem, u)
+    disc = problem.disc
+    f = problem.factors
+    p = problem.p
+    floors = [
+        1e-6 * max(top, 1e-30) if floored else -math.inf
+        for top, floored in zip(np.max(conorms, axis=1).tolist(), flat_floors)
+    ]
+    conorms = np.maximum(conorms, np.array(floors)[:, None])
+    w = (
+        (p - 1.0)
+        * conorms ** (p - 2.0)
+        * np.where(rising, f.d_rise2, f.d_fall2)
+        * disc["vol_f"]
+        / f.dr2
+    )
+    diag_phi = np.zeros_like(u)
+    diag_phi[:, :-1] += w
+    diag_phi[:, 1:] += w
+    diag_react = -problem.lam * disc["jw"] * np.asarray(problem.nonlinearity.dh(u), dtype=float)
+    return grad, diag_phi, -w, diag_react
 
 
 def energy(problem: PDEProblem, u) -> tuple:
     """(Phi, J, E_lambda) of a nodal profile on the problem grid."""
-    u = np.asarray(u, dtype=float)
-    disc = problem.disc
-    if u.shape != disc["r"].shape:
-        raise ValueError(f"profile must live on the {disc['r'].size}-node grid")
-    _, conorms = _phi_terms(problem, u)
-    phi = float(np.sum(conorms**problem.p * disc["vol_f"])) / problem.p
-    j = float(np.sum(disc["jw"] * problem.nonlinearity.H(u)))
-    return phi, j, phi - problem.lam * j
+    return _energies(problem, np.asarray(u, dtype=float)[None])[0]
 
 
 def energy_gradient(problem: PDEProblem, u) -> np.ndarray:
     """Exact gradient of the discretized energy; matches finite differences."""
-    u = np.asarray(u, dtype=float)
-    disc = problem.disc
-    slopes, conorms = _phi_terms(problem, u)
-    # a flat cell has a zero co-norm, so its flux is zero whatever the sign
-    flux = conorms ** (problem.p - 1.0) * _dconorm(problem, slopes) * disc["vol_f"] / disc["dr"]
-    grad = np.zeros_like(u)
-    grad[:-1] -= flux
-    grad[1:] += flux
-    grad -= problem.lam * disc["jw"] * problem.nonlinearity.h(u)
-    return grad
-
-
-def _free_gradient(problem: PDEProblem, u: np.ndarray) -> np.ndarray:
-    """energy_gradient on the free nodes: the Dirichlet rim is not an
-    unknown, so its entry is 0."""
-    g = energy_gradient(problem, u)
-    g[-1] = 0.0
-    return g
+    return _gradients(problem, np.asarray(u, dtype=float)[None])[0][0]
 
 
 def finsler_ball_volume(problem: PDEProblem, radius_f: float) -> float:
@@ -546,7 +604,7 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
 
     # every function below acts on a stack of profiles, one per row
     def project(u):
-        _, conorms = _phi_terms(problem, u)
+        _, _, conorms = _phi_terms(problem, u)
         for i, phi_p in enumerate(np.sum(conorms**p * disc["vol_f"], axis=1)):
             phi = float(phi_p) / p
             if phi > rho:
@@ -676,27 +734,9 @@ def _hessian_bands(problem, u, flat_floor: bool = True):
     globalized descent wants; the root-polish phase passes False to get the
     honest Jacobian of the gradient.
     """
-    disc = problem.disc
-    p = problem.p
-    slopes, conorms = _phi_terms(problem, u)
-    dphi = _dconorm(problem, slopes)
-    if flat_floor:
-        floor = 1e-6 * max(float(np.max(conorms)), 1e-30)
-        conorms = np.maximum(conorms, floor)
-    w = (
-        (p - 1.0)
-        * conorms ** (p - 2.0)
-        * dphi**2
-        * disc["vol_f"]
-        / disc["dr"] ** 2
-    )
-    n = u.size
-    diag_phi = np.zeros(n)
-    diag_phi[:-1] += w
-    diag_phi[1:] += w
-    off = -w
-    diag_react = -problem.lam * disc["jw"] * np.asarray(problem.nonlinearity.dh(u), dtype=float)
-    return diag_phi, off, diag_react
+    u = np.asarray(u, dtype=float)[None]
+    _, diag_phi, off, diag_react = _gradients_and_bands(problem, u, [flat_floor])
+    return diag_phi[0], off[0], diag_react[0]
 
 
 def _solve_tridiag(diag, off, rhs):
@@ -730,7 +770,14 @@ _STALL_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _descend(problem, u0, max_iter, tol_factor, on_step=None):
-    """Projected Newton-type descent on the discrete energy.
+    """The descent of _descent_steps from one start: (u, E, ||grad E||,
+    converged)."""
+    return _run_starts(problem, [_descent_steps(problem, u0, max_iter, tol_factor, on_step)])[0]
+
+
+def _descent_steps(problem, u0, max_iter, tol_factor, on_step=None):
+    """Projected Newton-type descent on the discrete energy, as a step
+    sequence for _run_starts.
 
     Each iteration tries two directions, the first whose Armijo
     backtracking succeeds winning: the full tridiagonal Newton step, then
@@ -744,27 +791,29 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     iterate is handed straight to the root polish.  Every linear solve
     leaves the Dirichlet rim out of the system.  A converged iterate below
     the zero-only level (see _zero_only_level) is reported as exactly
-    u = 0, with E = 0 and ||grad E|| = 0.
+    u = 0, with E = 0 and ||grad E|| = 0.  Returns (u, E, ||grad E||,
+    converged).
     """
     u = np.maximum(np.asarray(u0, dtype=float).copy(), 0.0)
     u[-1] = 0.0
-    _, _, e_val = energy(problem, u)
-    g = _free_gradient(problem, u)
+    _, _, e_val = yield "energy", u
+    # an accepted iterate's free gradient and flat-floored Hessian bands
+    g, bands = yield "bands", u, True
     converged = False
     recent = deque([e_val], maxlen=_STALL_WINDOW + 1)
 
     def try_direction(direction, halvings):
         """Backtracking Armijo step along direction; returns the accepted
         alpha or None, updating the iterate on success."""
-        nonlocal u, e_val, g
+        nonlocal u, e_val, g, bands
         alpha = 1.0
         for _ in range(halvings):
             trial = np.maximum(u + alpha * direction, 0.0)
-            _, _, e_trial = energy(problem, trial)
+            _, _, e_trial = yield "energy", trial
             decrease = float(g @ (u - trial))
             if e_trial <= e_val - 1e-4 * decrease + 1e-300 and e_trial <= e_val:
                 u, e_val = trial, e_trial
-                g = _free_gradient(problem, u)
+                g, bands = yield "bands", u, True
                 if on_step is not None:
                     on_step(e_val)
                 return alpha
@@ -780,20 +829,20 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
         if g_norm <= tol_factor * (1.0 + abs(e_val)):
             converged = True
             break
-        diag_phi, off, diag_react = _hessian_bands(problem, u)
+        diag_phi, off, diag_react = bands
         moved = False
         # 1) full Newton, but only when it earns a confident step: timid
         # fractional steps are the damped tier's job
         cand = _solve_tridiag(diag_phi + diag_react, off, -g)
         if cand is not None and float(g @ cand) < 0:
-            moved = try_direction(cand, 2) is not None
+            moved = (yield from try_direction(cand, 2)) is not None
         # 2) mass-damped semi-implicit step with adaptive damping
         if not moved:
             diag_pos = diag_phi + np.maximum(diag_react, 0.0)
             for _ in range(80):
                 cand = _solve_tridiag(diag_pos + mu * mass, off, -g)
                 if cand is not None and float(g @ cand) < 0:
-                    alpha = try_direction(cand, 10)
+                    alpha = yield from try_direction(cand, 10)
                     if alpha is not None:
                         moved = True
                         if alpha >= 1.0:
@@ -817,8 +866,8 @@ def _descend(problem, u0, max_iter, tol_factor, on_step=None):
     # Endgame: finish by driving grad E to zero directly.
     g_norm = float(np.linalg.norm(g))
     if not converged:
-        u, g_norm = _polish_root(problem, u, tol_factor)
-    phi, _, e_val = energy(problem, u)
+        u, g_norm = yield from _polish_root(problem, u, tol_factor)
+    phi, _, e_val = yield "energy", u
     converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
     if converged and problem.p * phi < _zero_only_level(problem):
         return np.zeros_like(u), 0.0, 0.0, True
@@ -860,23 +909,23 @@ def _zero_only_level(problem) -> float:
 
 def _polish_root(problem, u, tol_factor):
     """Damped Newton iteration on grad E = 0 with the exact Jacobian, at
-    most 120 steps.
+    most 120 steps, as a step sequence for _run_starts; returns
+    (u, ||grad E||).
 
     Steps are accepted on gradient-norm decrease, which is immune to the
     floating resolution of the energy, so this phase finishes critical
     points (minima or mountain-pass saddles alike) that the monotone
     energy descent can only approach.
     """
-    u = u.copy()
-    g = _free_gradient(problem, u)
+    g = yield "gradient", u
     g_norm = float(np.linalg.norm(g))
     mass = problem.disc["trap_area_g"] + 1e-300
     tau = 0.0
     for _ in range(120):
-        _, _, e_val = energy(problem, u)
+        _, _, e_val = yield "energy", u
         if g_norm <= tol_factor * (1.0 + abs(e_val)):
             break
-        diag_phi, off, diag_react = _hessian_bands(problem, u, flat_floor=False)
+        _, (diag_phi, off, diag_react) = yield "bands", u, False
         diag = diag_phi + diag_react
         stepped = False
         for _ in range(40):
@@ -885,7 +934,7 @@ def _polish_root(problem, u, tol_factor):
                 alpha = 1.0
                 for _ in range(25):
                     trial = np.maximum(u + alpha * cand, 0.0)
-                    g_trial = _free_gradient(problem, trial)
+                    g_trial = yield "gradient", trial
                     n_trial = float(np.linalg.norm(g_trial))
                     if n_trial < g_norm * (1.0 - 1e-4 * alpha):
                         u, g, g_norm = trial, g_trial, n_trial
@@ -901,6 +950,58 @@ def _polish_root(problem, u, tol_factor):
         if not stepped:
             break
     return u, g_norm
+
+
+def _answer(problem, kind, requests) -> list:
+    """Answers to requests of one kind, from one (rows x nodes) stack of
+    their profiles: (Phi, J, E) for "energy"; the free gradient (rim entry
+    0, the rim is not an unknown) for "gradient"; the free gradient and the
+    Hessian bands, flat-floored as the request asks, for "bands"."""
+    u = np.stack([req[1] for req in requests])
+    if kind == "energy":
+        return _energies(problem, u)
+    # each start gets copies of its rows, so no start keeps a whole stack alive
+    if kind == "gradient":
+        grad = _gradients(problem, u)[0]
+        grad[:, -1] = 0.0
+        return [row.copy() for row in grad]
+    grad, diag_phi, off, diag_react = _gradients_and_bands(problem, u, [req[2] for req in requests])
+    grad[:, -1] = 0.0
+    return [
+        (grad[i].copy(), (diag_phi[i].copy(), off[i].copy(), diag_react[i].copy()))
+        for i in range(len(requests))
+    ]
+
+
+def _run_starts(problem, starts) -> list:
+    """Run step sequences (generators of _descent_steps or _polish_root) on
+    one problem to their ends, all together, and return their results in
+    order.
+
+    A sequence yields a request (kind, profile[, flat_floor]) and receives
+    its answer (see _answer).  Each round answers every waiting request of
+    one kind as one stack, energies first, so the kernels run once per
+    round instead of once per start; the rows of a stack do not mix, so
+    each sequence gets exactly the numbers it would get alone."""
+    results = [None] * len(starts)
+    waiting = {}
+
+    def advance(i, answer):
+        try:
+            waiting[i] = starts[i].send(answer)
+        except StopIteration as stop:
+            waiting.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(starts)):
+        advance(i, None)
+    while waiting:
+        kinds = {req[0] for req in waiting.values()}
+        kind = next(k for k in ("energy", "bands", "gradient") if k in kinds)
+        rows = [i for i, req in waiting.items() if req[0] == kind]
+        for i, answer in zip(rows, _answer(problem, kind, [waiting[i] for i in rows])):
+            advance(i, answer)
+    return results
 
 
 def multi_start_solve(
@@ -936,13 +1037,12 @@ def multi_start_solve(
             e_wit, witness = problem.rays.witness(prob.lam)
             if e_wit < -1e-12:
                 lam_seeds.append(witness)
-        results = []
-        n_conv = 0
-        for seed in lam_seeds:
-            u, e_val, g_norm, converged = _descend(prob, seed, max_iter, tol_factor)
-            if converged:
-                n_conv += 1
-                results.append((u, e_val, g_norm))
+        # every start of this lambda steps as one row of the kernels' stacks
+        outcomes = _run_starts(
+            prob, [_descent_steps(prob, seed, max_iter, tol_factor) for seed in lam_seeds]
+        )
+        results = [(u, e_val, g_norm) for u, e_val, g_norm, converged in outcomes if converged]
+        n_conv = len(results)
         # cluster by sup distance, lowest energy first so representatives
         # are the best minimizers
         results.sort(key=lambda t: t[1])
@@ -969,7 +1069,7 @@ def _ray_terms(problem: PDEProblem, shapes: np.ndarray, ts: Sequence[float]):
     lambda J(t * shape) for each row of a (shapes x nodes) stack: the
     (shapes x ts) arrays of Phi(t * shape) = t^p Phi(shape) and of
     J(t * shape), with one H call over the whole stack per t."""
-    phi0 = np.array([energy(problem, shape)[0] for shape in shapes])
+    phi0 = np.array([e[0] for e in _energies(problem, shapes)])
     jw = problem.disc["jw"]
     js = [np.sum(jw * problem.nonlinearity.H(t * shapes), axis=1) for t in ts]
     return np.outer(phi0, [t**problem.p for t in ts]), np.stack(js, axis=1)

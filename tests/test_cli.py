@@ -36,6 +36,13 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert text1 == text2
         assert text1.startswith("# schema=1\n")
+        # the files written beside the output (pde: one profile CSV per solution)
+        extras = [
+            {p.name[len(stem):]: p.read_bytes() for p in tmp_path.glob(f"{stem}_*")}
+            for stem in (f"{name}_1", f"{name}_2")
+        ]
+        assert extras[0] == extras[1]
+        assert bool(extras[0]) == (name == "pde")
 
     def test_json_format_deterministic(self, tmp_path):
         argv = self.CASES["funk"] + ["--format", "json"]

@@ -1,5 +1,7 @@
 import functools
 import math
+from collections import deque
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 from randerslab import pde
 from randerslab.modelspace import SpaceForm
 from randerslab.pde import (
+    _STALL_RTOL,
+    _STALL_WINDOW,
     AlphaProfile,
+    CriticalPointReport,
     Nonlinearity,
     PDEProblem,
     SweepFailure,
@@ -30,6 +35,7 @@ from randerslab.pde import (
     replace_lambda,
     sup_j_under_phi_level,
 )
+from randerslab.pde import _default_seeds, _solve_tridiag, _zero_only_level
 from randerslab.pde import test_function as ramp_profile
 from randerslab.randers import RandersStructure, global_reversibility, radial_conorm
 from randerslab.rearrange import RadialProfile, gradient_lp_norm
@@ -780,7 +786,7 @@ class TestSolveErrors:
     def test_type_error_propagates(self, start, monkeypatch):
         import scipy.linalg.lapack
 
-        from randerslab.pde import _descend, _polish_root
+        from randerslab.pde import _descend, _polish_root, _run_starts
 
         def broken(*args, **kwargs):
             raise TypeError("not a solver error")
@@ -790,7 +796,7 @@ class TestSolveErrors:
         with pytest.raises(TypeError):
             _descend(prob, u0, 50, 1e-8)
         with pytest.raises(TypeError):
-            _polish_root(prob, u0, 1e-8)
+            _run_starts(prob, [_polish_root(prob, u0, 1e-8)])
 
     def test_singular_solve_falls_through(self, start, monkeypatch):
         import scipy.linalg.lapack
@@ -1104,6 +1110,24 @@ def _masked_energy_gradient(problem, u):
     return grad
 
 
+def _random_profile(rng, r, kind):
+    """A profile on the grid r with a zero rim: "noise", a "tent", "steps"
+    (many flat cells, rising and falling steps between them) or a steep
+    "plateau"."""
+    if kind == "noise":
+        u = rng.normal(size=r.size)
+    elif kind == "tent":
+        u = rng.uniform(0.1, 3.0) * np.clip(1.0 - r / rng.uniform(0.05, r[-1]), 0.0, 1.0)
+    elif kind == "steps":
+        u = 0.5 * rng.integers(-1, 4, size=r.size).astype(float)
+        u = np.repeat(u[:: 8], 8)[: r.size]
+    else:
+        radius = rng.uniform(0.1, 0.9) * r[-1]
+        u = np.clip((radius - r) / (0.1 * radius), 0.0, 1.0)
+    u[-1] = 0.0
+    return u
+
+
 def _loop_ray_witness(problem, lam):
     """The shape-by-shape witness loop that the ray table's one row-major
     argmin replaced: a later shape wins only with a strictly lower energy."""
@@ -1150,20 +1174,7 @@ class TestRetiredLoops:
     )
     def test_gradient_equals_masked_reference(self, n_cells, kind, seed, lam):
         prob = replace_lambda(_example_at(n_cells), lam)
-        rng = np.random.default_rng(seed)
-        r = prob.grid
-        if kind == "noise":
-            u = rng.normal(size=r.size)
-        elif kind == "tent":
-            u = rng.uniform(0.1, 3.0) * np.clip(1.0 - r / rng.uniform(0.05, r[-1]), 0.0, 1.0)
-        elif kind == "steps":
-            # many flat cells, rising and falling steps between them
-            u = 0.5 * rng.integers(-1, 4, size=r.size).astype(float)
-            u = np.repeat(u[:: 8], 8)[: r.size]
-        else:
-            radius = rng.uniform(0.1, 0.9) * r[-1]
-            u = np.clip((radius - r) / (0.1 * radius), 0.0, 1.0)
-        u[-1] = 0.0
+        u = _random_profile(np.random.default_rng(seed), prob.grid, kind)
         assert np.array_equal(energy_gradient(prob, u), _masked_energy_gradient(prob, u))
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -1188,3 +1199,365 @@ class TestRetiredLoops:
         for rep in multi_start_solve(prob, [0.0, lam_t, 2.0 * lam_t, 5.0 * lam_t]):
             expected = _pairwise_distinct([p.values for p in rep.profiles], 1e-4)
             assert np.array_equal(rep.distinct, expected)
+
+
+# The one-start-at-a-time kernels, descent and multi-start that the batched
+# multi-start replaced, kept verbatim as the reference it must reproduce bit
+# for bit; only the names carry the _reference_ prefix.
+
+
+def _reference_phi_terms(problem: PDEProblem, u: np.ndarray):
+    """The per-cell slopes and co-norms of a profile or stack."""
+    disc = problem.disc
+    slopes = np.diff(u) / disc["dr"]
+    return slopes, radial_conorm(disc["b_mid"], slopes)
+
+
+def _reference_dconorm(problem: PDEProblem, slopes: np.ndarray) -> np.ndarray:
+    """dF*/dslope per cell."""
+    b = problem.disc["b_mid"]
+    return np.where(slopes >= 0, 1.0 / (1.0 + b), -1.0 / (1.0 - b))
+
+
+def _reference_energy(problem: PDEProblem, u) -> tuple:
+    """(Phi, J, E_lambda) of one profile."""
+    u = np.asarray(u, dtype=float)
+    disc = problem.disc
+    if u.shape != disc["r"].shape:
+        raise ValueError(f"profile must live on the {disc['r'].size}-node grid")
+    _, conorms = _reference_phi_terms(problem, u)
+    phi = float(np.sum(conorms**problem.p * disc["vol_f"])) / problem.p
+    j = float(np.sum(disc["jw"] * problem.nonlinearity.H(u)))
+    return phi, j, phi - problem.lam * j
+
+
+def _reference_energy_gradient(problem: PDEProblem, u) -> np.ndarray:
+    """The gradient of one profile."""
+    u = np.asarray(u, dtype=float)
+    disc = problem.disc
+    slopes, conorms = _reference_phi_terms(problem, u)
+    # a flat cell has a zero co-norm, so its flux is zero whatever the sign
+    flux = conorms ** (problem.p - 1.0) * _reference_dconorm(problem, slopes) * disc["vol_f"] / disc["dr"]
+    grad = np.zeros_like(u)
+    grad[:-1] -= flux
+    grad[1:] += flux
+    grad -= problem.lam * disc["jw"] * problem.nonlinearity.h(u)
+    return grad
+
+
+def _reference_free_gradient(problem: PDEProblem, u: np.ndarray) -> np.ndarray:
+    """The gradient with a zero rim entry."""
+    g = _reference_energy_gradient(problem, u)
+    g[-1] = 0.0
+    return g
+
+
+def _reference_hessian_bands(problem, u, flat_floor: bool = True):
+    """The Hessian bands of one profile."""
+    disc = problem.disc
+    p = problem.p
+    slopes, conorms = _reference_phi_terms(problem, u)
+    dphi = _reference_dconorm(problem, slopes)
+    if flat_floor:
+        floor = 1e-6 * max(float(np.max(conorms)), 1e-30)
+        conorms = np.maximum(conorms, floor)
+    w = (
+        (p - 1.0)
+        * conorms ** (p - 2.0)
+        * dphi**2
+        * disc["vol_f"]
+        / disc["dr"] ** 2
+    )
+    n = u.size
+    diag_phi = np.zeros(n)
+    diag_phi[:-1] += w
+    diag_phi[1:] += w
+    off = -w
+    diag_react = -problem.lam * disc["jw"] * np.asarray(problem.nonlinearity.dh(u), dtype=float)
+    return diag_phi, off, diag_react
+
+
+def _reference_descend(problem, u0, max_iter, tol_factor, on_step=None):
+    """The descent from one start."""
+    u = np.maximum(np.asarray(u0, dtype=float).copy(), 0.0)
+    u[-1] = 0.0
+    _, _, e_val = _reference_energy(problem, u)
+    g = _reference_free_gradient(problem, u)
+    converged = False
+    recent = deque([e_val], maxlen=_STALL_WINDOW + 1)
+
+    def try_direction(direction, halvings):
+        """Backtracking Armijo step along direction; returns the accepted
+        alpha or None, updating the iterate on success."""
+        nonlocal u, e_val, g
+        alpha = 1.0
+        for _ in range(halvings):
+            trial = np.maximum(u + alpha * direction, 0.0)
+            _, _, e_trial = _reference_energy(problem, trial)
+            decrease = float(g @ (u - trial))
+            if e_trial <= e_val - 1e-4 * decrease + 1e-300 and e_trial <= e_val:
+                u, e_val = trial, e_trial
+                g = _reference_free_gradient(problem, u)
+                if on_step is not None:
+                    on_step(e_val)
+                return alpha
+            alpha *= 0.5
+        return None
+
+    # lumped L^2 mass: damping by mu * M acts like a semi-implicit gradient
+    # flow step of size 1/mu, uniformly across the stiff volume spectrum
+    mass = problem.disc["trap_area_g"] + 1e-300
+    mu = 1.0
+    for _ in range(max_iter):
+        g_norm = float(np.linalg.norm(g))
+        if g_norm <= tol_factor * (1.0 + abs(e_val)):
+            converged = True
+            break
+        diag_phi, off, diag_react = _reference_hessian_bands(problem, u)
+        moved = False
+        # 1) full Newton, but only when it earns a confident step: timid
+        # fractional steps are the damped tier's job
+        cand = _solve_tridiag(diag_phi + diag_react, off, -g)
+        if cand is not None and float(g @ cand) < 0:
+            moved = try_direction(cand, 2) is not None
+        # 2) mass-damped semi-implicit step with adaptive damping
+        if not moved:
+            diag_pos = diag_phi + np.maximum(diag_react, 0.0)
+            for _ in range(80):
+                cand = _solve_tridiag(diag_pos + mu * mass, off, -g)
+                if cand is not None and float(g @ cand) < 0:
+                    alpha = try_direction(cand, 10)
+                    if alpha is not None:
+                        moved = True
+                        if alpha >= 1.0:
+                            mu *= 0.25
+                        elif alpha >= 0.25:
+                            mu *= 0.7
+                        else:
+                            mu *= 2.0
+                        break
+                mu *= 10.0
+                if mu > 1e200:
+                    break
+        if not moved:
+            break
+        # Stagnation: once energy differences fall under the floating
+        # resolution of E itself, the monotone line search cannot certify
+        # further progress and the gradient stalls near sqrt(eps |E| Hmax).
+        recent.append(e_val)
+        if len(recent) == recent.maxlen and recent[0] - e_val <= _STALL_RTOL * abs(e_val):
+            break
+    # Endgame: finish by driving grad E to zero directly.
+    g_norm = float(np.linalg.norm(g))
+    if not converged:
+        u, g_norm = _reference_polish_root(problem, u, tol_factor)
+    phi, _, e_val = _reference_energy(problem, u)
+    converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
+    if converged and problem.p * phi < _zero_only_level(problem):
+        return np.zeros_like(u), 0.0, 0.0, True
+    return u, e_val, g_norm, converged
+
+
+def _reference_polish_root(problem, u, tol_factor):
+    """The root polish of one iterate."""
+    u = u.copy()
+    g = _reference_free_gradient(problem, u)
+    g_norm = float(np.linalg.norm(g))
+    mass = problem.disc["trap_area_g"] + 1e-300
+    tau = 0.0
+    for _ in range(120):
+        _, _, e_val = _reference_energy(problem, u)
+        if g_norm <= tol_factor * (1.0 + abs(e_val)):
+            break
+        diag_phi, off, diag_react = _reference_hessian_bands(problem, u, flat_floor=False)
+        diag = diag_phi + diag_react
+        stepped = False
+        for _ in range(40):
+            cand = _solve_tridiag(diag + tau * mass, off, -g)
+            if cand is not None:
+                alpha = 1.0
+                for _ in range(25):
+                    trial = np.maximum(u + alpha * cand, 0.0)
+                    g_trial = _reference_free_gradient(problem, trial)
+                    n_trial = float(np.linalg.norm(g_trial))
+                    if n_trial < g_norm * (1.0 - 1e-4 * alpha):
+                        u, g, g_norm = trial, g_trial, n_trial
+                        stepped = True
+                        break
+                    alpha *= 0.5
+            if stepped:
+                tau *= 0.25
+                break
+            tau = max(4.0 * tau, 1e-10)
+            if tau > 1e18:
+                break
+        if not stepped:
+            break
+    return u, g_norm
+
+
+def _reference_multi_start_solve(
+    problem: PDEProblem,
+    lambda_grid: Sequence[float],
+    seeds: Optional[Sequence[np.ndarray]] = None,
+    max_iter: int = 4000,
+    tol_factor: float = 1e-8,
+) -> list:
+    """The multi-start, one seed after another."""
+    s0 = problem.nonlinearity.s0
+    if seeds is None:
+        seeds = _default_seeds(problem, s0)
+    if len(seeds) < 8:
+        raise ValueError("multi-start needs at least 8 seeds")
+    threshold = 1e-4 * s0
+    reports = []
+    for lam in lambda_grid:
+        prob = replace_lambda(problem, float(lam))
+        lam_seeds = list(seeds)
+        if lam > 0:
+            # starting below the zero level makes the descent provably end
+            # at a nontrivial critical point whenever one exists on a ray
+            e_wit, witness = problem.rays.witness(prob.lam)
+            if e_wit < -1e-12:
+                lam_seeds.append(witness)
+        results = []
+        n_conv = 0
+        for seed in lam_seeds:
+            u, e_val, g_norm, converged = _reference_descend(prob, seed, max_iter, tol_factor)
+            if converged:
+                n_conv += 1
+                results.append((u, e_val, g_norm))
+        # cluster by sup distance, lowest energy first so representatives
+        # are the best minimizers
+        results.sort(key=lambda t: t[1])
+        clusters = []
+        for u, e_val, g_norm in results:
+            if all(float(np.max(np.abs(u - c[0]))) > threshold for c in clusters):
+                clusters.append((u, e_val, g_norm))
+        reports.append(
+            CriticalPointReport(
+                lam=float(lam),
+                profiles=[prob.profile(c[0]) for c in clusters],
+                energies=[c[1] for c in clusters],
+                gradient_norms=[c[2] for c in clusters],
+                distinct=~np.eye(len(clusters), dtype=bool),
+                n_converged=n_conv,
+                n_starts=len(lam_seeds),
+            )
+        )
+    return reports
+
+
+def _report_bytes(report):
+    return (
+        report.lam,
+        [prof.values.tobytes() for prof in report.profiles],
+        report.energies,
+        report.gradient_norms,
+        report.distinct.tobytes(),
+        report.n_converged,
+        report.n_starts,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _selected_at(n_cells):
+    """The example problem at n_cells and twice its transition lambda."""
+    prob = _example_at(n_cells)
+    return prob, 2.0 * find_transition_lambda(prob, 200.0)
+
+
+class TestBatchedMultiStart:
+    """Every start of a lambda steps as one row of the kernels' stacks and
+    gets exactly the numbers of the one-start-at-a-time loop."""
+
+    @pytest.mark.parametrize("n_cells", [256, 1024])
+    def test_equals_per_seed_loop(self, n_cells):
+        prob, lam = _selected_at(n_cells)
+        got = multi_start_solve(prob, [0.0, lam])
+        expected = _reference_multi_start_solve(prob, [0.0, lam])
+        assert [_report_bytes(r) for r in got] == [_report_bytes(r) for r in expected]
+        at = replace_lambda(prob, lam)
+        for prof in got[1].profiles:
+            check = grid_doubling_check(at, prof.values)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pde, "_descend", _reference_descend)
+                assert check == grid_doubling_check(at, prof.values)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        beta_sup=st.floats(0.0, 0.5),
+        alpha_rate=st.floats(0.4, 1.5),
+        n_cells=st.integers(64, 256),
+    )
+    def test_equals_per_seed_loop_across_problems(self, beta_sup, alpha_rate, n_cells):
+        prob = example_problem(beta_sup=beta_sup, alpha_rate=alpha_rate, n_cells=n_cells)
+        lam_t = find_transition_lambda(prob, 200.0)
+        lams = [0.0, lam_t, 2.0 * lam_t]
+        got = multi_start_solve(prob, lams)
+        expected = _reference_multi_start_solve(prob, lams)
+        assert [_report_bytes(r) for r in got] == [_report_bytes(r) for r in expected]
+
+    @pytest.mark.parametrize("n_cells", [256, 1024])
+    def test_descend_steps_as_alone(self, n_cells):
+        from randerslab.pde import _descend
+
+        prob, lam = _selected_at(n_cells)
+        at = replace_lambda(prob, lam)
+        for seed in _default_seeds(at, 1.0)[1:4] + [prob.rays.witness(lam)[1]]:
+            steps, ref_steps = [], []
+            u, *rest = _descend(at, seed, 4000, 1e-8, on_step=steps.append)
+            u_ref, *rest_ref = _reference_descend(at, seed, 4000, 1e-8, on_step=ref_steps.append)
+            assert steps == ref_steps and len(steps) > 0
+            assert u.tobytes() == u_ref.tobytes() and rest == rest_ref
+
+
+class TestStackedKernels:
+    """Each row of a stacked kernel, and the one-row energy, gradient and
+    Hessian bands, equal the one-profile kernels bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n_cells=st.sampled_from([64, 256, 1024]),
+        kinds=st.lists(st.sampled_from(["noise", "tent", "steps", "plateau"]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.0, 100.0),
+        floors=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_rows_equal_references(self, n_cells, kinds, seed, lam, floors):
+        from randerslab.pde import _energies, _gradients_and_bands, _hessian_bands
+
+        prob = replace_lambda(_example_at(n_cells), lam)
+        rng = np.random.default_rng(seed)
+        stack = np.array([_random_profile(rng, prob.grid, kind) for kind in kinds])
+        floors = floors[: len(kinds)]
+        energies = _energies(prob, stack)
+        grads, diag_phi, off, diag_react = _gradients_and_bands(prob, stack, floors)
+        for i, u in enumerate(stack):
+            assert energies[i] == energy(prob, u) == _reference_energy(prob, u)
+            grad = _reference_energy_gradient(prob, u)
+            assert np.array_equal(grads[i], grad) and np.array_equal(energy_gradient(prob, u), grad)
+            bands = _reference_hessian_bands(prob, u, flat_floor=floors[i])
+            assert all(np.array_equal(a, b) for a, b in zip((diag_phi[i], off[i], diag_react[i]), bands))
+            for flat_floor in (True, False):
+                bands = _reference_hessian_bands(prob, u, flat_floor=flat_floor)
+                got = _hessian_bands(prob, u, flat_floor=flat_floor)
+                assert all(np.array_equal(a, b) for a, b in zip(got, bands))
+
+
+class TestProfileShape:
+    """Every kernel refuses a profile, or a stack, off the problem grid with
+    the same error."""
+
+    @pytest.mark.parametrize("nodes", [64, 66])
+    @pytest.mark.parametrize("name", ["energy", "energy_gradient", "_hessian_bands"])
+    def test_profile_of_wrong_length(self, name, nodes):
+        with pytest.raises(ValueError, match="profile must live on the 65-node grid"):
+            getattr(pde, name)(_example_at(64), np.zeros(nodes))
+
+    @pytest.mark.parametrize("nodes", [64, 66])
+    @pytest.mark.parametrize("name", ["_energies", "_gradients", "_gradients_and_bands"])
+    def test_stack_of_wrong_width(self, name, nodes):
+        args = ([True] * 3,) if name == "_gradients_and_bands" else ()
+        with pytest.raises(ValueError, match="profile must live on the 65-node grid"):
+            getattr(pde, name)(_example_at(64), np.zeros((3, nodes)), *args)
