@@ -46,11 +46,15 @@ class ValidationError(ValueError):
 
 def _convert(kind, value, name: str):
     """A config value read as its flag text, kind(str(value)): a config
-    accepts exactly what the command line accepts."""
+    accepts exactly what the command line accepts.  A float parameter must
+    be finite."""
     try:
-        return kind(str(value))
+        converted = kind(str(value))
     except ValueError as exc:
         raise ValidationError(f"{name}: cannot read {value!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(converted):
+        raise ValidationError(f"{name}: must be finite, got {value!r}")
+    return converted
 
 
 def _parse_range(spec: str) -> np.ndarray:

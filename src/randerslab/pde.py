@@ -1190,7 +1190,7 @@ class GridDoublingCheck:
     """Persistence of a critical point under doubled grid resolution."""
 
     gradient_norm: float
-    drift: float  # sup distance between the refined point and the interpolant
+    drift: float  # sup distance between the refined point and the prolongation
 
     def stable(self) -> bool:
         """Gradient norm below 1e-6 and drift below 1e-2."""
@@ -1200,24 +1200,23 @@ class GridDoublingCheck:
 def grid_doubling_check(problem: PDEProblem, u) -> GridDoublingCheck:
     """Re-evaluate a critical point at doubled resolution.
 
-    The interpolant of a coarse critical point carries an O(h^2) consistency
-    residual amplified by the stiffest cells, so the raw interpolated
-    gradient is not meaningful; instead the interpolant is refined into
-    the nearby fine-grid critical point and the check reports the achieved
-    gradient norm together with the sup-norm drift from the interpolant.
+    The linear prolongation of u, a finite profile on the problem grid (else
+    ValueError), carries an O(h^2) consistency residual amplified by the
+    stiffest cells, so its raw gradient is not meaningful; instead the
+    descent and root polish on the doubled grid refine it into the nearby
+    fine-grid critical point, and the check reports the achieved gradient
+    norm together with the sup-norm drift from the prolongation.
     """
-    from scipy.interpolate import CubicSpline
-
+    u = _rows(problem, [u])[0]
+    if not np.isfinite(u).all():
+        raise ValueError("profile must be finite")
     fine = replace(problem, n_cells=2 * problem.n_cells)
-    u = np.asarray(u, dtype=float)
     if np.max(np.abs(u)) == 0.0:
         u_fine = np.zeros(fine.grid.size)
     else:
-        # smooth prolongation: linear interpolation leaves a node-scale
-        # sawtooth in the fine-grid residual that traps the root polish
-        u_fine = np.maximum(CubicSpline(problem.grid, u)(fine.grid), 0.0)
+        u_fine = np.maximum(np.interp(fine.grid, problem.grid, u), 0.0)
         u_fine[-1] = 0.0
-    # the root polish alone stalls on the interpolation residue of the
+    # the root polish alone stalls on the prolongation residue of the
     # coarse outer cells; a short stretch of the semi-implicit flow damps
     # it, and the descent hands the iterate to the root polish once its
     # energy stalls

@@ -244,8 +244,16 @@ def polya_szego_check(u: RadialProfile, u_star: RadialProfile, p: float):
     return lhs, rhs, holds
 
 
+def _check_shape(radius: float, height: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not math.isfinite(height):
+        raise ValueError(f"height must be finite, got {height}")
+
+
 def tent_profile(space_or_structure, radius: float, height: float = 1.0, n: int = 2048) -> RadialProfile:
     """Cone profile height*(1 - r/radius)_+ on [0, radius]."""
+    _check_shape(radius, height)
     grid = np.linspace(0.0, radius, n + 1)
     vals = height * (1.0 - grid / radius)
     vals[-1] = 0.0
@@ -254,6 +262,7 @@ def tent_profile(space_or_structure, radius: float, height: float = 1.0, n: int 
 
 def plateau_profile(space_or_structure, radius: float, height: float = 1.0, n: int = 2048) -> RadialProfile:
     """Indicator-like profile: height inside, sharp linear drop at the rim."""
+    _check_shape(radius, height)
     grid = np.linspace(0.0, radius, n + 1)
     vals = np.full(grid.shape, height)
     vals[-1] = 0.0

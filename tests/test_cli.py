@@ -161,11 +161,18 @@ class TestValidation:
             ["funk", "--tol", "1e-9"],
             ["hausdorff", "--example", "product", "--samples", "0"],
             ["expansion", "--space", "poincare", "--curvature", "0", "--radii", "1"],
+            ["rearrange", "--radius", "inf"],
+            ["rearrange", "--height", "inf"],
+            ["rearrange", "--shape", "plateau", "--radius", "inf"],
+            ["embedding", "--rho", "inf"],
+            ["pde", "--s0", "inf"],
+            ["pde", "--kappa", "inf"],
+            ["hausdorff", "--example", "product", "--scale", "inf"],
         ],
     )
     def test_command_line_error_gives_error_record(self, capsys, argv):
-        # a bad choice, a bad type or an unknown flag gets the same one-line
-        # JSON record as every other validation error
+        # a bad choice, a bad type, a non-finite float or an unknown flag
+        # gets the same one-line JSON record as every other validation error
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -181,12 +188,14 @@ class TestValidation:
             (["hausdorff", "--example", "matrix", "--lambda-grid", "0"], "ValueError"),
             (["hausdorff", "--example", "matrix", "--lambda-grid", "1,inf"], "ValueError"),
             (["pde", "--cells", "1", "--lambda-grid", "0"], "SweepFailure"),
+            (["rearrange", "--radius", "0"], "ValueError"),
+            (["rearrange", "--shape", "plateau", "--radius", "0"], "ValueError"),
         ],
     )
     def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
         # an empty embedding grid, a matrix orbit at lambda <= 0 or lambda =
-        # inf, and a pde sweep that finds no interval all exit 2 with the
-        # one-line JSON record, not a traceback
+        # inf, a pde sweep that finds no interval and a profile of radius 0
+        # all exit 2 with the one-line JSON record, not a traceback
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -407,6 +416,36 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_pde_and_grid_doubling_load_only_lapack(self):
+        # every nontrivial point of the 256-cell run, the minimum and the
+        # mountain-pass point, survives the doubled grid, and the run and
+        # the checks load no scipy beyond the LAPACK of scipy.linalg
+        code = (
+            "import sys\n"
+            "from randerslab import pde\n"
+            "from randerslab.cli import RunConfig, run\n"
+            "result = run(RunConfig(subcommand='pde', params={'cells': 256}))\n"
+            "problem = pde.example_problem(beta_sup=0.2, alpha_rate=0.75, n_cells=256)\n"
+            "mountain_pass = []\n"
+            "for row in result.rows:\n"
+            "    if row['sup_norm'] > 0:\n"
+            "        name = f\"lambda{row['lambda']:.6g}_sol{row['solution']}.csv\"\n"
+            "        body = result.extra_files[name].splitlines()[1:]\n"
+            "        values = [float(line.split(',')[1]) for line in body]\n"
+            "        at = pde.replace_lambda(problem, row['lambda'])\n"
+            "        assert pde.grid_doubling_check(at, values).stable(), name\n"
+            "        mountain_pass.append(row['energy'] > 0)\n"
+            "print(sorted(mountain_pass))\n"
+            "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        mountain_pass, loaded = proc.stdout.splitlines()
+        # one minimum below zero energy and one mountain pass above it
+        assert mountain_pass == "[False, True]"
+        for family in ("interpolate", "sparse", "spatial", "optimize", "special"):
+            assert f"'{family}'" not in loaded
 
     def test_help(self):
         proc = subprocess.run(

@@ -1561,3 +1561,16 @@ class TestProfileShape:
         args = ([True] * 3,) if name == "_gradients_and_bands" else ()
         with pytest.raises(ValueError, match="profile must live on the 65-node grid"):
             getattr(pde, name)(_example_at(64), np.zeros((3, nodes)), *args)
+
+    @pytest.mark.parametrize("shape", [(10,), (64,), (66,), (1, 65)])
+    def test_grid_doubling_profile_off_the_grid(self, shape):
+        # a zero profile off the grid is refused, not reported stable
+        with pytest.raises(ValueError, match="profile must live on the 65-node grid"):
+            grid_doubling_check(_example_at(64), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid_doubling_non_finite_profile(self, bad):
+        u = np.zeros(65)
+        u[10] = bad
+        with pytest.raises(ValueError, match="profile must be finite"):
+            grid_doubling_check(_example_at(64), u)
