@@ -59,7 +59,9 @@ def _convert(kind, value, name: str):
 
 def _parse_range(spec: str) -> np.ndarray:
     """Range syntax: 'a:b:n:lin', 'a:b:n:log', 'a:b:log' (n = 10), or a
-    comma-separated list of values."""
+    comma-separated list of values.  A range needs finite ends and a
+    finite span b - a; a listed value is passed on as read, inf and nan
+    included, for the subcommand to check against its own domain."""
     try:
         if "," in spec:
             return np.array([float(tok) for tok in spec.split(",")])
@@ -80,6 +82,8 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValidationError(f"cannot parse range {spec!r}") from exc
     if n < 1:
         raise ValidationError("range needs at least one point")
+    if not math.isfinite(b - a):  # also refuses an inf or nan end
+        raise ValidationError(f"range {spec!r} needs finite ends and a finite span")
     if kind == "log":
         if not (a > 0 and b > 0):
             raise ValidationError("log ranges need positive ends")
@@ -237,6 +241,8 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
         blocks = [int(b) for b in params["blocks"].split(",")]
         if params["samples"] < 1:
             raise ValidationError(f"samples must be at least 1, got {params['samples']}")
+        if not params["scale"] >= 1.0:  # |y| is drawn from [1, scale]
+            raise ValidationError(f"scale must be at least 1, got {params['scale']}")
         rng = np.random.default_rng(config.seed)
         rows = []
         for _ in range(params["samples"]):
@@ -374,6 +380,8 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         lams = [0.0, min(2.0 * lam_t, bp.a_bar)]
     else:
         lams = [float(v) for v in _parse_range(params["lambda_grid"])]
+        if not all(map(math.isfinite, lams)):
+            raise ValidationError(f"lambda_grid: every lambda must be finite in {params['lambda_grid']!r}")
     reports = pde.multi_start_solve(problem, lams)
     rows = []
     ok_gradient = True

@@ -19,19 +19,24 @@ packed here: a FULL_ROTATION orbit keeps one chart radius r, so in the
 Poincare ball d = acosh(1 + 2|x-y|^2 / (1-r^2)^2) / k; product orbits are
 Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
 tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
-the Frobenius norm.  The greedy walks and the certificate of a greedy
-report search a scipy.spatial.cKDTree of that embedding and measure the
-pairs it returns with the exact distance formulas.  A walk builds one lean
-tree over its candidates and fetches the ball of each accepted center as
-an index array, from a one-point tree's sparse_distance_matrix against
-it.  On one centred circle distance grows with the angular gap, so the
-certificate of an exact circle count measures only the pairs adjacent in
-angle, and no scipy module is loaded for it.
+the Frobenius norm.  A greedy walk blocks, after each acceptance, the
+later candidates within that chord whose exact distance is below 2 rho.
+On a 2-sphere it reads each chord ball off the Fibonacci spiral's index
+order (a window in z, then golden-angle offsets) and builds no tree; a
+conjugation orbit or a higher sphere searches one lean
+scipy.spatial.cKDTree of its candidates.  The certificate of a greedy
+report searches a kd-tree of the embedding and measures the pairs it
+returns with the exact distance formulas.  On one centred circle distance
+grows with the angular gap, so the certificate of an exact circle count
+measures only the pairs adjacent in angle, and no scipy module is loaded
+for it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -172,7 +177,8 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         # Fibonacci spiral z = 1 - 2 (k + 1/2) / n, phi = 2 pi k / golden,
         # (r cos phi, r sin phi, z) with r = sqrt(max(0, 1 - z^2)), written
         # into one (n, 3) buffer one rounded operation at a time; the middle
-        # column holds r until it is scaled by sin phi
+        # column holds r until it is scaled by sin phi, and phi's buffer
+        # takes sin phi once cos phi is written
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         pts = np.empty((n, 3))
         x, r, z = pts.T
@@ -187,8 +193,10 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         np.subtract(1.0, r, out=r)
         np.maximum(0.0, r, out=r)
         np.sqrt(r, out=r)
-        np.multiply(r, np.cos(phi), out=x)
-        r *= np.sin(phi)
+        np.cos(phi, out=x)
+        x *= r
+        np.sin(phi, out=phi)
+        r *= phi
         return pts
     # Kronecker low-discrepancy sequence pushed through the normal inverse CDF
     from scipy.special import ndtri
@@ -258,9 +266,14 @@ def _orbit_metric(action, space, points):
             lambda x: math.sqrt(2.0) * np.arccosh(np.maximum(1.0, x / 2.0)),
         )
     pts = np.asarray(points, dtype=float)
+    cols = pts.T  # strided views, one per coordinate
 
     def diff2(i, j):
-        return ((pts[i] - pts[j]) ** 2).sum(axis=-1)
+        # summed column by column, left to right, with no whole rows gathered
+        total = (cols[0][i] - cols[0][j]) ** 2
+        for col in cols[1:]:
+            total += (col[i] - col[j]) ** 2
+        return total
 
     if space is None or space.model == EUCLIDEAN:
         return pts, lambda d: d * (1.0 + _CHORD_SLACK), diff2, np.sqrt
@@ -381,51 +394,161 @@ def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
     return math.tanh(k * geodesic_radius / 2.0)
 
 
-def _greedy_walk(action, space, points, rho) -> list:
-    """Indices a greedy pass over points accepts: each candidate in order,
-    unless closer than 2 rho to an accepted one.  Such pairs lie within the
-    chord of 2 rho, so after each acceptance the later candidates in that
-    ball are the ones it may block, and the exact distance decides.
+def _tree_balls(emb, radius):
+    """Later members of each chord ball, from one kd-tree of the candidates.
 
-    The candidates get one kd-tree, built on the embedding without copying
-    it (every embedding here is C-contiguous), with sliding-midpoint splits
-    into wide leaves that are left uncompacted, which builds fastest.  Each
-    ball comes back as an index array: the "j" column of a one-point tree's
+    The tree is built on the embedding without copying it (every embedding
+    here is C-contiguous), with sliding-midpoint splits into wide leaves
+    that are left uncompacted, which builds fastest.  Each ball comes back
+    as an index array: the "j" column of a one-point tree's
     sparse_distance_matrix against the candidate tree, with no Python list
     of indices in between.  That one-point tree costs some 15 us per
     acceptance, which walks with many small balls pay.
     """
     from scipy.spatial import cKDTree
 
-    emb, chord, key, dist = _orbit_metric(action, space, points)
     tree = cKDTree(emb, leafsize=128, balanced_tree=False, compact_nodes=False, copy_data=False)
-    radius = chord(2.0 * rho)
+
+    def later_ball(i):
+        near = cKDTree(emb[i : i + 1]).sparse_distance_matrix(tree, radius, output_type="ndarray")["j"]
+        return near[near > i]
+
+    return later_ball
+
+
+def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
+    """Indices a greedy pass over points accepts: each candidate in order,
+    unless closer than 2 rho to an accepted one.
+
+    Such pairs lie within the chord c = chord(2 rho) of the embedding, so
+    after each acceptance the later candidates of that chord ball are the
+    ones it may block; the unblocked ones among them whose exact distance
+    is below 2 rho are blocked.  That step is the same for every orbit;
+    only the source of the balls differs.  balls(emb, c) returns a function
+    of the accepted index i that gives an index array of later candidates
+    (j > i) holding every later member of the chord ball of i.  Extra
+    candidates cost time only, as the exact distance decides.
+
+    - _lattice_balls, for the Fibonacci spiral of a 2-sphere: the members
+      lie in an index window, as |z_i - z_j| <= |p_i - p_j| and z falls
+      with the index, and at golden-angle offsets m = j - i whose centred
+      fraction of m / golden is small, as |p_i - p_j| >= 2 sqrt(rho_i
+      rho_j) |sin(dphi / 2)| for ring radii rho; the chord gets a relative
+      slack of 1e-12 and the fraction one of 1e-8.
+    - _tree_balls, the default, for candidates with no such order
+      (conjugation orbits, spheres of dimension >= 4): one kd-tree.
+    """
+    emb, chord, key, dist = _orbit_metric(action, space, points)
+    later_ball = balls(emb, chord(2.0 * rho))
     blocked = bytearray(len(emb))
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
     accepted = []
     i = 0
     while i >= 0:
         accepted.append(i)
-        near = cKDTree(emb[i : i + 1]).sparse_distance_matrix(tree, radius, output_type="ndarray")["j"]
-        later = near[near > i]
+        later = later_ball(i)
         later = later[~flags[later]]
         flags[later[dist(key(later, i)) < 2.0 * rho]] = True
         i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
     return accepted
 
 
+def _lattice_balls(emb, radius):
+    """Later candidates that may lie in each chord ball, read off the
+    Fibonacci spiral of _sphere_points(3, n) scaled by a positive factor;
+    no tree is built.
+
+    With c = radius (1 + 1e-12), the later members j > i of the chord ball
+    of i pass two checks:
+
+    - index window: every rounded step of the z column is monotone, so z
+      never increases with the index, and |z_i - z_j| <= |p_i - p_j|; so
+      j < e, the first index with z_e < z_i - c (the absolute term
+      1e-15 |p_0| in the threshold covers the rounding of z_i - c);
+    - golden-angle offset: with rho the ring radius hypot(x, y),
+      |p_i - p_j| >= 2 sqrt(rho_i rho_j) |sin((phi_i - phi_j) / 2)|, and
+      phi_j - phi_i = 2 pi m / golden for the offset m = j - i.  rho is
+      concave in z, so on the window it is at least rho_min, the smaller
+      ring radius of i and e - 1, and the centred fraction of m / golden
+      is at most h = asin(c / (2 sqrt(rho_i rho_min))) / pi + 1e-8; the
+      1e-8 covers the rounding of the spiral's angles (about 1e-9 rad at
+      k = 5e5).  Where c >= 2 sqrt(rho_i rho_min), near the poles, the
+      whole window is taken.
+
+    The offsets 1..W are sorted by their centred fraction once (W grows if
+    a window is longer), so each ball is two searchsorted calls and one
+    slice, clipped to the window.  The window end is bisected on the z
+    column itself, a strided view: no array with an entry per candidate is
+    made.
+    """
+    x, y, z = emb.T
+    n = len(emb)
+    scale = math.hypot(*emb[0])  # the sphere's radius, to rounding
+    reach = radius * (1.0 + 1e-12)
+    pad = 1e-15 * scale
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    offsets = fractions = None
+
+    def sort_offsets(width):
+        nonlocal offsets, fractions
+        frac = np.arange(1, width + 1) / golden
+        frac -= np.rint(frac)
+        order = np.argsort(frac, kind="stable")
+        offsets, fractions = order + 1, frac[order]
+
+    # z steps by about 2 scale / n, so windows hold about reach n / (2 scale)
+    sort_offsets(int(min(n - 1, reach * n / (2.0 * scale) + 2.0)))
+
+    def later_ball(i):
+        end = bisect.bisect_right(z, pad + reach - z[i], i + 1, n, key=operator.neg)
+        if end - i - 1 > len(offsets):
+            sort_offsets(end - i - 1)
+        rho_i = math.hypot(x[i], y[i])
+        bound = 2.0 * math.sqrt(rho_i * min(rho_i, math.hypot(x[end - 1], y[end - 1])))
+        if reach >= bound:
+            return np.arange(i + 1, end)
+        h = math.asin(reach / bound) / math.pi + 1e-8
+        later = offsets[fractions.searchsorted(-h, "left") : fractions.searchsorted(h, "right")] + i
+        return later[later < end]
+
+    return later_ball
+
+
 def _sphere_walk(space, y, rho):
-    """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3)."""
+    """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3).
+
+    On a 2-sphere the candidates are the Fibonacci spiral, and each chord
+    ball is read off its index order (_lattice_balls): a window of indices,
+    as z never increases with the index and |z_i - z_j| <= |p_i - p_j|,
+    then the offsets whose golden-angle turn keeps 2 sqrt(rho_i rho_j)
+    |sin(dphi / 2)| within the chord, with a relative slack of 1e-12 on the
+    chord and 1e-8 on the turn.  The Kronecker points of a higher sphere
+    have no such order and take the kd-tree ball (_tree_balls).
+    """
+    pts = _sphere_candidates(space, y, rho)
+    balls = _lattice_balls if pts.shape[1] == 3 else _tree_balls
+    return pts[_greedy_walk(GroupAction(FULL_ROTATION), space, pts, rho, balls)]
+
+
+def _sphere_candidates(space, y, rho) -> np.ndarray:
+    """The points a sphere walk runs over: the spiral of _sphere_points on
+    the orbit sphere through y, one point per cell of side rho /
+    _WALK_SUBDIVISION of its area, at least 256 and at most _MAX_WALK."""
     y = np.asarray(y, dtype=float)
     d = y.size
     r_orbit = geodesic_distance(space, np.zeros(d), y)
     radius_scale = s_c(space.curvature, r_orbit)
     step = rho / _WALK_SUBDIVISION
-    area = sphere_area(d) * radius_scale ** (d - 1)
-    n_steps = int(min(_MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
-    pts = _sphere_points(d, n_steps)
+    try:
+        cells = sphere_area(d) * radius_scale ** (d - 1) / step ** (d - 1)
+    except ZeroDivisionError:  # the cell underflows to 0
+        cells = math.inf
+    except OverflowError:  # a float power out of range raises; take logs
+        log_cells = math.log(sphere_area(d)) + (d - 1) * (math.log(radius_scale) - math.log(step))
+        cells = math.exp(min(log_cells, 700.0))
+    pts = _sphere_points(d, int(max(256, math.ceil(min(cells, _MAX_WALK)))))
     pts *= float(np.linalg.norm(y))
-    return pts[_greedy_walk(GroupAction(FULL_ROTATION), space, pts, rho)]
+    return pts
 
 
 def _product_block_counts(space, y, blocks, rho):
@@ -468,12 +591,17 @@ def packing_count(
     _MAX_CENTERS centers raises ValueError before its centers are built.
 
     After each acceptance the walk blocks the later candidates that lie
-    within the chord of 2 rho and that the exact distance confirms; it
-    fetches that ball as an index array from a one-point kd-tree queried
-    against one tree of all the candidates.  The certificate runs once per
-    report and raises below 2 rho: on an ANGULAR_EXACT circle it measures
-    the pairs adjacent in angle (no scipy import), on a GREEDY orbit the
-    near-minimal pairs the kd-tree returns.
+    within the chord of 2 rho and that the exact distance confirms.  On a
+    2-sphere that ball is read off the Fibonacci spiral with no tree: its
+    members lie in the index window where z has fallen by at most the
+    chord (|z_i - z_j| <= |p_i - p_j|), at the offsets whose golden-angle
+    turn dphi keeps 2 sqrt(rho_i rho_j) |sin(dphi / 2)| within the chord
+    (rho the ring radius), with a relative slack of 1e-12 on the chord and
+    1e-8 on the turn.  A conjugation orbit or a sphere of dimension >= 4
+    takes the ball from one kd-tree of its candidates.  The certificate
+    runs once per report and raises below 2 rho: on an ANGULAR_EXACT
+    circle it measures the pairs adjacent in angle (no scipy import), on a
+    GREEDY orbit the near-minimal pairs the kd-tree returns.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -514,14 +642,21 @@ def packing_count(
 def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     if abs(y.a - 1.0) < 1e-12 and abs(y.b) < 1e-12 and abs(y.c - 1.0) < 1e-12:
         return PackingReport(y, rho, 1, np.array([[y.a, y.b, y.c]]), GREEDY, fixed_point=True)
-    # conjugation orbit is a closed curve of period pi
+    pts = _conjugation_candidates(y, rho)
+    return _certified(action, None, y, rho, pts[_greedy_walk(action, None, pts, rho)], GREEDY)
+
+
+def _conjugation_candidates(y: MatrixPoint, rho: float) -> np.ndarray:
+    """The (a, b, c) rows a conjugation walk runs over: the orbit, a closed
+    curve of period pi, at equal angles whose steps are rho /
+    _WALK_SUBDIVISION at its top speed (probed at 64 angles), at least 128
+    and at most _MAX_WALK of them."""
     probe = np.linspace(0.0, math.pi, 64)
     (a0, b0, c0), (a1, b1, c1) = _conjugates(y, probe).T, _conjugates(y, probe + 1e-4).T
     tr = c0 * a1 - 2.0 * b0 * b1 + a0 * c1  # tr(X^-1 Y), as in matrix_distance
     speed = max(max(math.sqrt(2.0) * math.acosh(max(1.0, t / 2.0)) / 1e-4 for t in tr), 1e-12)
     n_steps = int(min(_MAX_WALK, max(128, math.ceil(math.pi * speed / (rho / _WALK_SUBDIVISION)))))
-    pts = _conjugates(y, math.pi * np.arange(n_steps) / n_steps)
-    return _certified(action, None, y, rho, pts[_greedy_walk(action, None, pts, rho)], GREEDY)
+    return _conjugates(y, math.pi * np.arange(n_steps) / n_steps)
 
 
 def expansion_profile(
@@ -540,10 +675,16 @@ def expansion_profile(
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("radii must be non-empty")
+    dim = space.dim if action.kind != PRODUCT_ROTATION else sum(action.blocks)
+    with np.errstate(over="ignore"):
+        # chords and exact keys square distances of up to 2r, and a sphere
+        # walk is sized by the orbit's area, of order r^(dim - 1)
+        huge = ~(np.isfinite((2.0 * radii) ** 2) & np.isfinite(np.abs(radii) ** (dim - 1)))
+    if huge.any():
+        raise ValueError(f"radius {radii[huge][0]} is out of range: (2 r)^2 and r^(dim - 1) must be finite")
     if np.any(np.diff(radii) < 0):
         raise ValueError("radii must be non-decreasing")
     rows = []
-    dim = space.dim if action.kind != PRODUCT_ROTATION else sum(action.blocks)
     for r in radii:
         y = np.zeros(dim)
         if action.kind == PRODUCT_ROTATION:

@@ -168,6 +168,13 @@ class TestValidation:
             ["pde", "--s0", "inf"],
             ["pde", "--kappa", "inf"],
             ["hausdorff", "--example", "product", "--scale", "inf"],
+            ["hausdorff", "--example", "product", "--scale", "0"],
+            ["hausdorff", "--example", "product", "--scale", "0.5"],
+            ["pde", "--cells", "64", "--lambda-grid", "inf"],
+            ["pde", "--cells", "64", "--lambda-grid", "1,nan"],
+            ["packing", "--radii", "1:inf:3"],
+            ["packing", "--radii", "nan:10:3"],
+            ["packing", "--radii=-1e308:1e308:3"],
         ],
     )
     def test_command_line_error_gives_error_record(self, capsys, argv):
@@ -190,12 +197,17 @@ class TestValidation:
             (["pde", "--cells", "1", "--lambda-grid", "0"], "SweepFailure"),
             (["rearrange", "--radius", "0"], "ValueError"),
             (["rearrange", "--shape", "plateau", "--radius", "0"], "ValueError"),
+            (["packing", "--radii", "1e308"], "ValueError"),
+            (["expansion", "--space", "euclid", "--dim", "3", "--radii", "1e308"], "ValueError"),
+            (["expansion", "--space", "euclid", "--dim", "3", "--radii", "1e200"], "ValueError"),
+            (["packing", "--dim", "4", "--radii", "1e110"], "ValueError"),
         ],
     )
     def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
         # an empty embedding grid, a matrix orbit at lambda <= 0 or lambda =
-        # inf, a pde sweep that finds no interval and a profile of radius 0
-        # all exit 2 with the one-line JSON record, not a traceback
+        # inf, a pde sweep that finds no interval, a profile of radius 0 and
+        # an orbit radius whose (2 r)^2 or r^(dim - 1) overflows all exit 2
+        # with the one-line JSON record, not a traceback
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -501,14 +501,19 @@ def _row_distance(x, y):
     return matrix_distance(MatrixPoint(*x), MatrixPoint(*y))
 
 
-def _brute_sphere_walk(space, y, rho):
-    """Greedy pass over the spiral candidates of the orbit sphere through y."""
+def _spiral_candidates(space, y, rho):
+    """The spiral candidates of the walk over the orbit sphere through y."""
     d = y.size
     r_orbit = geodesic_distance(space, np.zeros(d), y)
     step = rho / orbits._WALK_SUBDIVISION
     area = sphere_area(d) * s_c(space.curvature, r_orbit) ** (d - 1)
     n_steps = int(min(orbits._MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
-    pts = float(np.linalg.norm(y)) * orbits._sphere_points(d, n_steps)
+    return float(np.linalg.norm(y)) * orbits._sphere_points(d, n_steps)
+
+
+def _brute_sphere_walk(space, y, rho):
+    """Greedy pass over the spiral candidates of the orbit sphere through y."""
+    pts = _spiral_candidates(space, y, rho)
     accepted = []
     for p in pts:
         if accepted:
@@ -718,6 +723,93 @@ class TestWalkAgainstReferenceCopies:
         accepted = _reference_greedy_walk(CONJ, None, pts, rho)
         assert orbits._greedy_walk(CONJ, None, pts, rho) == accepted
         assert report.centers.tobytes() == pts[accepted].tobytes()
+
+
+class TestLatticeBall:
+    """A 2-sphere walk takes each ball from the spiral's index window and
+    golden-angle offsets; that fetch must hold every later member of the
+    kd-tree chord ball, and the walk must accept what the reference accepts."""
+
+    @pytest.mark.parametrize(
+        "space, radius, rho",
+        [
+            (EUCLID3, 10.0, 1.0),  # 500,000 candidates; windows straddle the equator
+            (POINCARE3, 0.99, 1.0),  # 500,000 candidates, 19,854 small balls
+            (SpaceForm(3, -2.25), 0.6, 0.7),  # 256 candidates, balls near the whole sphere
+        ],
+    )
+    def test_fetch_holds_the_chord_ball(self, space, radius, rho):
+        from scipy.spatial import cKDTree
+
+        pts = _spiral_candidates(space, np.array([radius, 0.0, 0.0]), rho)
+        emb, chord, _, _ = orbits._orbit_metric(ROT, space, pts)
+        reach = chord(2.0 * rho)
+        accepted = orbits._greedy_walk(ROT, space, pts, rho, orbits._lattice_balls)
+        assert accepted[0] == 0  # the first centre sits at the pole
+        z = emb[:, 2]
+        assert any(z[i] > 0.0 > z[i] - reach for i in accepted)  # a window across the equator
+        probes = sorted(set(accepted) | set(np.linspace(0, len(pts) - 1, 257).astype(int).tolist()))
+        later_ball = orbits._lattice_balls(emb, reach)
+        for i, near in zip(probes, cKDTree(emb).query_ball_point(emb[probes], reach)):
+            near = np.asarray(near, dtype=np.intp)
+            fetched = later_ball(i)
+            assert np.all(fetched > i)
+            assert np.isin(near[near > i], fetched).all(), i
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        radius=st.floats(0.05, 0.99),
+        rho=st.floats(0.25, 2.0),
+        curvature=st.sampled_from([0.0, -0.5, -1.0, -2.25]),
+    )
+    @example(radius=0.99, rho=1.0, curvature=-1.0)  # the README chart radius, at the cap
+    @example(radius=0.5, rho=1.0, curvature=0.0)  # Euclidean radius 10, at the cap
+    def test_walk_matches_the_reference(self, radius, rho, curvature):
+        # Euclidean orbit radii span [1, 19.8], Poincare chart radii [0.05, 0.99]
+        space = SpaceForm(3, curvature)
+        y = np.array([20.0 * radius if curvature == 0.0 else radius, 0.0, 0.0])
+        pts = _spiral_candidates(space, y, rho)
+        accepted = _reference_greedy_walk(ROT, space, pts, rho)
+        assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
+
+
+class TestWalkSize:
+    """A sphere walk's candidate count stays finite at extreme radii and rho."""
+
+    @pytest.mark.parametrize("radius, rho", [(1e153, 1.0), (0.5, 1e-200)])
+    def test_overflow_takes_the_cap(self, monkeypatch, radius, rho):
+        # area / step^2 overflows to inf, or step^2 underflows to 0; the walk
+        # takes the capped candidate count (lowered here to keep it quick)
+        monkeypatch.setattr(orbits, "_MAX_WALK", 300)
+        report = packing_count(ROT, EUCLID3, np.array([radius, 0.0, 0.0]), rho)
+        assert report.count == 300  # the spiral's points are all 2 rho apart
+
+    def test_overflowing_area_power_takes_the_cap(self, monkeypatch):
+        # r^3 of the 3-sphere's area is out of float range, which a Python
+        # float power raises as OverflowError
+        monkeypatch.setattr(orbits, "_MAX_WALK", 300)
+        report = packing_count(ROT, EUCLID4, np.array([1e110, 0.0, 0.0, 0.0]), 1.0)
+        assert report.count == 300
+
+    @pytest.mark.parametrize("space, rho", [(EUCLID3, 1e300), (EUCLID4, 1e200)])
+    def test_overflowing_cell_power_takes_the_floor(self, space, rho):
+        # step^(d - 1) is out of float range: 256 candidates, one ball
+        y = np.zeros(space.dim)
+        y[0] = 1.0
+        assert len(orbits._sphere_candidates(space, y, rho)) == 256
+        assert packing_count(ROT, space, y, rho).count == 1
+
+
+class TestExactKey:
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_column_sum_is_the_row_sum(self, d):
+        # the key sums squared differences column by column; for rows of
+        # fewer than 8 terms that gives numpy's row sum, bit for bit
+        pts = np.random.default_rng(d).normal(size=(50_000, d))
+        _, _, key, _ = orbits._orbit_metric(ROT, SpaceForm(d, 0.0), pts)
+        later = np.arange(1, len(pts))
+        for i in (0, 1, 777):
+            assert key(later, i).tobytes() == ((pts[later] - pts[i]) ** 2).sum(-1).tobytes()
 
 
 class TestCertificate:
