@@ -9,8 +9,7 @@ lambda = 2.5), the best-of-7 cost per call of
 
 - ``energy``, ``energy_gradient`` and ``_hessian_bands`` on one row and on
   a 14-row stack (the 14 starts of one lambda: the default seeds and the
-  ray witness).  A checkout without the stacked kernels evaluates the
-  stack one row per call, as its multi-start did;
+  ray witness);
 - ``_solve_tridiag`` on one row, and on the 14 rows one call after
   another (it solves one row per call);
 
@@ -19,9 +18,6 @@ lambda in {0, 2 lambda_t}, lambda_t the transition lambda.
 """
 
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,8 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
+from benchinfo import commit, machine  # noqa: E402
 from randerslab import pde  # noqa: E402
 
 REPEATS = 7
@@ -57,14 +53,11 @@ def _kernels(problem):
         "energy_gradient": lambda u: pde.energy_gradient(problem, u),
         "_hessian_bands": lambda u: pde._hessian_bands(problem, u),
     }
-    if hasattr(pde, "_gradients_and_bands"):
-        stacked = {
-            "energy": lambda s: pde._energies(problem, s),
-            "energy_gradient": lambda s: pde._gradients(problem, s),
-            "_hessian_bands": lambda s: pde._gradients_and_bands(problem, s, [True] * len(s)),
-        }
-    else:
-        stacked = {name: (lambda s, fn=fn: [fn(u) for u in s]) for name, fn in one_row.items()}
+    stacked = {
+        "energy": lambda s: pde._energies(problem, s),
+        "energy_gradient": lambda s: pde._gradients(problem, s),
+        "_hessian_bands": lambda s: pde._gradients_and_bands(problem, s, [True] * len(s)),
+    }
     return {name: (one_row[name], stacked[name]) for name in one_row}
 
 
@@ -101,40 +94,10 @@ def _multi_start():
     }
 
 
-def _commit():
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-        dirty = subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True)
-    except OSError:
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
-
-
-def _machine():
-    model = None
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return {
-        "cpu": model or platform.processor(),
-        "cores": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
 def main():
     result = {
-        "commit": _commit(),
-        "machine": _machine(),
+        "commit": commit(),
+        "machine": machine(),
         "repeats": REPEATS,
         "lambda": LAM,
         "kernels": [_at(1024), _at(2048)],

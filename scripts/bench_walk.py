@@ -25,9 +25,6 @@ certificate is timed.
 
 import json
 import math
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,8 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
+from benchinfo import commit, machine  # noqa: E402
 from randerslab import orbits  # noqa: E402
 from randerslab.modelspace import SpaceForm  # noqa: E402
 
@@ -92,38 +89,8 @@ def _walks():
     return rows
 
 
-def _commit():
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-        dirty = subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True)
-    except OSError:
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
-
-
-def _machine():
-    model = None
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return {
-        "cpu": model or platform.processor(),
-        "cores": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
 def main():
-    result = {"commit": _commit(), "machine": _machine(), "repeats": REPEATS, "walks": _walks()}
+    result = {"commit": commit(), "machine": machine(), "repeats": REPEATS, "walks": _walks()}
     path = ROOT / "BENCH_walk.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(path)

@@ -21,20 +21,20 @@ Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
 tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
 the Frobenius norm.  A greedy walk blocks, after each acceptance, the
 later candidates within that chord whose exact distance is below 2 rho.
-On a 2-sphere it reads each chord ball off the Fibonacci spiral's index
-order (a window in z, then golden-angle offsets) and builds no tree; a
-conjugation orbit or a higher sphere searches one lean
-scipy.spatial.cKDTree of its candidates.  The certificate of a greedy
-report searches a kd-tree of the embedding and measures the pairs it
-returns with the exact distance formulas.  On one centred circle distance
-grows with the angular gap, so the certificate of an exact circle count
-measures only the pairs adjacent in angle, and no scipy module is loaded
-for it.
+On a 2-sphere it reads each chord ball off the Fibonacci spiral
+(_lattice_balls) and builds no tree; a conjugation orbit or a higher
+sphere searches one lean scipy.spatial.cKDTree of its candidates.  The
+certificate of a greedy report searches a kd-tree of the embedding and
+measures the pairs it returns with the exact distance formulas.  On one
+centred circle distance grows with the angular gap, so the certificate of
+an exact circle count measures only the pairs adjacent in angle, and no
+scipy module is loaded for it.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -198,10 +198,13 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         np.sin(phi, out=phi)
         r *= phi
         return pts
-    # Kronecker low-discrepancy sequence pushed through the normal inverse CDF
+    # Kronecker low-discrepancy sequence on the square roots of the first d
+    # primes, pushed through the normal inverse CDF
     from scipy.special import ndtri
 
-    primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])[:d]
+    primes = list(itertools.islice(
+        (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1))), d
+    ))
     k = np.arange(1, n + 1)[:, None]
     seq = np.mod(k * np.sqrt(primes)[None, :], 1.0)
     seq = np.clip(seq, 1e-12, 1.0 - 1e-12)
@@ -418,7 +421,8 @@ def _tree_balls(emb, radius):
 
 def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
     """Indices a greedy pass over points accepts: each candidate in order,
-    unless closer than 2 rho to an accepted one.
+    unless closer than 2 rho to an accepted one.  Raises ValueError at the
+    first acceptance past _MAX_CENTERS.
 
     Such pairs lie within the chord c = chord(2 rho) of the embedding, so
     after each acceptance the later candidates of that chord ball are the
@@ -427,16 +431,10 @@ def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
     only the source of the balls differs.  balls(emb, c) returns a function
     of the accepted index i that gives an index array of later candidates
     (j > i) holding every later member of the chord ball of i.  Extra
-    candidates cost time only, as the exact distance decides.
-
-    - _lattice_balls, for the Fibonacci spiral of a 2-sphere: the members
-      lie in an index window, as |z_i - z_j| <= |p_i - p_j| and z falls
-      with the index, and at golden-angle offsets m = j - i whose centred
-      fraction of m / golden is small, as |p_i - p_j| >= 2 sqrt(rho_i
-      rho_j) |sin(dphi / 2)| for ring radii rho; the chord gets a relative
-      slack of 1e-12 and the fraction one of 1e-8.
-    - _tree_balls, the default, for candidates with no such order
-      (conjugation orbits, spheres of dimension >= 4): one kd-tree.
+    candidates cost time only, as the exact distance decides.  The sources
+    are _lattice_balls, for the Fibonacci spiral of a 2-sphere, and
+    _tree_balls, the default, one kd-tree for candidates with no such order
+    (conjugation orbits, spheres of dimension >= 4).
     """
     emb, chord, key, dist = _orbit_metric(action, space, points)
     later_ball = balls(emb, chord(2.0 * rho))
@@ -446,6 +444,8 @@ def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
     i = 0
     while i >= 0:
         accepted.append(i)
+        if len(accepted) > _MAX_CENTERS:
+            raise _too_many(f"more than {_MAX_CENTERS}")
         later = later_ball(i)
         later = later[~flags[later]]
         flags[later[dist(key(later, i)) < 2.0 * rho]] = True
@@ -518,12 +518,9 @@ def _sphere_walk(space, y, rho):
     """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3).
 
     On a 2-sphere the candidates are the Fibonacci spiral, and each chord
-    ball is read off its index order (_lattice_balls): a window of indices,
-    as z never increases with the index and |z_i - z_j| <= |p_i - p_j|,
-    then the offsets whose golden-angle turn keeps 2 sqrt(rho_i rho_j)
-    |sin(dphi / 2)| within the chord, with a relative slack of 1e-12 on the
-    chord and 1e-8 on the turn.  The Kronecker points of a higher sphere
-    have no such order and take the kd-tree ball (_tree_balls).
+    ball is read off its index order (_lattice_balls).  The Kronecker points
+    of a higher sphere have no such order and take the kd-tree ball
+    (_tree_balls).
     """
     pts = _sphere_candidates(space, y, rho)
     balls = _lattice_balls if pts.shape[1] == 3 else _tree_balls
@@ -588,16 +585,14 @@ def packing_count(
     other orbit gets a greedy walk over a fine orbit parametrization, whose
     count is a certified lower bound (GREEDY); a product orbit takes the
     product grid of its per-block packings.  A packing of more than
-    _MAX_CENTERS centers raises ValueError before its centers are built.
+    _MAX_CENTERS centers raises ValueError: a circle or a product grid
+    before any center is built, a walk at its first acceptance past the
+    cap.
 
     After each acceptance the walk blocks the later candidates that lie
     within the chord of 2 rho and that the exact distance confirms.  On a
-    2-sphere that ball is read off the Fibonacci spiral with no tree: its
-    members lie in the index window where z has fallen by at most the
-    chord (|z_i - z_j| <= |p_i - p_j|), at the offsets whose golden-angle
-    turn dphi keeps 2 sqrt(rho_i rho_j) |sin(dphi / 2)| within the chord
-    (rho the ring radius), with a relative slack of 1e-12 on the chord and
-    1e-8 on the turn.  A conjugation orbit or a sphere of dimension >= 4
+    2-sphere that ball is read off the Fibonacci spiral with no tree
+    (_lattice_balls); a conjugation orbit or a sphere of dimension >= 4
     takes the ball from one kd-tree of its candidates.  The certificate
     runs once per report and raises below 2 rho: on an ANGULAR_EXACT
     circle it measures the pairs adjacent in angle (no scipy import), on a
@@ -707,38 +702,25 @@ def expansion_profile(
     return rows
 
 
-def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y, n: int = 10_000) -> float:
-    """Max pairwise geodesic distance over a dense deterministic orbit sample."""
-    pts = orbit_sample(action, y, n, space=space)
+def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y) -> float:
+    """Diameter of the orbit of y: twice its distance from the fixed point.
+
+    Each group fixes a point (the origin, or I on the cone) and acts by
+    isometries, so the orbit lies on the sphere about it through y.  That
+    sphere holds the antipode of y (-y, or y^-1 = (c, -b, a), the
+    quarter-turn conjugate), and the geodesic to it runs through the fixed
+    point.  On the cone d(I, y) = sqrt(2) log l1 for the larger eigenvalue
+    l1; the smaller is 1 / l1, as det = 1.
+    """
     if action.kind == MATRIX_CONJUGATION:
-        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
-        # tr(X_i^-1 X_j) = c_i a_j - 2 b_i b_j + a_i c_j, in blocks of rows
-        # so that no n x n array is formed
-        step = max(1, 2**20 // n)
-        blocks = [slice(i, i + step) for i in range(0, n, step)]
-        top = max(float((c[r, None] * a - 2.0 * (b[r, None] * b) + a[r, None] * c).max()) for r in blocks)
-        return math.sqrt(2.0) * math.acosh(max(1.0, top / 2.0))
-    pts = np.asarray(pts, dtype=float)
-    best = 0.0
-    chunk = max(1, int(4e7 // max(len(pts), 1)))
-    hyper = space is not None and space.model == POINCARE_BALL
-    if hyper:
-        one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
-        k = math.sqrt(-space.curvature)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    for start in range(0, len(pts), chunk):
-        stop = min(len(pts), start + chunk)
-        # |a-b|^2 via the Gram identity, clipped at zero
-        diff2 = np.maximum(sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T), 0.0)
-        if not hyper:
-            best = max(best, math.sqrt(float(diff2.max())))
-        else:
-            denom = one_minus[start:stop, None] * one_minus[None, :]
-            best = max(
-                best,
-                float(np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom)).max()) / k,
-            )
-    return best
+        lam1 = (y.a + y.c + math.hypot(y.a - y.c, 2.0 * y.b)) / 2.0
+        return 2.0 * math.sqrt(2.0) * math.log(max(1.0, lam1))  # det drift may put l1 below 1
+    y = np.asarray(y, dtype=float)
+    if action.kind == PRODUCT_ROTATION and sum(action.blocks) != y.size:
+        raise ValueError(f"blocks {action.blocks} do not partition y of size {y.size}")
+    if space is None:
+        return 2.0 * float(np.linalg.norm(y))
+    return 2.0 * geodesic_distance(space, np.zeros(y.size), y)
 
 
 @dataclass(frozen=True)
@@ -761,25 +743,23 @@ def coercivity_probe(
     t: float,
     search_radius: float,
 ) -> CoercivityReport:
-    """Search the shell d(x0, x) in [R/2, R] for points with small orbits:
-    32 directions at 5 radii, each orbit sampled at 512 points."""
+    """Smallest orbit diameter on the shell d(x0, x) in [R/2, R].
+
+    An orbit's diameter is 2 d(x0, x) (orbit_diameter), so the smallest is
+    R, on the inner sphere; the witness is that sphere's point on the first
+    axis, present when R <= t; a witness the chart cannot hold (R/2 past
+    the rim's float resolution) raises.  Conjugation orbits are refused.
+    """
+    if action.kind == MATRIX_CONJUGATION:
+        raise ValueError("coercivity_probe takes rotation actions on a SpaceForm")
     if not t > 0 or not search_radius > 0:
         raise ValueError("t and search_radius must be positive")
-    dim = space.dim if action.kind != PRODUCT_ROTATION else sum(action.blocks)
-    dirs = _sphere_points(dim, 32)
-    best = math.inf
     witness = None
-    for frac in np.linspace(0.5, 1.0, 5):
-        geo = frac * search_radius
-        chart = _chart_radius(space, geo)
-        for u in dirs:
-            x = chart * u
-            diam = orbit_diameter(action, space, x, n=512)
-            if diam < best:
-                best = diam
-                if diam <= t:
-                    witness = x
-    return CoercivityReport(t, search_radius, best, witness)
+    if search_radius <= t:
+        witness = np.zeros(space.dim if action.kind != PRODUCT_ROTATION else sum(action.blocks))
+        witness[0] = _chart_radius(space, search_radius / 2.0)
+        space.point(witness)
+    return CoercivityReport(t, search_radius, search_radius, witness)
 
 
 def tangent_packing_lower_bound(angles: Sequence[float], rho: float, t: float) -> int:

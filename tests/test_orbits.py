@@ -187,33 +187,31 @@ class TestExpansionProfile:
 
 class TestOrbitDiameter:
     def test_circle_diameter(self):
-        assert orbit_diameter(ROT, EUCLID2, np.array([3.0, 0.0]), n=4000) == pytest.approx(
+        assert orbit_diameter(ROT, EUCLID2, np.array([3.0, 0.0])) == pytest.approx(
             6.0, rel=1e-6
         )
 
     def test_fixed_point_diameter_zero(self):
-        assert orbit_diameter(ROT, EUCLID2, np.zeros(2), n=100) == 0.0
+        assert orbit_diameter(ROT, EUCLID2, np.zeros(2)) == 0.0
 
     def test_product_first_block_only(self):
-        # oracle: exhaustive pairwise distances over a 10^4-point sample
         r = 4.2
-        diam = orbit_diameter(PROD22, EUCLID4, np.array([r, 0.0, 0.0, 0.0]), n=10_000)
+        diam = orbit_diameter(PROD22, EUCLID4, np.array([r, 0.0, 0.0, 0.0]))
         assert diam == pytest.approx(2.0 * r, rel=1e-6)
 
     def test_hyperbolic_circle_diameter(self):
         y = np.array([0.5, 0.0])
         expected = 2.0 * geodesic_distance(HYP2, np.zeros(2), y)
-        assert orbit_diameter(ROT, HYP2, y, n=4000) == pytest.approx(expected, rel=1e-6)
+        assert orbit_diameter(ROT, HYP2, y) == pytest.approx(expected, rel=1e-6)
 
 
 class TestMatrixOrbitDiameter:
     def test_identity_orbit_is_a_point(self):
-        # acosh(1 + eps) amplifies roundoff to sqrt(eps) ~ 1e-8
-        assert orbit_diameter(CONJ, None, MatrixPoint.identity(), n=64) < 1e-7
+        assert orbit_diameter(CONJ, None, MatrixPoint.identity()) < 1e-7
 
     def test_diameter_realized_by_sampled_pair(self):
         y = MatrixPoint.diagonal(5.0)
-        diam = orbit_diameter(CONJ, None, y, n=512)
+        diam = orbit_diameter(CONJ, None, y)
         samples = orbit_sample(CONJ, y, 512)
         brute = max(
             _row_distance(samples[i], samples[j])
@@ -223,20 +221,11 @@ class TestMatrixOrbitDiameter:
         assert diam >= brute - 1e-12
         assert diam <= 2.0 * math.sqrt(2.0) * math.log(5.0) + 1e-9
 
-
-    @pytest.mark.parametrize("n", [500, 1500])
-    def test_chunked_maximum_equals_outer_product_formula(self, n):
-        y = MatrixPoint.diagonal(7.0)
-        a, b, c = orbit_sample(CONJ, y, n).T
-        tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
-        expected = math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
-        assert orbit_diameter(CONJ, None, y, n=n) == expected
-
     def test_memory_stays_below_quadratic(self):
-        # one 3000 x 3000 float array alone is 72 MB
+        # one 3000 x 3000 float array alone is 72 MB; no orbit is sampled
         tracemalloc.start()
         try:
-            orbit_diameter(CONJ, None, MatrixPoint.diagonal(7.0), n=3000)
+            orbit_diameter(CONJ, None, MatrixPoint.diagonal(7.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -252,6 +241,38 @@ class TestCoercivityProbe:
     def test_small_shell_contains_small_orbits(self):
         report = coercivity_probe(ROT, EUCLID2, t=10.0, search_radius=4.0)
         assert report.small_orbit_found
+
+    @pytest.mark.parametrize(
+        "action, space",
+        [(ROT, EUCLID2), (ROT, HYP2), (ROT, EUCLID3), (ROT, SpaceForm(3, -2.25)), (PROD22, EUCLID4)],
+    )
+    @pytest.mark.parametrize("t, radius", [(1.0, 12.0), (10.0, 4.0), (3.0, 5.0), (7.0, 6.5), (0.5, 0.4)])
+    def test_matches_the_grid_search(self, action, space, t, radius):
+        # the former search: 32 directions at 5 radii of the shell, each
+        # orbit's diameter now exact
+        best, found = math.inf, False
+        for frac in np.linspace(0.5, 1.0, 5):
+            chart = orbits._chart_radius(space, frac * radius)
+            for u in orbits._sphere_points(space.dim, 32):
+                diam = orbit_diameter(action, space, chart * u)
+                best, found = min(best, diam), found or diam <= t
+        report = coercivity_probe(action, space, t, radius)
+        assert report.min_diameter == pytest.approx(best, rel=1e-12)
+        assert report.small_orbit_found == found
+        if found:
+            witness = report.witness
+            inner = geodesic_distance(space, np.zeros(space.dim), witness)
+            assert inner == pytest.approx(radius / 2.0, rel=1e-12)
+            assert np.count_nonzero(witness) == 1 and witness[0] > 0.0
+
+    def test_witness_past_the_chart_is_refused(self):
+        # tanh(20) rounds to 1: the inner sphere at R/2 = 40 has no chart point
+        with pytest.raises(ValueError, match="norm < 1"):
+            coercivity_probe(ROT, HYP2, t=100.0, search_radius=80.0)
+
+    def test_conjugation_is_refused(self):
+        with pytest.raises(ValueError, match="rotation actions"):
+            coercivity_probe(CONJ, EUCLID2, t=1.0, search_radius=2.0)
 
 
 class TestTangentLowerBound:
@@ -660,6 +681,67 @@ class TestGreedyAgainstBruteForce:
         assert np.array_equal(report.centers, _brute_matrix_walk(y, rho))
 
 
+def _farthest_sampled_pair(action, space, y):
+    """Largest distance over every pair of a 512-point orbit_sample."""
+    pts = orbit_sample(action, y, 512, space=space)
+    if action.kind == MATRIX_CONJUGATION:
+        a, b, c = pts.T
+        tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
+        return math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
+    diff2 = sum(np.subtract.outer(col, col) ** 2 for col in pts.T)
+    if space is None or space.model == EUCLIDEAN:
+        return math.sqrt(float(diff2.max()))
+    one_minus = 1.0 - (pts**2).sum(axis=1)
+    key = float((2.0 * diff2 / np.outer(one_minus, one_minus)).max())
+    return math.acosh(1.0 + key) / math.sqrt(-space.curvature)
+
+
+class TestExactDiameter:
+    """orbit_diameter is twice the distance from the fixed point: no sampled
+    pair of the orbit lies farther apart, and the antipode lies that far."""
+
+    @staticmethod
+    def _check(action, space, y, antipode_distance):
+        diam = orbit_diameter(action, space, y)
+        assert diam >= _farthest_sampled_pair(action, space, y) * (1.0 - 1e-12)
+        assert diam == pytest.approx(antipode_distance, rel=1e-12)
+
+    @_PROPERTY
+    @given(
+        dim=st.integers(2, 4),
+        curvature=st.sampled_from([0.0, -1.0, -2.25]),
+        radius=st.floats(0.05, 0.99),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    )
+    @example(dim=2, curvature=0.0, radius=0.03, direction=[1.0, 0.0, 0.0, 0.0])  # the circle of radius 3
+    @example(dim=3, curvature=-1.0, radius=0.5, direction=[1.0, 0.0, 0.0, 0.0])  # diameter 2 ln 3
+    def test_rotation_orbit(self, dim, curvature, radius, direction):
+        # Euclidean radii span [5, 99]; Poincare chart radii run out to 0.99
+        space = SpaceForm(dim, curvature)
+        y = (100.0 * radius if curvature == 0.0 else radius) * _unit(direction[:dim])
+        self._check(ROT, space, y, geodesic_distance(space, y, -y))
+
+    @_PROPERTY
+    @given(
+        blocks=st.sampled_from([(2, 2), (2, 3), (3, 2, 2)]),
+        scales=st.lists(st.floats(0.0, 50.0), min_size=3, max_size=3),
+        ambient=st.booleans(),
+    )
+    def test_product_orbit(self, blocks, scales, ambient):
+        y = np.concatenate([s * np.eye(b)[0] for s, b in zip(scales, blocks)])
+        space = SpaceForm(y.size, 0.0) if ambient else None
+        self._check(GroupAction(PRODUCT_ROTATION, blocks), space, y, float(np.linalg.norm(y - -y)))
+
+    @_PROPERTY
+    @given(lam=st.floats(1.1, 1e6), phase=st.floats(0.0, math.pi))
+    @example(lam=1e6, phase=0.0)
+    @example(lam=1e6, phase=math.pi / 4.0)
+    def test_conjugation_orbit(self, lam, phase):
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
+        inverse = MatrixPoint(y.c, -y.b, y.a)  # the quarter-turn conjugate
+        self._check(CONJ, None, y, matrix_distance(y, inverse))
+
+
 # -- reference copies: the Fibonacci spiral as np.stack of its columns, and the
 # greedy walk with query_ball_point lists on a balanced kd-tree.  The brute-force
 # oracles above reuse orbits._sphere_points and reach only radii <= 2 rho, so
@@ -799,6 +881,19 @@ class TestWalkSize:
         assert len(orbits._sphere_candidates(space, y, rho)) == 256
         assert packing_count(ROT, space, y, rho).count == 1
 
+    def test_points_above_twelve_dimensions(self):
+        # the Kronecker sequence takes one prime per coordinate
+        pts = orbits._sphere_points(13, 5)
+        assert pts.shape == (5, 13)
+        assert np.linalg.norm(pts, axis=1) == pytest.approx(np.ones(5), rel=1e-12)
+
+    def test_thirteen_dimensional_walk(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_MAX_WALK", 300)
+        space, y = SpaceForm(13, 0.0), 2.0 * np.eye(13)[0]
+        report = packing_count(ROT, space, y, 1.0)
+        assert report.centers.shape == (report.count, 13)
+        assert np.array_equal(report.centers, _brute_sphere_walk(space, y, 1.0))
+
 
 class TestExactKey:
     @pytest.mark.parametrize("d", range(2, 8))
@@ -912,6 +1007,31 @@ class TestCircleCap:
         assert json.loads(captured.err)["error"] == "ValueError"
 
 
+class TestWalkCap:
+    """A greedy walk stops at its first acceptance past _MAX_CENTERS."""
+
+    @pytest.mark.parametrize(
+        "action, space, y, rho",
+        [(ROT, EUCLID3, np.array([2.0, 0.0, 0.0]), 0.5), (CONJ, None, MatrixPoint.diagonal(10.0), 0.5)],
+    )
+    def test_walk_past_the_cap_raises(self, monkeypatch, action, space, y, rho):
+        count = packing_count(action, space, y, rho).count
+        monkeypatch.setattr(orbits, "_MAX_CENTERS", count)
+        assert packing_count(action, space, y, rho).count == count
+        monkeypatch.setattr(orbits, "_MAX_CENTERS", count - 1)
+        with pytest.raises(ValueError, match=f"more than {count - 1} centers"):
+            packing_count(action, space, y, rho)
+
+    def test_cli_gives_error_record(self, monkeypatch, capsys):
+        from randerslab.cli import main
+
+        monkeypatch.setattr(orbits, "_MAX_CENTERS", 10)
+        assert main(["packing", "--space", "euclid", "--dim", "3", "--radii", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
+
 class TestLargeMatrixOrbits:
     """Conjugation orbits out to lambda = 1e6, the range the hausdorff CLI sweeps."""
 
@@ -926,7 +1046,7 @@ class TestLargeMatrixOrbits:
     def test_orbit_diameter(self, lam):
         # the quarter turn swaps the eigenvalues: d = sqrt(2) acosh((lam^2 + lam^-2)/2)
         expected = math.sqrt(2.0) * math.acosh((lam**2 + lam**-2) / 2.0)
-        diam = orbit_diameter(CONJ, None, MatrixPoint.diagonal(lam), n=360)
+        diam = orbit_diameter(CONJ, None, MatrixPoint.diagonal(lam))
         assert diam == pytest.approx(expected, rel=1e-9)
 
     def test_packing_count(self):
