@@ -7,11 +7,13 @@ Writes ``BENCH_pde_kernels.json`` at the root of the checkout with the
 commit, the machine, and, at 1,025 and 2,049 nodes (1024 and 2048 cells,
 lambda = 2.5), the best-of-7 cost per call of
 
-- ``energy``, ``energy_gradient`` and ``_hessian_bands`` on one row and on
-  a 14-row stack (the 14 starts of one lambda: the default seeds and the
-  ray witness);
+- ``energy``, ``energy_gradient`` and ``gradient_and_bands`` (one
+  ``_gradients_and_bands`` evaluation) on one row and on a 14-row stack
+  (the 14 starts of one lambda: the default seeds and the ray witness);
 - ``_solve_tridiag`` on one row, and on the 14 rows one call after
   another (it solves one row per call);
+- ``first_call_us``: a fresh ``example_problem``, then one ``energy_gradient``
+  and one ``test_function`` call, which build the problem's discretisation;
 
 and the wall time of one ``multi_start_solve`` at 1024 cells over
 lambda in {0, 2 lambda_t}, lambda_t the transition lambda.
@@ -51,12 +53,12 @@ def _kernels(problem):
     one_row = {
         "energy": lambda u: pde.energy(problem, u),
         "energy_gradient": lambda u: pde.energy_gradient(problem, u),
-        "_hessian_bands": lambda u: pde._hessian_bands(problem, u),
+        "gradient_and_bands": lambda u: pde._gradients_and_bands(problem, u[None], [True]),
     }
     stacked = {
         "energy": lambda s: pde._energies(problem, s),
         "energy_gradient": lambda s: pde._gradients(problem, s),
-        "_hessian_bands": lambda s: pde._gradients_and_bands(problem, s, [True] * len(s)),
+        "gradient_and_bands": lambda s: pde._gradients_and_bands(problem, s, [True] * len(s)),
     }
     return {name: (one_row[name], stacked[name]) for name in one_row}
 
@@ -71,14 +73,21 @@ def _at(n_cells):
             "one_row_us": _best_per_call(lambda: one(row), 200),
             "stack_us": _best_per_call(lambda: many(stack), 20),
         }
-    bands = [pde._hessian_bands(problem, u) for u in stack]
-    rhs = [-pde.energy_gradient(problem, u) for u in stack]
-    systems = [(d + r, off, b) for (d, off, r), b in zip(bands, rhs)]
+    grads, diag_phi, off, diag_react = pde._gradients_and_bands(problem, stack, [True] * len(stack))
+    systems = list(zip(diag_phi + diag_react, off, -grads))
     out["_solve_tridiag"] = {
         "one_row_us": _best_per_call(lambda: pde._solve_tridiag(*systems[2]), 200),
         "stack_us": _best_per_call(lambda: [pde._solve_tridiag(*s) for s in systems], 20),
     }
+    out["first_call_us"] = _best_per_call(lambda: _first_call(n_cells), 1)
     return out
+
+
+def _first_call(n_cells):
+    """A fresh problem's first energy_gradient and test_function calls."""
+    problem = pde.example_problem(n_cells=n_cells)
+    pde.energy_gradient(problem, np.zeros(n_cells + 1))
+    pde.test_function(problem, 1.0, 1.5, 0.5)
 
 
 def _multi_start():

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import orbits, pde, rearrange, sobolev
-from .modelspace import SpaceForm, geodesic_distance
+from .modelspace import SpaceForm, geodesic_distance, unit_ball_volume
 from .numerics import is_divergent
 
 SCHEMA_VERSION = 1
@@ -55,6 +55,29 @@ def _convert(kind, value, name: str):
     if kind is float and not math.isfinite(converted):
         raise ValidationError(f"{name}: must be finite, got {value!r}")
     return converted
+
+
+# log 1e300: a magnitude that a run derives from its flags must stay below
+# 1e300, which leaves headroom for the sums and products it makes of it
+_LOG_RANGE = 300.0 * math.log(10.0)
+
+
+def _check_range(name: str, value, log_magnitude: float, what: str) -> None:
+    """Refuse a flag value from which the run would derive a magnitude
+    e^log_magnitude above 1e300, before it builds any array from it."""
+    if log_magnitude > _LOG_RANGE:
+        raise ValidationError(f"{name} = {value!r} is out of range: {what} must stay below 1e300")
+
+
+def _log_ball_volume(space: SpaceForm, radius: float) -> float:
+    """log(radius * area_factor(space, radius)), within log(dim) of the log
+    ball volume, computed without overflow for radius > 0."""
+    x = math.sqrt(-space.curvature) * radius
+    if x < 1e-8:  # Euclidean, or sinh(x) = x to double precision
+        log_s = math.log(radius)
+    else:  # s_c(radius) = sinh(x) / k
+        log_s = (x - math.log(2.0) if x > 20.0 else math.log(math.sinh(x))) - math.log(x / radius)
+    return math.log(space.dim * unit_ball_volume(space.dim)) + (space.dim - 1) * log_s + math.log(radius)
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -222,8 +245,11 @@ def _run_expansion(config: RunConfig, params: dict) -> RunResult:
 def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
     example = params["example"]
     if example == "matrix":
+        lams = _parse_range(params["lambda_grid"])
+        for lam in lams[(lams > 0) & np.isfinite(lams)]:  # MatrixPoint refuses the rest
+            _check_range("lambda_grid", float(lam), 2.0 * abs(math.log(lam)), "lambda^2 and lambda^-2")
         rows = []
-        for lam in _parse_range(params["lambda_grid"]):
+        for lam in lams:
             res = orbits.orbit_hausdorff_matrix(orbits.MatrixPoint.diagonal(float(lam)))
             rows.append(
                 {
@@ -243,6 +269,9 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
             raise ValidationError(f"samples must be at least 1, got {params['samples']}")
         if not params["scale"] >= 1.0:  # |y| is drawn from [1, scale]
             raise ValidationError(f"scale must be at least 1, got {params['scale']}")
+        # |y|^2 in its norm and |y_i|^(block - 1) in the orbit measure
+        log_power = max(2, max(blocks) - 1) * math.log(params["scale"])
+        _check_range("scale", params["scale"], log_power, "scale^2 and scale^(block - 1)")
         rng = np.random.default_rng(config.seed)
         rows = []
         for _ in range(params["samples"]):
@@ -268,10 +297,20 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
 def _run_rearrange(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
     shape, cells = params["shape"], params["cells"]
+    radius, height = params["radius"], params["height"]
+    if radius > 0 and cells > 0:  # the profile refuses the rest
+        log_vol = _log_ball_volume(space, radius)
+        _check_range("radius", radius, abs(log_vol), "the ball volume and its reciprocal")
+        # the q = 2 norms, and the p = 2 gradient norms of slopes up to
+        # height * cells / radius (the plateau's rim cell)
+        if height != 0:
+            log_h = math.log(abs(height)) + max(0.0, math.log(cells / radius))
+            _check_range("height", height, 2.0 * log_h + max(0.0, log_vol),
+                         "max(height, height * cells / radius)^2 times the ball volume")
     if shape == "tent":
-        u = rearrange.tent_profile(space, params["radius"], params["height"], n=cells)
+        u = rearrange.tent_profile(space, radius, height, n=cells)
     elif shape == "plateau":
-        u = rearrange.plateau_profile(space, params["radius"], params["height"], n=cells)
+        u = rearrange.plateau_profile(space, radius, height, n=cells)
     else:
         raise ValidationError(f"unknown shape {shape!r}")
     u_star = rearrange.euclidean_rearrangement(u)
@@ -298,6 +337,8 @@ def _run_rearrange(config: RunConfig, params: dict) -> RunResult:
 def _run_funk(config: RunConfig, params: dict) -> RunResult:
     dims = [int(v) for v in params["dim"].split(",")]
     ps = [float(v) for v in params["p"].split(",")]
+    if not all(map(math.isfinite, ps)):
+        raise ValidationError(f"p: every p must be finite in {params['p']!r}")
     qs = [math.inf if v in ("inf", "") else float(v) for v in params["q"].split(",")]
     rows = []
     ok = True
@@ -336,6 +377,9 @@ def _run_embedding(config: RunConfig, params: dict) -> RunResult:
     pair = sobolev.classify_pair(p, q, space.dim)
     if pair is None:
         raise ValidationError(f"(p, q) = ({p}, {q}) is not admissible in dim {space.dim}")
+    if params["rho"] > 0:  # embedding_constant refuses the rest
+        log_vol = abs(_log_ball_volume(space, params["rho"]))
+        _check_range("rho", params["rho"], log_vol, "the ball volume and its reciprocal")
     centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in _parse_range(params["y_radii"])]
     # the estimate does not depend on the centre (both model geometries are
     # homogeneous): compute it once; geodesic_distance validates every centre

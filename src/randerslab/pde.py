@@ -133,10 +133,10 @@ class Nonlinearity:
         bound = self.C * (1.0 + np.abs(ss) ** (self.w - 1.0))
         if np.any(np.abs(np.asarray(self.h(ss))) > bound * (1.0 + 1e-9) + 1e-12):
             raise ValueError("|h| exceeds C (1 + |s|^(w-1)) on the check grid")
-        # (A3): H(s)/|s|^q bounded near zero
+        # (A3): H(s)/|s|^q bounded near zero, compared without dividing:
+        # s^q underflows to 0 on the grid once q exceeds about 40
         ss = np.geomspace(1e-8, self.s1, 64)
-        ratio = np.asarray(self.H(ss)) / ss**self.q
-        if np.any(ratio > self.c1 * (1.0 + 1e-9)):
+        if np.any(np.asarray(self.H(ss)) > self.c1 * (1.0 + 1e-9) * ss**self.q):
             raise ValueError("H(s)/|s|^q exceeds c1 below s1")
 
 
@@ -251,9 +251,9 @@ class PDEProblem:
             raise ValueError(
                 "alpha decay rate must exceed (d-1) kappa for integrability"
             )
-        # the lambda-free discretisation, its kernel factors and ray table,
-        # built on first use and shared with every replace_lambda clone
-        self._cache = SimpleNamespace(disc=None, factors=None, rays=None)
+        # the lambda-free discretisation and ray table, built on first use
+        # and shared with every replace_lambda clone
+        self._cache = SimpleNamespace(disc=None, rays=None)
 
     @property
     def kappa(self) -> float:
@@ -274,22 +274,6 @@ class PDEProblem:
         return self._cache.disc
 
     @property
-    def factors(self) -> SimpleNamespace:
-        """The lambda-free per-cell factors of the kernels, built once per
-        discretisation: the co-norm denominators 1 +- b_mid, dF*/dslope on
-        rising (1/(1+b)) and falling (-1/(1-b)) cells with their squares,
-        and dr^2."""
-        if self._cache.factors is None:
-            disc = self.disc
-            rise, fall = 1.0 + disc["b_mid"], 1.0 - disc["b_mid"]
-            d_rise, d_fall = 1.0 / rise, -1.0 / fall
-            self._cache.factors = SimpleNamespace(
-                rise=rise, fall=fall, d_rise=d_rise, d_fall=d_fall,
-                d_rise2=d_rise**2, d_fall2=d_fall**2, dr2=disc["dr"] ** 2,
-            )
-        return self._cache.factors
-
-    @property
     def rays(self) -> "_RayTable":
         """The lambda-free ray table, built once per discretisation."""
         if self._cache.rays is None:
@@ -297,31 +281,45 @@ class PDEProblem:
         return self._cache.rays
 
     def _build(self) -> dict:
+        """Every lambda-free array of the discretisation, built once."""
         base = self.randers.base
         # exponentially graded grid, dr proportional to e^((d-1) kappa r / 2):
         # equalizes the cell-volume spread that otherwise makes the discrete
         # Hessian stiffness grow like the full volume factor, while placing
         # the finest cells where the weight alpha dV_F concentrates
+        # (the rim is set, not computed: at xi = 1 log1p meets -1 from dim 8)
         c = (self.dim - 1) * self.kappa / 2.0
-        xi = np.linspace(0.0, 1.0, self.n_cells + 1)
-        r = -np.log1p(xi * (math.exp(-c * self.r_max) - 1.0)) / c
-        r[0], r[-1] = 0.0, self.r_max
+        xi = np.linspace(0.0, 1.0, self.n_cells + 1)[:-1]
+        r = np.append(-np.log1p(xi * (math.exp(-c * self.r_max) - 1.0)) / c, self.r_max)
+        r[0] = 0.0
         dr = np.diff(r)
         mid = 0.5 * (r[:-1] + r[1:])
+        b_mid = np.asarray(self.randers.beta(mid), dtype=float)
+        rise, fall = 1.0 + b_mid, 1.0 - b_mid
+        d_rise, d_fall = 1.0 / rise, -1.0 / fall
         shell_g = np.diff(cumulative_ball_volumes(base, r))
         area_node = np.asarray(area_factor(base, r), dtype=float)
         trap = np.append(0.5 * dr, 0.0) + np.insert(0.5 * dr, 0, 0.0)
+        trap_area_g = trap * area_node
         alpha_node = np.asarray(self.alpha(r), dtype=float)
         jw = trap * alpha_node * (radial_density(self.randers, r) * area_node)
+        rs, half, w = cell_nodes(r, 8)
+        one_plus_b = 1.0 + np.asarray(self.randers.beta(rs), dtype=float)
         return {
-            "r": r,
-            "dr": dr,
-            "b_mid": np.asarray(self.randers.beta(mid), dtype=float),
+            "r": r, "dr": dr, "dr2": dr**2, "b_mid": b_mid,
+            # co-norm denominators 1 +- b, and dF*/dslope on rising and
+            # falling cells with their squares
+            "rise": rise, "fall": fall, "d_rise": d_rise, "d_fall": d_fall,
+            "d_rise2": d_rise**2, "d_fall2": d_fall**2,
             "vol_f": radial_density(self.randers, mid) * shell_g,
             "shell_g": shell_g,
-            "trap_area_g": trap * area_node,
+            "trap_area_g": trap_area_g,
+            # lumped L^2 mass of the damped descent and the root polish
+            "mass": trap_area_g + 1e-300,
             "jw": jw,
             "alpha_l1": float(jw.sum()),
+            # forward Finsler distance int_0^r (1 + b(s)) ds along the outward ray
+            "tau": np.concatenate([[0.0], np.cumsum((half * w * one_plus_b).sum(axis=1))]),
         }
 
     def profile(self, values: np.ndarray) -> RadialProfile:
@@ -373,11 +371,11 @@ def _rows(problem: PDEProblem, u) -> np.ndarray:
 def _phi_terms(problem: PDEProblem, u: np.ndarray):
     """Per-cell slopes, their signs (slope >= 0) and co-norms F*(Du) of
     each row of a stack of profiles: randers.radial_conorm with the
-    denominators of PDEProblem.factors."""
-    f = problem.factors
-    slopes = np.diff(u) / problem.disc["dr"]
+    denominators of PDEProblem.disc."""
+    disc = problem.disc
+    slopes = np.diff(u) / disc["dr"]
     rising = slopes >= 0
-    return slopes, rising, np.where(rising, slopes / f.rise, -slopes / f.fall)
+    return slopes, rising, np.where(rising, slopes / disc["rise"], -slopes / disc["fall"])
 
 
 def _energies(problem: PDEProblem, u) -> list:
@@ -400,10 +398,9 @@ def _gradients(problem: PDEProblem, u):
     with the rows' cell signs and co-norms for the Hessian bands."""
     u = _rows(problem, u)
     disc = problem.disc
-    f = problem.factors
     _, rising, conorms = _phi_terms(problem, u)
     # a flat cell has a zero co-norm, so its flux is zero whatever the sign
-    dphi = np.where(rising, f.d_rise, f.d_fall)
+    dphi = np.where(rising, disc["d_rise"], disc["d_fall"])
     flux = conorms ** (problem.p - 1.0) * dphi * disc["vol_f"] / disc["dr"]
     grad = np.zeros_like(u)
     grad[:, :-1] -= flux
@@ -413,13 +410,22 @@ def _gradients(problem: PDEProblem, u):
 
 
 def _gradients_and_bands(problem: PDEProblem, u, flat_floors):
-    """Gradients and tridiagonal Hessian bands of each row of a stack, from
-    one evaluation of the cell terms; flat_floors holds each row's
-    flat_floor (see _hessian_bands)."""
+    """Gradients and pieces of the tridiagonal energy Hessian of each row
+    of a stack, from one evaluation of the cell terms: (grad, diag_phi,
+    off, diag_react).
+
+    The gradient-energy part contributes, per cell, the positive weight
+    (p-1) conorm^(p-2) (dphi/ds)^2 vol_f / dr^2 on the 2x2 block of its two
+    nodes (positive semidefinite by construction), summed into diag_phi
+    with off = -weight; the reaction part is the diagonal diag_react =
+    -lambda jw h'(u), of either sign.  A row's entry of flat_floors keeps
+    the p > 2 degenerate weights at its flat cells bounded away from zero,
+    which the globalized descent wants; the root polish passes False to
+    get the honest Jacobian of the gradient.
+    """
     u = _rows(problem, u)
     grad, rising, conorms = _gradients(problem, u)
     disc = problem.disc
-    f = problem.factors
     p = problem.p
     floors = [
         1e-6 * max(top, 1e-30) if floored else -math.inf
@@ -429,9 +435,9 @@ def _gradients_and_bands(problem: PDEProblem, u, flat_floors):
     w = (
         (p - 1.0)
         * conorms ** (p - 2.0)
-        * np.where(rising, f.d_rise2, f.d_fall2)
+        * np.where(rising, disc["d_rise2"], disc["d_fall2"])
         * disc["vol_f"]
-        / f.dr2
+        / disc["dr2"]
     )
     diag_phi = np.zeros_like(u)
     diag_phi[:, :-1] += w
@@ -453,19 +459,9 @@ def energy_gradient(problem: PDEProblem, u) -> np.ndarray:
 def finsler_ball_volume(problem: PDEProblem, radius_f: float) -> float:
     """Volume (dV_F) of the forward metric ball d_F(0, .) < radius_f."""
     disc = problem.disc
-    tau = _forward_distance(problem)
-    r_geo = float(np.interp(radius_f, tau, disc["r"]))
+    r_geo = float(np.interp(radius_f, disc["tau"], disc["r"]))
     cum = np.concatenate([[0.0], np.cumsum(disc["vol_f"])])
     return float(np.interp(r_geo, disc["r"], cum))
-
-
-def _forward_distance(problem: PDEProblem) -> np.ndarray:
-    """tau(r) = int_0^r (1 + b(s)) ds: the forward Finsler distance along
-    the outward radial ray."""
-    r = problem.disc["r"]
-    rs, half, w = cell_nodes(r, 8)
-    vals = 1.0 + np.asarray(problem.randers.beta(rs), dtype=float)
-    return np.concatenate([[0.0], np.cumsum((half * w * vals).sum(axis=1))])
 
 
 def test_function(problem: PDEProblem, s0: float, big_r: float, small_r: float) -> np.ndarray:
@@ -482,7 +478,7 @@ def test_function(problem: PDEProblem, s0: float, big_r: float, small_r: float) 
         raise ValueError(
             f"need 0 < r < R (1-a)/(1+a) = {big_r * (1 - a) / (1 + a):.6g}, got r = {small_r}"
         )
-    tau = _forward_distance(problem)
+    tau = problem.disc["tau"]
     if tau[-1] <= big_r:
         raise ValueError("support of the ramp exceeds the grid; raise r_max")
     ramp = (big_r - tau) / (big_r - small_r)
@@ -574,6 +570,8 @@ def example_problem(
 ) -> PDEProblem:
     """Reference desk-scale instance: Randers-perturbed hyperbolic plane,
     p = 3.5 > d = 2, gaussian weight, tanh drift profile."""
+    if not math.isfinite(kappa * kappa):
+        raise ValueError(f"kappa = {kappa} is out of range: kappa^2 must be finite")
     structure = RandersStructure(
         SpaceForm(dim, -(kappa**2)), BetaProfile("tanh", beta_sup)
     )
@@ -722,23 +720,6 @@ def _default_seeds(problem: PDEProblem, s0: float) -> list:
     return seeds
 
 
-def _hessian_bands(problem, u, flat_floor: bool = True):
-    """Pieces of the tridiagonal energy Hessian.
-
-    Returns (diag_phi, off, diag_react): the gradient-energy part
-    contributes, per cell, the positive weight
-    (p-1) conorm^(p-2) (dphi/ds)^2 vol_f / dr^2 on the 2x2 block of its two
-    nodes (positive semidefinite by construction); the reaction part is the
-    diagonal -lambda jw h'(u), of either sign.  flat_floor keeps the p > 2
-    degenerate weights at flat cells bounded away from zero, which the
-    globalized descent wants; the root-polish phase passes False to get the
-    honest Jacobian of the gradient.
-    """
-    u = np.asarray(u, dtype=float)[None]
-    _, diag_phi, off, diag_react = _gradients_and_bands(problem, u, [flat_floor])
-    return diag_phi[0], off[0], diag_react[0]
-
-
 def _solve_tridiag(diag, off, rhs):
     """Solve the tridiagonal system on the free nodes 0 .. n-2 and return
     it with a zero rim entry: the Dirichlet node n-1 is not an unknown, so
@@ -822,7 +803,7 @@ def _descent_steps(problem, u0, max_iter, tol_factor, on_step=None):
 
     # lumped L^2 mass: damping by mu * M acts like a semi-implicit gradient
     # flow step of size 1/mu, uniformly across the stiff volume spectrum
-    mass = problem.disc["trap_area_g"] + 1e-300
+    mass = problem.disc["mass"]
     mu = 1.0
     for _ in range(max_iter):
         g_norm = float(np.linalg.norm(g))
@@ -919,7 +900,7 @@ def _polish_root(problem, u, tol_factor):
     """
     g = yield "gradient", u
     g_norm = float(np.linalg.norm(g))
-    mass = problem.disc["trap_area_g"] + 1e-300
+    mass = problem.disc["mass"]
     tau = 0.0
     for _ in range(120):
         _, _, e_val = yield "energy", u

@@ -108,6 +108,23 @@ class TestRangeParsing:
                 _parse_range(bad)
 
 
+# finite flags whose derived magnitudes leave the float range: each is
+# refused by value, before any array is built, with a record that names the
+# parameter
+_OUT_OF_RANGE = [
+    (["pde", "--kappa", "1e300", "--cells", "16"], "ValueError", "kappa"),
+    (["rearrange", "--radius", "1e308"], "ValidationError", "radius"),
+    (["rearrange", "--height", "1e308"], "ValidationError", "height"),
+    (["embedding", "--rho", "1e300"], "ValidationError", "rho"),
+    (["embedding", "--space", "euclid", "--rho", "1e-300"], "ValidationError", "rho"),
+    (["hausdorff", "--example", "product", "--blocks", "2,2", "--samples", "1", "--scale", "1e200"],
+     "ValidationError", "scale"),
+    (["hausdorff", "--example", "matrix", "--lambda-grid", "1e-300:1e300:5:log"], "ValidationError",
+     "lambda_grid"),
+    (["funk", "--dim", "2", "--p", "inf", "--q", "inf"], "ValidationError", "p"),
+]
+
+
 class TestValidation:
     def test_empty_radii_rejected(self, capsys):
         code = main(["packing", "--radii", ""])
@@ -201,18 +218,28 @@ class TestValidation:
             (["expansion", "--space", "euclid", "--dim", "3", "--radii", "1e308"], "ValueError"),
             (["expansion", "--space", "euclid", "--dim", "3", "--radii", "1e200"], "ValueError"),
             (["packing", "--dim", "4", "--radii", "1e110"], "ValueError"),
+            *[(argv, error) for argv, error, _ in _OUT_OF_RANGE],
+            # s^q underflows in the (A3) check, then no interval is found
+            (["pde", "--dim", "40", "--p", "41", "--cells", "16"], "SweepFailure"),
         ],
     )
     def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
         # an empty embedding grid, a matrix orbit at lambda <= 0 or lambda =
-        # inf, a pde sweep that finds no interval, a profile of radius 0 and
-        # an orbit radius whose (2 r)^2 or r^(dim - 1) overflows all exit 2
-        # with the one-line JSON record, not a traceback
+        # inf, a pde sweep that finds no interval, a profile of radius 0,
+        # an orbit radius whose (2 r)^2 or r^(dim - 1) overflows and the
+        # flags of _OUT_OF_RANGE all exit 2 with the one-line JSON record,
+        # not a traceback
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+    @pytest.mark.parametrize("argv, error, name", _OUT_OF_RANGE)
+    def test_out_of_range_record_names_the_parameter(self, capsys, argv, error, name):
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error and record["message"].split()[0] in (name, name + ":")
 
 
 class TestParameterDefaults:

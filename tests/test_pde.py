@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from collections import deque
@@ -94,6 +95,15 @@ class TestNonlinearity:
                 c1=1.0,
                 dh=lambda s: -np.ones_like(np.asarray(s, dtype=float)),
             )
+
+    def test_small_s_bound_where_s_power_underflows(self):
+        # at q = 42, s^q underflows to 0 at the small end of the (A3) check
+        # grid: the check still passes H = s^q / q with c1 = 1/q and still
+        # refuses twice that
+        nl = reference_nonlinearity(41.0)
+        assert nl.q == 42.0 and (1e-8) ** nl.q == 0.0
+        with pytest.raises(ValueError, match="exceeds c1 below s1"):
+            dataclasses.replace(nl, H=lambda s: 2.0 * nl.H(s))
 
 
 def _three_branch_reference(p, w, q, blend):
@@ -278,10 +288,8 @@ class TestTestFunction:
 
     def test_midpoint_of_ramp(self, problem):
         # forward distance (R + r)/2 maps to value s0/2
-        from randerslab.pde import _forward_distance
-
         u = ramp_profile(problem, s0=1.0, big_r=1.5, small_r=0.5)
-        tau = _forward_distance(problem)
+        tau = problem.disc["tau"]
         mid = float(np.interp(1.0, tau, problem.grid))  # tau = (R+r)/2 = 1.0
         assert float(np.interp(mid, problem.grid, u)) == pytest.approx(0.5, abs=1e-3)
 
@@ -1525,7 +1533,7 @@ class TestStackedKernels:
         floors=st.lists(st.booleans(), min_size=5, max_size=5),
     )
     def test_rows_equal_references(self, n_cells, kinds, seed, lam, floors):
-        from randerslab.pde import _energies, _gradients_and_bands, _hessian_bands
+        from randerslab.pde import _energies, _gradients_and_bands
 
         prob = replace_lambda(_example_at(n_cells), lam)
         rng = np.random.default_rng(seed)
@@ -1541,8 +1549,8 @@ class TestStackedKernels:
             assert all(np.array_equal(a, b) for a, b in zip((diag_phi[i], off[i], diag_react[i]), bands))
             for flat_floor in (True, False):
                 bands = _reference_hessian_bands(prob, u, flat_floor=flat_floor)
-                got = _hessian_bands(prob, u, flat_floor=flat_floor)
-                assert all(np.array_equal(a, b) for a, b in zip(got, bands))
+                _, *got = _gradients_and_bands(prob, u[None], [flat_floor])
+                assert all(np.array_equal(a[0], b) for a, b in zip(got, bands))
 
 
 class TestProfileShape:
@@ -1550,7 +1558,7 @@ class TestProfileShape:
     the same error."""
 
     @pytest.mark.parametrize("nodes", [64, 66])
-    @pytest.mark.parametrize("name", ["energy", "energy_gradient", "_hessian_bands"])
+    @pytest.mark.parametrize("name", ["energy", "energy_gradient"])
     def test_profile_of_wrong_length(self, name, nodes):
         with pytest.raises(ValueError, match="profile must live on the 65-node grid"):
             getattr(pde, name)(_example_at(64), np.zeros(nodes))
