@@ -281,10 +281,11 @@ def beta_fn(x: float, y: float) -> Union[float, Divergent]:
     return math.exp(lgamma_fn(x) + lgamma_fn(y) - lgamma_fn(x + y))
 
 
-def _trial(u, g, step, rows) -> np.ndarray:
+def _trial(u, g, step, rows, out=None) -> np.ndarray:
     """max(u + step G, 0) on `rows`, with the rim at 0, built in place in
-    the gathered copy of G: the same roundings as the plain expression."""
-    trial = g[rows]
+    `out` (a fresh array if None) from a gathered copy of G: the same
+    roundings as the plain expression."""
+    trial = np.take(g, rows, axis=0, out=out, mode="clip")  # "clip": "raise" buffers out
     trial *= step[rows, None]
     trial += u if rows.size == len(u) else u[rows]
     np.maximum(trial, 0.0, out=trial)
@@ -309,6 +310,10 @@ def seeded_line_search(
     one-seed search, and one state row per row, which direction receives
     with the row it was computed for.  Returns the rows and their
     objective values.
+
+    Every round builds its trial rows in one buffer allocated per search,
+    and `retract` and `objective` get a view of it: they may write to it,
+    but must not keep it past the call.
     """
     u = np.maximum(np.asarray(seeds, dtype=float), 0.0)
     u[:, -1] = 0.0
@@ -316,6 +321,7 @@ def seeded_line_search(
     f, state = objective(u)
     f, state = list(f), np.array(state)
     g = np.zeros_like(u)
+    buffer = np.empty_like(u)  # the trial rows of every round
     step = np.ones(len(f))
     left = np.full(len(f), max_iter)  # iterations each row may still start
     active = np.ones(len(f), dtype=bool)
@@ -325,21 +331,33 @@ def seeded_line_search(
         turn = np.flatnonzero(active & fresh)
         if turn.size:
             g[turn] = direction(u[turn], state[turn])
-            g[:, -1] = 0.0
+            g[turn, -1] = 0.0
             left[turn] -= 1
             fresh[turn] = False
             if g_tol:
-                active[turn] &= [not np.linalg.norm(g[i]) < g_tol for i in turn]
+                # the row-wise norm sums in another order than the 1-d norm
+                # of a one-seed search, which it meets to far better than
+                # 1e-9 relative: only rows that near g_tol need the 1-d norm
+                norms = np.linalg.norm(g[turn], axis=1)
+                for k in np.flatnonzero(np.abs(norms - g_tol) <= 1e-9 * g_tol):
+                    norms[k] = np.linalg.norm(g[turn[k]])
+                active[turn] &= ~(norms < g_tol)
         rows = np.flatnonzero(active)
         if not rows.size:
             return u, f
-        trial = _trial(u, g, step, rows)
+        trial = _trial(u, g, step, rows, out=buffer[: rows.size])
+        live = rows
         alive = trial.max(axis=1) > 0
-        trial = retract(trial if alive.all() else trial[alive])
+        if not alive.all():  # a trial that clips to zero is no improvement
+            live, trial = rows[alive], trial[alive]
+        trial = retract(trial)
         f_trial, state_trial = objective(trial)
-        for i, ok, j in zip(rows, alive, np.cumsum(alive) - 1):
-            if ok and improves(f_trial[j], f[i]):
-                u[i], f[i], state[i], fresh[i] = trial[j], f_trial[j], state_trial[j], True
-                step[i] *= grow
-            else:
-                step[i] *= 0.5
+        better = np.array([improves(new, f[i]) for new, i in zip(f_trial, live.tolist())], dtype=bool)
+        accepted = live[better]
+        u[accepted] = trial[better]
+        state[accepted] = np.asarray(state_trial)[better]
+        fresh[accepted] = True
+        for i, j in zip(accepted.tolist(), np.flatnonzero(better).tolist()):
+            f[i] = f_trial[j]
+        # every searching row had fresh False, so fresh now marks the accepted
+        step[rows] *= np.where(fresh[rows], grow, 0.5)

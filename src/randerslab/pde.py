@@ -28,7 +28,7 @@ import numpy as np
 from .modelspace import SpaceForm, area_factor, cumulative_ball_volumes
 from .randers import BetaProfile, RandersStructure, radial_density
 from .rearrange import RadialProfile
-from .sobolev import sup_log_gradient, w1p_log_gradient, w1p_power
+from .sobolev import W1pRows
 from .numerics import cell_nodes, seeded_line_search
 
 __all__ = [
@@ -519,20 +519,16 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
     ] + [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.1, 0.3, 0.6)]
     seeds += [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.05, 0.15, 0.4)]
 
-    weights = (disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
+    w1p = W1pRows(disc["dr"], disc["shell_g"], disc["trap_area_g"], p)
 
     def quotient(u):
         # each row's state is its W^{1,p} power
-        power = w1p_power(u, *weights)
+        power = w1p.power(u)
         return [float(sup) / float(w) ** (1.0 / p) for sup, w in zip(u.max(axis=1), power)], power
 
-    def ascent(u, power):
-        g = sup_log_gradient(u)
-        g -= w1p_log_gradient(u, *weights, power)
-        return g
-
     _, values = seeded_line_search(
-        np.array(seeds), quotient, ascent, retract=lambda u: u, grow=1.5, max_iter=max_iter - 1,
+        np.array(seeds), quotient, w1p.sup_ratio_gradient, retract=lambda u: u, grow=1.5,
+        max_iter=max_iter - 1,
         improves=lambda new, old: new > old * (1.0 + 1e-12),
     )
     return 1.1 * max([0.0] + values)

@@ -144,46 +144,92 @@ def _seed_profiles(grid: np.ndarray) -> list:
     return out
 
 
+class W1pRows:
+    """The discrete W^{1,p} power of stacks of rows and its log-gradient
+    (slopes against the cell weights `shell`, values against the nodal
+    weights `node_w`), in flat buffers that one search reuses.
+
+    Rows lie end to end, each run of cells padded with one cell (dr 1.0,
+    shell 0.0) that is zeroed after the subtraction and left out of every
+    sum, so each pass is one contiguous loop.  The in-place passes are the
+    operations of the plain expressions in their order: every result is
+    bit for bit theirs.  The gradients returned are the workspace's buffer,
+    valid until its next call.
+    """
+
+    def __init__(self, dr, shell, node_w, p: float):
+        self.p, self.node_w, self.p_node_w = p, node_w, p * np.asarray(node_w)
+        self.dr, self.shell = np.append(dr, 1.0), np.append(shell, 0.0)
+        self._flat = np.empty((3, 0))  # slopes or flux, nodal terms, gradient
+
+    def _load(self, u):
+        """The buffers for u's stack, the slopes of u already in the first."""
+        u = np.ascontiguousarray(u, dtype=float)
+        if self._flat.shape[1] < u.size:
+            self._flat = np.empty((3, u.size))
+        flux, nodal, gw = self._flat[:, : u.size].reshape((3,) + u.shape)
+        np.subtract(u.reshape(-1)[1:], u.reshape(-1)[:-1], out=flux.reshape(-1)[:-1])
+        flux[:, -1] = 0.0
+        flux /= self.dr
+        return u, flux, nodal, gw
+
+    def power(self, u: np.ndarray) -> np.ndarray:
+        """Discrete W^{1,p} power of each row of u."""
+        u, slopes, nodal, _ = self._load(u)
+        np.abs(slopes, out=slopes)
+        slopes **= self.p
+        slopes *= self.shell
+        np.abs(u, out=nodal)
+        nodal **= self.p
+        nodal *= self.node_w
+        return slopes[:, :-1].sum(axis=1) + nodal.sum(axis=1)
+
+    def log_gradient(self, u: np.ndarray, power) -> np.ndarray:
+        """Gradient of log(power) / p, row by row, given the rows' power:
+        p |slope|^(p-1) sign(slope) shell / dr per cell and
+        p node_w |u|^(p-1) sign(u) per node."""
+        p = self.p
+        u, flux, nodal, gw = self._load(u)  # gw holds sign(slope), then sign(u)
+        np.sign(flux, out=gw)
+        np.abs(flux, out=flux)
+        flux **= p - 1
+        flux *= p
+        flux *= gw
+        flux *= self.shell
+        flux /= self.dr
+        np.abs(u, out=nodal)
+        nodal **= p - 1
+        nodal *= self.p_node_w
+        nodal *= np.sign(u, out=gw)
+        # -flux at each cell's left node, +flux at its right; a padding
+        # cell adds +0 to the next row's first node, whose 0 - flux is
+        # never -0, so it changes no byte
+        np.subtract(0.0, flux, out=gw)
+        gw.reshape(-1)[1:] += flux.reshape(-1)[:-1]
+        gw += nodal
+        gw /= (p * np.asarray(power))[:, None]
+        return gw
+
+    def sup_ratio_gradient(self, u: np.ndarray, power) -> np.ndarray:
+        """sup_log_gradient(u) - log_gradient(u, power), the gradient of
+        log(max(u) / power^(1/p)), in the workspace and, on rows with a
+        positive max, in the bytes of that plain difference."""
+        gw = self.log_gradient(u, power)
+        rows, top = np.arange(len(gw)), np.argmax(u, axis=1)
+        peak = 1.0 / np.max(u, axis=1) - gw[rows, top]
+        np.subtract(0.0, gw, out=gw)  # not np.negative, which turns +0 into -0
+        gw[rows, top] = peak
+        return gw
+
+
 def w1p_power(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
-    """Discrete W^{1,p} power of each row of u: slopes against the cell
-    weights `shell`, values against the nodal weights `node_w`.  Each
-    term is built in place in one buffer."""
-    slopes = np.diff(u, axis=1)
-    slopes /= dr
-    np.abs(slopes, out=slopes)
-    slopes **= p
-    slopes *= shell
-    nodal = np.abs(u)
-    nodal **= p
-    nodal *= node_w
-    return slopes.sum(axis=1) + nodal.sum(axis=1)
+    """Discrete W^{1,p} power of each row of u (see W1pRows)."""
+    return W1pRows(dr, shell, node_w, p).power(u)
 
 
 def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float, power) -> np.ndarray:
-    """Gradient of log(w1p_power) / p, row by row, given the rows' power;
-    built in place, in the operation order of the plain expression
-    p |slope|^(p-1) sign(slope) shell / dr per cell and
-    p node_w |u|^(p-1) sign(u) per node."""
-    gw = np.empty_like(u)  # holds sign(slope), then sign(u), then the gradient
-    flux = np.diff(u, axis=1)
-    flux /= dr
-    np.sign(flux, out=gw[:, :-1])
-    np.abs(flux, out=flux)
-    flux **= p - 1
-    flux *= p
-    flux *= gw[:, :-1]
-    flux *= shell
-    flux /= dr
-    nodal = np.abs(u)
-    nodal **= p - 1
-    nodal *= p * node_w
-    nodal *= np.sign(u, out=gw)
-    gw.fill(0.0)
-    gw[:, :-1] -= flux
-    gw[:, 1:] += flux
-    gw += nodal
-    gw /= (p * np.asarray(power))[:, None]
-    return gw
+    """Gradient of log(w1p_power) / p, row by row (see W1pRows)."""
+    return W1pRows(dr, shell, node_w, p).log_gradient(u, power)
 
 
 def sup_log_gradient(u: np.ndarray) -> np.ndarray:
@@ -211,7 +257,8 @@ def embedding_constant(
     Both model geometries are homogeneous, so the radial reduction around
     y uses the same area factor as around the origin: the estimate does not
     depend on y, which is only validated.  Each seed takes at most 300
-    descent steps.
+    descent steps.  Raises ValueError when the search overflows or makes
+    an invalid operation: the discrete quotient leaves the float range.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -225,6 +272,7 @@ def embedding_constant(
     shell = (half * w * area_factor(space, rs)).sum(axis=1)
     # trapezoid-style nodal weights for the zeroth-order terms
     node_w = np.append(0.5 * shell, 0.0) + np.insert(0.5 * shell, 0, 0.0)
+    w1p = W1pRows(dr, shell, node_w, p)
 
     def l_power(u):
         # ||u||_q^q per row, or the sup when q = inf
@@ -235,23 +283,29 @@ def embedding_constant(
 
     def quotient(u):
         # each row's state: its W^{1,p} power and its l_power
-        state = np.stack([w1p_power(u, dr, shell, node_w, p), l_power(u)], axis=1)
+        state = np.stack([w1p.power(u), l_power(u)], axis=1)
         return [float(w) ** (1.0 / p) / float(l) for w, l in zip(state[:, 0], l_norm(state[:, 1]))], state
 
     def descent(u, state):
         # minus the gradient of log quotient
         if q == math.inf:
-            gl = sup_log_gradient(u)
-        else:
-            gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * state[:, 1])[:, None]
-        gl -= w1p_log_gradient(u, dr, shell, node_w, p, state[:, 0])
+            return w1p.sup_ratio_gradient(u, state[:, 0])
+        gl = q * node_w * np.abs(u) ** (q - 1) * np.sign(u) / (q * state[:, 1])[:, None]
+        gl -= w1p.log_gradient(u, state[:, 0])
         return gl
 
-    _, values = seeded_line_search(
-        np.array(_seed_profiles(grid)), quotient, descent, retract=lambda u: u / l_norm(l_power(u))[:, None],
-        improves=lambda new, old: math.log(new) < math.log(old) - 1e-14,
-        grow=1.3, max_iter=300, g_tol=1e-10,
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _, values = seeded_line_search(
+                np.array(_seed_profiles(grid)), quotient, descent,
+                retract=lambda u: u / l_norm(l_power(u))[:, None],
+                improves=lambda new, old: math.log(new) < math.log(old) - 1e-14,
+                grow=1.3, max_iter=300, g_tol=1e-10,
+            )
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"p = {p}, q = {q}, rho = {rho}: the discrete quotient leaves the float range ({exc})"
+        ) from None
     return min([math.inf] + values)
 
 

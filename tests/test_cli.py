@@ -221,14 +221,21 @@ class TestValidation:
             *[(argv, error) for argv, error, _ in _OUT_OF_RANGE],
             # s^q underflows in the (A3) check, then no interval is found
             (["pde", "--dim", "40", "--p", "41", "--cells", "16"], "SweepFailure"),
+            # the discrete quotient of the embedding search overflows: |slope|^p
+            # at the seeds, |u|^q in a trial's retraction, or the ball's weights
+            (["embedding", "--space", "euclid", "--dim", "2", "--p", "150", "--q", "inf"], "ValueError"),
+            (["embedding", "--space", "poincare", "--dim", "2", "--p", "2", "--q", "400"], "ValueError"),
+            (["embedding", "--space", "euclid", "--rho", "1e99"], "ValueError"),
+            (["embedding", "--space", "euclid", "--rho", "1e-99"], "ValueError"),
+            (["embedding", "--space", "euclid", "--dim", "3", "--rho", "1e55", "--grid", "32"], "ValueError"),
         ],
     )
     def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
         # an empty embedding grid, a matrix orbit at lambda <= 0 or lambda =
         # inf, a pde sweep that finds no interval, a profile of radius 0,
-        # an orbit radius whose (2 r)^2 or r^(dim - 1) overflows and the
-        # flags of _OUT_OF_RANGE all exit 2 with the one-line JSON record,
-        # not a traceback
+        # an orbit radius whose (2 r)^2 or r^(dim - 1) overflows, an
+        # embedding search that overflows and the flags of _OUT_OF_RANGE all
+        # exit 2 with the one-line JSON record, not a traceback
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randerslab.numerics import (
     DIVERGENT,
@@ -227,3 +229,160 @@ class TestSeededLineSearch:
         before = u.copy(), g.copy()
         assert np.array_equal(_trial(u, g, step, rows), plain)
         assert np.array_equal(u, before[0]) and np.array_equal(g, before[1])
+
+
+# -- the batched search as it was before its rounds reused one trial buffer
+# and updated the accepted rows array-wide, kept verbatim (but for the two
+# names) as the reference the search must reproduce byte for byte
+
+
+def _parent_trial(u, g, step, rows) -> np.ndarray:
+    """max(u + step G, 0) on `rows`, with the rim at 0, built in place in
+    the gathered copy of G: the same roundings as the plain expression."""
+    trial = g[rows]
+    trial *= step[rows, None]
+    trial += u if rows.size == len(u) else u[rows]
+    np.maximum(trial, 0.0, out=trial)
+    trial[:, -1] = 0.0
+    return trial
+
+
+def _parent_seeded_line_search(
+    seeds, objective, direction, retract, improves, grow: float, max_iter: int, g_tol: float = 0.0
+):
+    """Backtracking search from every seed (row of `seeds`) at once.
+
+    Rows are clipped at zero with the last node (the Dirichlet rim) at 0;
+    rows that vanish are dropped, `retract` maps the rest onto the start
+    set.  Each row then searches exactly as it would alone: up to max_iter
+    times, take G = direction(u, state) with its rim entry zeroed, since
+    the rim is not an unknown (stop if ||G|| < g_tol), and halve the row's
+    step until retract(clip(u + step G)) improves on u (accept, step *=
+    grow) or step <= 1e-12 (stop); a trial that clips to zero is no
+    improvement.  The callbacks act on stacks of rows; objective returns
+    one Python float per row, so each accept test sees the scalars of a
+    one-seed search, and one state row per row, which direction receives
+    with the row it was computed for.  Returns the rows and their
+    objective values.
+    """
+    u = np.maximum(np.asarray(seeds, dtype=float), 0.0)
+    u[:, -1] = 0.0
+    u = retract(u[u.max(axis=1) > 0])
+    f, state = objective(u)
+    f, state = list(f), np.array(state)
+    g = np.zeros_like(u)
+    step = np.ones(len(f))
+    left = np.full(len(f), max_iter)  # iterations each row may still start
+    active = np.ones(len(f), dtype=bool)
+    fresh = np.ones(len(f), dtype=bool)  # the row needs a new direction
+    while True:
+        active &= (step > 1e-12) & ~(fresh & (left <= 0))
+        turn = np.flatnonzero(active & fresh)
+        if turn.size:
+            g[turn] = direction(u[turn], state[turn])
+            g[:, -1] = 0.0
+            left[turn] -= 1
+            fresh[turn] = False
+            if g_tol:
+                active[turn] &= [not np.linalg.norm(g[i]) < g_tol for i in turn]
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            return u, f
+        trial = _parent_trial(u, g, step, rows)
+        alive = trial.max(axis=1) > 0
+        trial = retract(trial if alive.all() else trial[alive])
+        f_trial, state_trial = objective(trial)
+        for i, ok, j in zip(rows, alive, np.cumsum(alive) - 1):
+            if ok and improves(f_trial[j], f[i]):
+                u[i], f[i], state[i], fresh[i] = trial[j], f_trial[j], state_trial[j], True
+                step[i] *= grow
+            else:
+                step[i] *= 0.5
+
+
+def _both_searches(seeds, objective, direction, retract, improves, **kw):
+    """The search and its reference on the same callbacks; rows and values
+    as bytes, so -0.0 and +0.0 differ."""
+    out = []
+    for search in (seeded_line_search, _parent_seeded_line_search):
+        u, values = search(seeds.copy(), objective, direction, retract, improves, **kw)
+        assert all(type(v) is float for v in values)
+        out.append((u.tobytes(), np.array(values).tobytes()))
+    return out
+
+
+_RETRACTS = {
+    "identity": lambda u: u,
+    "in place": lambda u: np.multiply(u, 0.75, out=u),  # writes to the rows it gets
+    "fresh": lambda u: u / (1.0 + u.sum(axis=1))[:, None],
+}
+
+
+def _constant_gradient(nodes):
+    """A direction, rim at 0, whose row-wise norm is not its 1-d norm."""
+    for seed in itertools.count():
+        c = np.random.default_rng(seed).normal(size=nodes)
+        c[-1] = 0.0
+        if np.linalg.norm(c[None], axis=1)[0] != np.linalg.norm(c):
+            return c
+
+
+class TestSearchEqualsReference:
+    """The search returns the bytes of the loop it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        nodes=st.integers(2, 12),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.sampled_from([0.0, 2.0]),
+        grow=st.sampled_from([1.3, 1.5]),
+        max_iter=st.integers(1, 25),
+        g_tol=st.sampled_from([0.0, 1e-3]),
+        retract=st.sampled_from(sorted(_RETRACTS)),
+    )
+    # a target below zero everywhere: the first trial of each row clips to
+    # zero, and so do later ones
+    @example(nodes=4, count=3, seed=0, shift=2.0, grow=1.5, max_iter=10, g_tol=0.0, retract="identity")
+    def test_small_objectives(self, nodes, count, seed, shift, grow, max_iter, g_tol, retract):
+        rng = np.random.default_rng(seed)
+        seeds = rng.normal(size=(count, nodes))  # rows with no positive entry are dropped
+        target = rng.normal(size=(count, nodes)) - shift
+        weight = rng.uniform(0.5, 2.0, nodes)
+
+        def objective(u):
+            f = ((u - target[: len(u)]) ** 2 * weight).sum(axis=1)
+            return [float(v) for v in f], np.stack([f, u.max(axis=1)], axis=1)
+
+        def direction(u, state):
+            return 2.0 * weight * (target[: len(u)] - u) / (1.0 + state[:, 1:])
+
+        new, old = _both_searches(
+            seeds, objective, direction, _RETRACTS[retract], lambda new, old: new < old,
+            grow=grow, max_iter=max_iter, g_tol=g_tol,
+        )
+        assert new == old
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        ulps=st.integers(-2, 2),
+        count=st.integers(1, 4),
+        grow=st.sampled_from([1.3, 1.5]),
+        max_iter=st.integers(1, 6),
+        retract=st.sampled_from(sorted(_RETRACTS)),
+    )
+    def test_gradient_norm_at_g_tol(self, ulps, count, grow, max_iter, retract):
+        # g_tol within a few ulps of the 1-d norm of a constant direction:
+        # rows stop at once exactly when that norm is below g_tol
+        c = _constant_gradient(33)
+        g_tol = np.linalg.norm(c)
+        for _ in range(abs(ulps)):
+            g_tol = np.nextafter(g_tol, math.copysign(math.inf, ulps))
+        seeds = np.random.default_rng(count).uniform(0.5, 1.5, size=(count, 33))
+        new, old = _both_searches(
+            seeds, lambda u: ([float(v) for v in -(u @ c)], u @ c), lambda u, _: np.tile(c, (len(u), 1)),
+            _RETRACTS[retract], lambda new, old: new < old, grow=grow, max_iter=max_iter, g_tol=g_tol,
+        )
+        assert new == old
+        start = _RETRACTS[retract](np.maximum(seeds, 0.0) * np.append(np.ones(32), 0.0))
+        assert (new[0] == start.tobytes()) == (ulps > 0)

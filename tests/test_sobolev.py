@@ -10,6 +10,7 @@ from randerslab.numerics import gauss_legendre, is_divergent
 from randerslab.randers import BetaProfile, RandersStructure
 from randerslab.rearrange import tent_profile
 from randerslab.sobolev import (
+    W1pRows,
     _seed_profiles,
     classify_pair,
     embedding_constant,
@@ -262,6 +263,12 @@ class TestBatchedEmbeddingSearch:
         }
         assert len(values) == 1
 
+    def test_overflow_names_the_parameters(self):
+        # |u|^q of the first trials leaves the float range at rho = 1e99
+        pair = classify_pair(2.0, 4.0, 2)
+        with pytest.raises(ValueError, match=r"p = 2.0, q = 4.0, rho = 1e\+99: the discrete quotient leaves"):
+            embedding_constant(EUCLID2, np.zeros(2), 1e99, pair, n_grid=128)
+
     def test_centre_still_validated(self):
         pair = classify_pair(2.0, 4.0, 3)
         with pytest.raises(ValueError, match="Euclidean norm < 1"):
@@ -379,3 +386,93 @@ class TestInPlaceRowKernels:
             )
             assert np.array_equal(sup_log_gradient(u), _ref_sup_log_gradient(u), equal_nan=True)
         assert np.array_equal(u, before)  # the rows themselves are not written
+
+
+def _weights(nodes):
+    """dr, shell and node_w on a random grid of `nodes` nodes."""
+    grid = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, nodes))
+    grid[0], grid[-1] = 0.0, 1.0
+    shell = np.random.default_rng(2).uniform(0.1, 2.0, nodes - 1)
+    return np.diff(grid), shell, np.append(0.5 * shell, 0.0) + np.insert(0.5 * shell, 0, 0.0)
+
+
+def _rows(count, nodes, seed, positive=False):
+    """`count` rows with zero rows and -0.0 entries among them; signed
+    unless `positive` (then every nonzero row has a positive max)."""
+    u = np.random.default_rng(seed).normal(size=(count, nodes))
+    if positive:
+        u = np.abs(u)
+        u[:, -1] = 0.0
+    u[2:3] = 0.0
+    u[1:2, ::3] = -0.0
+    return u if not positive else u[u.max(axis=1) > 0]
+
+
+def _bits(a):
+    """The bytes of a as integers: unlike ==, they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _kernels(w, u, v):
+    """power and log_gradient of u, sup_ratio_gradient of the positive v,
+    each copied out of the workspace."""
+    power = w.power(u)
+    return [power, w.log_gradient(u, power).copy(), w.sup_ratio_gradient(v, w.power(v)).copy()]
+
+
+class TestW1pRowsWorkspace:
+    """One W1pRows workspace gives the bytes of the plain expressions, call
+    after call, whatever its buffers held before."""
+
+    @pytest.mark.parametrize("nodes", [2, 3, 257])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.5])
+    def test_bytes_of_plain_expressions(self, nodes, p):
+        dr, shell, node_w = _weights(nodes)
+        u, v = _rows(10, nodes, 3), _rows(10, nodes, 4, positive=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero rows divide 0 by 0
+            power = _ref_w1p_power(u, dr, shell, node_w, p)
+            v_power = _ref_w1p_power(v, dr, shell, node_w, p)
+            plain = [
+                power,
+                _ref_w1p_log_gradient(u, dr, shell, node_w, p, power),
+                _ref_sup_log_gradient(v) - _ref_w1p_log_gradient(v, dr, shell, node_w, p, v_power),
+            ]
+            got = _kernels(W1pRows(dr, shell, node_w, p), u, v)
+        for a, b in zip(got, plain):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("nodes", [2, 129])
+    @pytest.mark.parametrize("p", [2.0, 3.5])
+    def test_reused_workspace_gives_fresh_bytes(self, nodes, p):
+        dr, shell, node_w = _weights(nodes)
+        w = W1pRows(dr, shell, node_w, p)
+        for seed, count in enumerate([10, 3, 0, 1, 10]):
+            u, v = _rows(count, nodes, seed), _rows(count, nodes, 100 + seed, positive=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _kernels(w, u, v)
+                fresh = _kernels(W1pRows(dr, shell, node_w, p), u, v)
+            for a, b in zip(got, fresh):
+                assert np.array_equal(_bits(a), _bits(b))
+
+    def test_rows_are_not_written(self):
+        dr, shell, node_w = _weights(65)
+        u, v = _rows(10, 65, 5), _rows(10, 65, 6, positive=True)
+        before = _bits(u).copy(), _bits(v).copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _kernels(W1pRows(dr, shell, node_w, 3.5), u, v)
+        assert np.array_equal(_bits(u), before[0]) and np.array_equal(_bits(v), before[1])
+
+    @pytest.mark.parametrize("layout", ["fortran", "column slice"])
+    def test_layout_of_the_rows(self, layout):
+        dr, shell, node_w = _weights(65)
+        u, v = _rows(10, 65, 7), _rows(10, 65, 8, positive=True)
+        if layout == "fortran":
+            strided = np.asfortranarray(u), np.asfortranarray(v)
+        else:
+            strided = tuple(np.hstack([a, a])[:, 65:] for a in (u, v))
+        assert not strided[0].flags.c_contiguous and not strided[1].flags.c_contiguous
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _kernels(W1pRows(dr, shell, node_w, 3.5), *strided)
+            plain = _kernels(W1pRows(dr, shell, node_w, 3.5), u, v)
+        for a, b in zip(got, plain):
+            assert np.array_equal(_bits(a), _bits(b))
