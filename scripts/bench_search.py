@@ -13,11 +13,18 @@ minor page faults (``ru_minflt``) of each of the 7 calls:
   r = 0.5, the ``pde`` defaults);
 - ``embedding_constant`` at the README ``embedding`` configuration
   (Poincare ball, d = 3, p = 2, q = 4, rho = 1, 128 cells);
-- one ``w1p_power`` and one ``w1p_log_gradient`` call on the 10 seeds of
-  ``c_infinity`` at 2,049 nodes.
+- one ``W1pRows`` workspace built, then its ``power`` and
+  ``log_gradient`` on the 10 seeds of ``c_infinity`` at 2,049 nodes (the
+  ``w1p_rows_power_and_log_gradient`` row).
 
 Every call is made once untimed first, so the problem's discretisation is
 built before the timing starts.
+
+The fault counts are those of calls in a fresh process, and understate
+what a workload sees: a call made among other work faults more.  For
+``c_infinity`` at 2,049 nodes, before the seeded search reused its
+buffers, this script read 7,004 faults per call, while the same call read
+31,384-31,792 inside the ``readme-tables`` sequence of perfbench.
 """
 
 import json
@@ -81,8 +88,8 @@ def _row_kernels(n_cells):
     u = _c_infinity_seeds(problem)
 
     def pair():
-        power = sobolev.w1p_power(u, *weights)
-        sobolev.w1p_log_gradient(u, *weights, power)
+        rows = sobolev.W1pRows(*weights)
+        rows.log_gradient(u, rows.power(u))
 
     return {"nodes": n_cells + 1, "rows": len(u), **_cost(pair)}
 
@@ -104,7 +111,7 @@ def main():
         "repeats": REPEATS,
         "pde_searches": [_pde_searches(1024), _pde_searches(2048)],
         "embedding_constant": _embedding(),
-        "w1p_power_and_log_gradient": _row_kernels(2048),
+        "w1p_rows_power_and_log_gradient": _row_kernels(2048),
     }
     path = ROOT / "BENCH_search.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

@@ -130,8 +130,7 @@ class MatrixPoint:
 
     @property
     def eigenvalues(self):
-        tr = self.a + self.c
-        disc = math.sqrt(max(0.0, (self.a - self.c) ** 2 + 4.0 * self.b**2))
+        tr, disc = self.a + self.c, math.hypot(self.a - self.c, 2.0 * self.b)
         return (tr + disc) / 2.0, (tr - disc) / 2.0
 
     @classmethod
@@ -643,13 +642,11 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
 
 def _conjugation_candidates(y: MatrixPoint, rho: float) -> np.ndarray:
     """The (a, b, c) rows a conjugation walk runs over: the orbit, a closed
-    curve of period pi, at equal angles whose steps are rho /
-    _WALK_SUBDIVISION at its top speed (probed at 64 angles), at least 128
-    and at most _MAX_WALK of them."""
-    probe = np.linspace(0.0, math.pi, 64)
-    (a0, b0, c0), (a1, b1, c1) = _conjugates(y, probe).T, _conjugates(y, probe + 1e-4).T
-    tr = c0 * a1 - 2.0 * b0 * b1 + a0 * c1  # tr(X^-1 Y), as in matrix_distance
-    speed = max(max(math.sqrt(2.0) * math.acosh(max(1.0, t / 2.0)) / 1e-4 for t in tr), 1e-12)
+    curve of period pi and constant speed sqrt(2) (l1 - l2) for eigenvalues
+    l1 >= l2, at equal angles whose steps are rho / _WALK_SUBDIVISION long,
+    at least 128 and at most _MAX_WALK of them."""
+    lam1, lam2 = y.eigenvalues
+    speed = math.sqrt(2.0) * (lam1 - lam2)
     n_steps = int(min(_MAX_WALK, max(128, math.ceil(math.pi * speed / (rho / _WALK_SUBDIVISION)))))
     return _conjugates(y, math.pi * np.arange(n_steps) / n_steps)
 
@@ -713,8 +710,7 @@ def orbit_diameter(action: GroupAction, space: Optional[SpaceForm], y) -> float:
     l1; the smaller is 1 / l1, as det = 1.
     """
     if action.kind == MATRIX_CONJUGATION:
-        lam1 = (y.a + y.c + math.hypot(y.a - y.c, 2.0 * y.b)) / 2.0
-        return 2.0 * math.sqrt(2.0) * math.log(max(1.0, lam1))  # det drift may put l1 below 1
+        return 2.0 * math.sqrt(2.0) * math.log(max(1.0, y.eigenvalues[0]))  # det drift may put l1 below 1
     y = np.asarray(y, dtype=float)
     if action.kind == PRODUCT_ROTATION and sum(action.blocks) != y.size:
         raise ValueError(f"blocks {action.blocks} do not partition y of size {y.size}")

@@ -214,20 +214,9 @@ class FunkModel:
 
 
 def finsler_norm(structure, x, y) -> float:
-    """F(x, y): positively 1-homogeneous in y, positive for y != 0."""
-    y = np.asarray(y, dtype=float)
-    if isinstance(structure, FunkModel):
-        x = structure.chart_point(x)
-        r2 = float(x @ x)
-        y2 = float(y @ y)
-        xy = float(x @ y)
-        root = math.sqrt(max(0.0, y2 - (r2 * y2 - xy * xy)))
-        return (root + xy) / (1.0 - r2)
-    x = structure.chart_point(x)
-    xn = float(np.linalg.norm(x))
-    mu = structure.conformal_factor(x)
-    drift = 0.0 if xn == 0.0 else structure.beta_norm(x) * float(x @ y) / xn
-    return mu * (float(np.linalg.norm(y)) + drift)
+    """F(x, y) = sqrt(g_x(y, y)) + beta_x(y) for either structure type:
+    positively 1-homogeneous in y, positive for y != 0."""
+    return structure.metric_norm(x, y) + float(structure.beta_covector(x) @ np.asarray(y, dtype=float))
 
 
 def _polar_pieces(structure, x, alpha):

@@ -211,33 +211,16 @@ class W1pRows:
         return gw
 
     def sup_ratio_gradient(self, u: np.ndarray, power) -> np.ndarray:
-        """sup_log_gradient(u) - log_gradient(u, power), the gradient of
-        log(max(u) / power^(1/p)), in the workspace and, on rows with a
-        positive max, in the bytes of that plain difference."""
+        """The gradient of log(max(u) / power^(1/p)) in the workspace: that
+        of log max(u) (1/max(u) at each row's first maximiser) less
+        log_gradient(u, power), on rows with a positive max in the bytes of
+        that plain difference."""
         gw = self.log_gradient(u, power)
         rows, top = np.arange(len(gw)), np.argmax(u, axis=1)
         peak = 1.0 / np.max(u, axis=1) - gw[rows, top]
         np.subtract(0.0, gw, out=gw)  # not np.negative, which turns +0 into -0
         gw[rows, top] = peak
         return gw
-
-
-def w1p_power(u: np.ndarray, dr, shell, node_w, p: float) -> np.ndarray:
-    """Discrete W^{1,p} power of each row of u (see W1pRows)."""
-    return W1pRows(dr, shell, node_w, p).power(u)
-
-
-def w1p_log_gradient(u: np.ndarray, dr, shell, node_w, p: float, power) -> np.ndarray:
-    """Gradient of log(w1p_power) / p, row by row (see W1pRows)."""
-    return W1pRows(dr, shell, node_w, p).log_gradient(u, power)
-
-
-def sup_log_gradient(u: np.ndarray) -> np.ndarray:
-    """A gradient of log max(u), row by row: 1/max at the first maximiser."""
-    g = np.zeros_like(u)
-    g[np.arange(len(u)), np.argmax(u, axis=1)] = 1.0
-    g /= u.max(axis=1)[:, None]
-    return g
 
 
 def embedding_constant(

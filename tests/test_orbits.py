@@ -503,6 +503,21 @@ class TestPinnedPackings:
         assert (report.count, report.method) == (count, GREEDY)
 
 
+class TestConjugationWalkSize:
+    """A conjugation orbit runs over its period pi at the constant speed
+    sqrt(2) (l1 - l2), so its walk takes ceil(pi sqrt(2) (l1 - l2) / (rho / 20))
+    candidates, at least 128 and at most 500,000."""
+
+    @pytest.mark.parametrize(
+        "lam, rho, rows",
+        [(10.0, 0.5, 1760), (100.0, 0.5, 17770), (1e3, 0.5, 177716), (1e3, 2.0, 44429), (1e4, 0.5, 500000)],
+    )
+    def test_rows(self, lam, rho, rows):
+        exact = math.ceil(math.pi * math.sqrt(2.0) * (lam - 1.0 / lam) / (rho / 20.0))
+        assert min(exact, 500000) == rows
+        assert orbits._conjugation_candidates(MatrixPoint.diagonal(lam), rho).shape == (rows, 3)
+
+
 # -- brute-force oracles: the greedy walks one candidate at a time, O(steps x accepted)
 
 
@@ -587,12 +602,10 @@ def _brute_circle_walk(space, chart_r, rho):
 
 
 def _brute_matrix_walk(y, rho):
-    """Greedy pass over the conjugation angle grid of the orbit through y."""
-    probe = [
-        matrix_distance(MatrixPoint(*_conjugate(y, t)), MatrixPoint(*_conjugate(y, t + 1e-4))) / 1e-4
-        for t in np.linspace(0.0, math.pi, 64)
-    ]
-    speed = max(max(probe), 1e-12)
+    """Greedy pass over the conjugation angle grid of the orbit through y,
+    sized by the orbit's constant speed sqrt(2) (l1 - l2)."""
+    lam1, lam2 = y.eigenvalues
+    speed = math.sqrt(2.0) * (lam1 - lam2)
     step = rho / orbits._WALK_SUBDIVISION
     n_steps = int(min(orbits._MAX_WALK, max(128, math.ceil(math.pi * speed / step))))
     accepted = []
@@ -1048,6 +1061,11 @@ class TestLargeMatrixOrbits:
         expected = math.sqrt(2.0) * math.acosh((lam**2 + lam**-2) / 2.0)
         diam = orbit_diameter(CONJ, None, MatrixPoint.diagonal(lam))
         assert diam == pytest.approx(expected, rel=1e-9)
+
+    def test_orbit_diameter_past_the_squares_overflow(self):
+        # (lam - 1/lam)^2 overflows from lam ~ 1.3e154; the eigenvalues use hypot
+        diam = orbit_diameter(CONJ, None, MatrixPoint.diagonal(1e200))
+        assert diam == pytest.approx(2.0 * math.sqrt(2.0) * 200.0 * math.log(10.0), rel=1e-12)
 
     def test_packing_count(self):
         report = packing_count(CONJ, None, MatrixPoint.diagonal(1e3), 2.0)

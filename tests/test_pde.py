@@ -393,12 +393,12 @@ class TestCInfinityIsNotABound:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="c_infinity under-reports the supremum")
     @pytest.mark.parametrize("n_cells", [256, 1024])
     def test_holder_extremal_quotient_within_c_infinity(self, n_cells):
-        from randerslab.sobolev import w1p_power
+        from randerslab.sobolev import W1pRows
 
         prob = example_problem(n_cells=n_cells)
         disc = prob.disc
         u = _holder_extremal_profile(prob, 2.25)
-        power = w1p_power(u[None, :], disc["dr"], disc["shell_g"], disc["trap_area_g"], prob.p)[0]
+        power = W1pRows(disc["dr"], disc["shell_g"], disc["trap_area_g"], prob.p).power(u[None, :])[0]
         assert u.max() / power ** (1.0 / prob.p) <= c_infinity(prob)
 
 

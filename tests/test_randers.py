@@ -73,6 +73,45 @@ class TestFinslerNorm:
             finsler_norm(fm, np.array([1.0, 0.2]), np.array([1.0, 0.0]))
 
 
+def _ref_finsler_norm(structure, x, y) -> float:
+    """finsler_norm as first written, one closed form per structure type,
+    kept verbatim as the reference that F = sqrt(g) + beta must reproduce."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(structure, FunkModel):
+        x = structure.chart_point(x)
+        r2 = float(x @ x)
+        y2 = float(y @ y)
+        xy = float(x @ y)
+        root = math.sqrt(max(0.0, y2 - (r2 * y2 - xy * xy)))
+        return (root + xy) / (1.0 - r2)
+    x = structure.chart_point(x)
+    xn = float(np.linalg.norm(x))
+    mu = structure.conformal_factor(x)
+    drift = 0.0 if xn == 0.0 else structure.beta_norm(x) * float(x @ y) / xn
+    return mu * (float(np.linalg.norm(y)) + drift)
+
+
+class TestFinslerNormAgainstReference:
+    """F = metric_norm + beta_covector . y agrees with the per-type closed
+    forms it replaced, at random points, at the origin, for y and -y."""
+
+    @pytest.mark.parametrize(
+        "structure",
+        [RandersStructure(SpaceForm(3, -1.0), BetaProfile("tanh", 0.5)), FunkModel(2), FunkModel(3)],
+        ids=["randers-tanh-H3", "funk2", "funk3"],
+    )
+    def test_agrees_to_1e14(self, structure):
+        rng = np.random.default_rng(11)
+        d = structure.dim
+        for k in range(200):
+            direction = rng.normal(size=d)
+            x = np.zeros(d) if k == 0 else rng.uniform(0.0, 0.9) * direction / np.linalg.norm(direction)
+            y = rng.normal(size=d)
+            for v in (y, -y):
+                ref = _ref_finsler_norm(structure, x, v)
+                assert finsler_norm(structure, x, v) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 class TestPolarTransform:
     def test_riemannian_reduction(self, riemannian):
         x = np.array([0.3, 0.0, 0.0])
