@@ -1,11 +1,12 @@
-"""Wall time of the greedy packing walks.
+"""Wall time of the greedy packing walks and of the packing certificates.
 
     python3 scripts/bench_walk.py
 
 Run from anywhere; the package is imported from ``src/`` of this checkout.
 Writes ``BENCH_walk.json`` at the root of the checkout with the commit, the
-machine, and, for each walk, its candidates, its acceptances and the
-best-of-7 wall time (with the cost per candidate it implies).  The walks:
+machine, for each walk its candidates, its acceptances and the best-of-7
+wall time (with the cost per candidate it implies), and for each
+certificate its centres and the best-of-7 wall time.  The walks:
 
 - the nine 2-sphere walks of the ``orbit-packing`` benchmark workload at
   its seed-free radii: Poincare chart radii 0.75, 0.8 and 0.85 (rho = 1),
@@ -18,9 +19,21 @@ best-of-7 wall time (with the cost per candidate it implies).  The walks:
 
 A sphere walk is timed as ``orbits._sphere_walk``, the spiral build
 included; a conjugation walk as ``orbits._greedy_walk`` over the angle grid
-of ``orbits._conjugation_candidates``, which ``packing_count`` builds first.
-The candidate counts come from the same builders the walks use.  No
-certificate is timed.
+of ``orbits._conjugation_candidates``, which ``packing_count`` builds first,
+with the ball source ``orbits._packing_matrix`` passes it.  The candidate
+counts come from the same builders the walks use.
+
+A certificate is timed as ``PackingReport.verify`` on the report
+``packing_count`` returns, which runs the same certificate once more.  The
+reports:
+
+- the ``orbit-packing`` workload's: the sphere walks above, the product
+  (2, 3) grids at radii 5, 10, 15 and 20 (rho = 2) and the conjugation
+  orbits of diag(10) and diag(100) (rho = 0.5);
+- the README chart radius 0.99 (19,854 centres);
+- the product (2, 3) grids of ``expansion --action product --blocks 2,3
+  --rho 2 --radii 5:40:4:lin``;
+- the conjugation orbit of diag(1e4), rho = 0.5 (41,666 centres).
 """
 
 import json
@@ -39,6 +52,8 @@ from randerslab import orbits  # noqa: E402
 from randerslab.modelspace import SpaceForm  # noqa: E402
 
 REPEATS = 7
+ROT = orbits.GroupAction(orbits.FULL_ROTATION)
+PROD23 = orbits.GroupAction(orbits.PRODUCT_ROTATION, (2, 3))
 CONJ = orbits.GroupAction(orbits.MATRIX_CONJUGATION)
 
 
@@ -61,7 +76,7 @@ def _sphere(name, space, radius, rho):
 
 def _conjugation(name, lam, rho):
     pts = orbits._conjugation_candidates(orbits.MatrixPoint.diagonal(lam), rho)
-    accepted, wall = _best(lambda: orbits._greedy_walk(CONJ, None, pts, rho))
+    accepted, wall = _best(lambda: orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls))
     return _row(name, "conjugation", len(pts), len(accepted), wall)
 
 
@@ -89,8 +104,48 @@ def _walks():
     return rows
 
 
+def _certificate(name, action, space, y, rho):
+    report = orbits.packing_count(action, space, y, rho)
+    _, wall = _best(lambda: report.verify(action, space))
+    return {"certificate": name, "centers": report.count, "wall_s": wall}
+
+
+def _certificates():
+    poincare, euclid, euclid5 = SpaceForm(3, -1.0), SpaceForm(3, 0.0), SpaceForm(5, 0.0)
+
+    def axis(r):
+        return np.array([r, 0.0, 0.0])
+
+    def product(r):  # the radius spread over the first coordinate of each block
+        return np.array([r, 0.0, r, 0.0, 0.0]) / math.sqrt(2.0)
+
+    def diag(lam):
+        return orbits.MatrixPoint.diagonal(lam)
+
+    rows = [_certificate(f"orbit-packing.poincare3.r{r}", ROT, poincare, axis(r), 1.0) for r in (0.75, 0.8, 0.85)]
+    rows += [_certificate(f"orbit-packing.euclid3.r{r:g}", ROT, euclid, axis(r), 1.0) for r in (5.0, 10.0)]
+    rows += [
+        _certificate(f"orbit-packing.product23.r{r:g}", PROD23, euclid5, product(r), 2.0)
+        for r in (5.0, 10.0, 15.0, 20.0)
+    ]
+    rows += [_certificate(f"matrix.diag{lam:g}", CONJ, None, diag(lam), 0.5) for lam in (10.0, 100.0)]
+    rows.append(_certificate("readme.poincare3.r0.99", ROT, poincare, axis(0.99), 1.0))
+    rows += [
+        _certificate(f"product23.r{r:.4g}", PROD23, euclid5, product(r), 2.0)
+        for r in np.linspace(5.0, 40.0, 4)
+    ]
+    rows.append(_certificate(f"matrix.diag{1e4:g}", CONJ, None, diag(1e4), 0.5))
+    return rows
+
+
 def main():
-    result = {"commit": commit(), "machine": machine(), "repeats": REPEATS, "walks": _walks()}
+    result = {
+        "commit": commit(),
+        "machine": machine(),
+        "repeats": REPEATS,
+        "walks": _walks(),
+        "certificates": _certificates(),
+    }
     path = ROOT / "BENCH_walk.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(path)

@@ -22,13 +22,15 @@ tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
 the Frobenius norm.  A greedy walk blocks, after each acceptance, the
 later candidates within that chord whose exact distance is below 2 rho.
 On a 2-sphere it reads each chord ball off the Fibonacci spiral
-(_lattice_balls) and builds no tree; a conjugation orbit or a higher
-sphere searches one lean scipy.spatial.cKDTree of its candidates.  The
-certificate of a greedy report searches a kd-tree of the embedding and
-measures the pairs it returns with the exact distance formulas.  On one
-centred circle distance grows with the angular gap, so the certificate of
-an exact circle count measures only the pairs adjacent in angle, and no
-scipy module is loaded for it.
+(_lattice_balls) and on a conjugation orbit off the angle grid
+(_angle_balls), building no tree; only a sphere of dimension >= 4 searches
+one lean scipy.spatial.cKDTree of its candidates.  Every pair of the
+centers is certified with the exact distance formulas, and no certificate
+loads scipy.  On one centred circle distance grows with the angular gap,
+so an exact circle count is certified by the pairs adjacent in angle.  A
+product grid is certified by its blocks, as its minimum is the least
+block minimum.  Every other greedy report goes through a cell list of its
+embedding.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def _conjugates(x: MatrixPoint, thetas) -> np.ndarray:
     one per angle t.  The stdlib cos and sin keep every row bit for bit
     equal to one 2x2 conjugation; numpy's may round differently."""
     ts = np.asarray(thetas, dtype=float).tolist()
-    cos, sin = np.array([math.cos(t) for t in ts]), np.array([math.sin(t) for t in ts])
+    cos = np.fromiter(map(math.cos, ts), float, count=len(ts))
+    sin = np.fromiter(map(math.sin, ts), float, count=len(ts))
     rot = np.stack([cos, sin, -sin, cos], axis=1).reshape(-1, 2, 2)
     m = rot @ x.matrix @ rot.transpose(0, 2, 1)
     return np.stack([m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]], axis=1)
@@ -291,22 +294,56 @@ def _orbit_metric(action, space, points):
 
 
 def _pairwise_min_distance(action, space, centers) -> float:
-    """Smallest pairwise distance among centers, certified with a kd-tree.
+    """Smallest pairwise distance among centers, certified with a cell list.
 
-    The nearest-neighbour chords give a pair whose exact distance bounds the
-    minimum from above; query_pairs collects every pair within the chord of
-    that bound, and the exact formula measures those.
+    The exact distance of consecutive rows bounds the minimum from above
+    (B; the walks emit their centers in walk order, so some consecutive
+    rows lie close).  Every pair at most B apart lies within chord(B) in
+    the embedding, so in the same or in adjacent cubic cells of side
+    chord(B) over the first min(D, 3) embedding columns: a projection
+    moves no pair apart.  This is the fixed-radius cell list of Bentley,
+    Stanat and Williams (Inf. Process. Lett. 6 (1977) 209-212).  Each cell
+    is joined with itself and with its (3^k - 1) / 2 neighbours of positive
+    offset, found by searchsorted on the sorted int64 cell codes; the three
+    cells along the last axis hold consecutive codes and make one range of
+    rows.  Each pair collected is measured with the exact key, as rows
+    i < j: the conjugation key rounds differently the other way round.
     """
-    from scipy.spatial import cKDTree
-
-    if len(centers) < 2:
+    n = len(centers)
+    if n < 2:
         return math.inf
     emb, chord, key, dist = _orbit_metric(action, space, centers)
-    tree = cKDTree(emb)
-    nearest = tree.query(emb, k=2)[1][:, 1]
-    bound = float(dist(key(np.arange(len(emb)), nearest).min()))
-    pairs = tree.query_pairs(chord(bound), output_type="ndarray")
-    return float(dist(key(pairs[:, 0], pairs[:, 1]).min()))
+    rows = np.arange(n)
+    bound = float(dist(key(rows[:-1], rows[1:]).min()))
+    if bound == 0.0:
+        return bound
+    proj = emb[:, :3]
+    k = proj.shape[1]
+    # the floor of 2^-18 of the largest coordinate keeps the cells per axis,
+    # so every code, within int64, and each quotient within 2^-34 of its
+    # exact value; the 1e-9 then keeps the quotients of two coordinates at
+    # most chord(B) apart less than one cell apart
+    side = max(chord(bound), 2.0**-18 * float(np.abs(proj).max())) * (1.0 + 1e-9)
+    cells = np.floor(proj / side).astype(np.int64)
+    cells -= cells.min(axis=0) - 1  # from 1, so that each neighbour's index is >= 0
+    weights = (int(cells.max()) + 2) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = cells @ weights
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    # one range per lead offset of the first k - 1 axes; at lead 0 it runs
+    # from the row after each one through the next cell along the last axis
+    starts, stops = [], []
+    for lead in itertools.product((-1, 0, 1), repeat=k - 1):
+        if lead >= (0,) * (k - 1):
+            mid = codes + int(np.dot(lead, weights[:-1]))
+            starts.append(rows + 1 if not any(lead) else codes.searchsorted(mid - 1, "left"))
+            stops.append(codes.searchsorted(mid + 1, "right"))
+    start, counts = np.concatenate(starts), np.concatenate(stops)
+    counts -= start
+    first = np.repeat(np.tile(rows, len(starts)), counts)
+    second = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    i, j = order[first], order[second]
+    return float(dist(key(np.minimum(i, j), np.maximum(i, j)).min()))
 
 
 def _angular_min_distance(action, space, centers) -> float:
@@ -320,12 +357,12 @@ def _angular_min_distance(action, space, centers) -> float:
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 2:
-        raise RuntimeError("packing certificate: ANGULAR_EXACT centers must be points of the plane")
+        raise RuntimeError("packing certificate: circle centers must be points of the plane")
     if len(centers) < 2:
         return math.inf
     norms = np.hypot(centers[:, 0], centers[:, 1])
     if not np.ptp(norms) <= 1e-12 * norms.max():
-        raise RuntimeError("packing certificate: ANGULAR_EXACT centers do not share one norm")
+        raise RuntimeError("packing certificate: circle centers do not share one norm")
     _, _, key, dist = _orbit_metric(action, space, centers)
     order = np.argsort(np.arctan2(centers[:, 1], centers[:, 0]))
     return float(dist(key(order, np.roll(order, -1)).min()))
@@ -349,12 +386,55 @@ class PackingReport:
         _certified(action, space, self.y, self.rho, self.centers, self.method)
 
 
+def _first_rows(rows) -> np.ndarray:
+    """Index of the first appearance of each distinct row, in row order."""
+    order = np.lexsort(rows.T)  # stable: each run of equal rows starts at its first
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    return np.sort(order[new])
+
+
+def _product_min_distance(action, centers) -> float:
+    """Smallest pairwise distance among centers of a product orbit, from
+    the certificates of its blocks.
+
+    Repeated rows are refused.  A pair's key sums its squared differences
+    column by column, so the columns of the blocks where the pair agrees add
+    exact zeros, and rounded addition is monotone: the key of a pair is at
+    least that of each block where it differs, and equal to it where it
+    differs in that block alone.  So the minimum is that over the blocks
+    with at least 2 distinct rows of each block's own certificate (adjacent
+    angles on a circle, the cell list on a higher sphere): a lower bound for
+    any set without repeated rows, and the minimum itself, bit for bit, on a
+    full product grid.  Each block's distinct rows are taken in the order of
+    their first appearance, which is walk order on a grid.
+    """
+    centers = np.asarray(centers, dtype=float)
+    if len(_first_rows(centers)) < len(centers):
+        raise RuntimeError("packing certificate: repeated centers")
+    dmin, offset = math.inf, 0
+    for bdim in action.blocks:
+        block = centers[:, offset : offset + bdim]
+        offset += bdim
+        first = _first_rows(block)
+        if len(first) > 1:
+            certify = _angular_min_distance if bdim == 2 else _pairwise_min_distance
+            dmin = min(dmin, certify(action, None, block[first]))
+    return dmin
+
+
 def _certified(action, space, y, rho, centers, method) -> PackingReport:
     """Report on centers after one pass of the pairwise certificate (the
-    adjacent angles of an ANGULAR_EXACT circle, the kd-tree pairs of every
-    GREEDY orbit); raises on failure."""
-    certify = _angular_min_distance if method == ANGULAR_EXACT else _pairwise_min_distance
-    dmin = certify(action, space, centers)
+    adjacent angles of an ANGULAR_EXACT circle, the block certificates of a
+    product orbit, the cell list of every other GREEDY orbit); raises on
+    failure."""
+    if method == ANGULAR_EXACT:
+        dmin = _angular_min_distance(action, space, centers)
+    elif action.kind == PRODUCT_ROTATION:
+        dmin = _product_min_distance(action, centers)
+    else:
+        dmin = _pairwise_min_distance(action, space, centers)
     if dmin < 2.0 * rho - 1e-12:
         raise RuntimeError(f"packing certificate violated: min distance {dmin} < 2 rho")
     return PackingReport(y, rho, len(centers), centers, method, min_pairwise_distance=dmin)
@@ -397,7 +477,10 @@ def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
 
 
 def _tree_balls(emb, radius):
-    """Later members of each chord ball, from one kd-tree of the candidates.
+    """Later members of each chord ball, from one kd-tree of the candidates:
+    the ball source of a sphere walk of dimension >= 4, whose Kronecker
+    points have no order to read a ball off, and the only user of
+    scipy.spatial.
 
     The tree is built on the embedding without copying it (every embedding
     here is C-contiguous), with sliding-midpoint splits into wide leaves
@@ -405,7 +488,7 @@ def _tree_balls(emb, radius):
     as an index array: the "j" column of a one-point tree's
     sparse_distance_matrix against the candidate tree, with no Python list
     of indices in between.  That one-point tree costs some 15 us per
-    acceptance, which walks with many small balls pay.
+    acceptance.
     """
     from scipy.spatial import cKDTree
 
@@ -418,7 +501,7 @@ def _tree_balls(emb, radius):
     return later_ball
 
 
-def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
+def _greedy_walk(action, space, points, rho, balls) -> list:
     """Indices a greedy pass over points accepts: each candidate in order,
     unless closer than 2 rho to an accepted one.  Raises ValueError at the
     first acceptance past _MAX_CENTERS.
@@ -431,9 +514,10 @@ def _greedy_walk(action, space, points, rho, balls=_tree_balls) -> list:
     of the accepted index i that gives an index array of later candidates
     (j > i) holding every later member of the chord ball of i.  Extra
     candidates cost time only, as the exact distance decides.  The sources
-    are _lattice_balls, for the Fibonacci spiral of a 2-sphere, and
-    _tree_balls, the default, one kd-tree for candidates with no such order
-    (conjugation orbits, spheres of dimension >= 4).
+    are _lattice_balls, for the Fibonacci spiral of a 2-sphere,
+    _angle_balls, for the angle grid of a conjugation orbit, and
+    _tree_balls, one kd-tree for the Kronecker points of a sphere of
+    dimension >= 4, which have no such order.
     """
     emb, chord, key, dist = _orbit_metric(action, space, points)
     later_ball = balls(emb, chord(2.0 * rho))
@@ -509,6 +593,39 @@ def _lattice_balls(emb, radius):
         h = math.asin(reach / bound) / math.pi + 1e-8
         later = offsets[fractions.searchsorted(-h, "left") : fractions.searchsorted(h, "right")] + i
         return later[later < end]
+
+    return later_ball
+
+
+def _angle_balls(emb, radius):
+    """Later candidates that may lie in each chord ball of a conjugation
+    walk, read off the angle order of _conjugation_candidates; no tree is
+    built.
+
+    Candidate k is the first row conjugated by the angle pi k / n.
+    Conjugation fixes the trace and turns (a - c, 2b) by twice the angle on
+    a circle of radius delta = hypot(a - c, 2b), so candidates m indices
+    apart lie sqrt(2) delta |sin(pi m / n)| apart in the (a, sqrt2 b, c)
+    embedding.  The later members of the ball of i are thus the window
+    (i, i + w] and, past the wrap, [i + n - w, n), where w is the largest
+    gap whose chord is within the radius.  delta is taken from the first
+    row itself, not from MatrixPoint.eigenvalues, whose smaller root
+    cancels.  The candidates' rounding, a few ulps of the entries, is
+    covered by a pad of 1e-12 (a + c) on the radius and one more index
+    on w.
+    """
+    n = len(emb)
+    a, b_scaled, c = (float(v) for v in emb[0])
+    spread = math.sqrt(2.0) * math.hypot(a - c, math.sqrt(2.0) * b_scaled)
+    reach = radius + 1e-12 * (a + c)
+    w = n if reach >= spread else int(n / math.pi * math.asin(reach / spread)) + 1
+
+    def later_ball(i):
+        wrap = i + n - w
+        if wrap <= i + w + 1:  # the two ends meet: every later candidate
+            return np.arange(i + 1, n)
+        near = np.arange(i + 1, min(n, i + w + 1))
+        return near if wrap >= n else np.concatenate([near, np.arange(wrap, n)])
 
     return later_ball
 
@@ -589,13 +706,15 @@ def packing_count(
     cap.
 
     After each acceptance the walk blocks the later candidates that lie
-    within the chord of 2 rho and that the exact distance confirms.  On a
-    2-sphere that ball is read off the Fibonacci spiral with no tree
-    (_lattice_balls); a conjugation orbit or a sphere of dimension >= 4
-    takes the ball from one kd-tree of its candidates.  The certificate
-    runs once per report and raises below 2 rho: on an ANGULAR_EXACT
-    circle it measures the pairs adjacent in angle (no scipy import), on a
-    GREEDY orbit the near-minimal pairs the kd-tree returns.
+    within the chord of 2 rho and that the exact distance confirms.  That
+    ball is read off the Fibonacci spiral of a 2-sphere (_lattice_balls)
+    or the angle grid of a conjugation orbit (_angle_balls) with no tree;
+    only a sphere of dimension >= 4 takes it from one kd-tree of its
+    candidates.  The certificate runs once per report and raises below
+    2 rho.  On an ANGULAR_EXACT circle it measures the pairs adjacent in
+    angle.  On a product grid it takes the least of its block
+    certificates.  On any other GREEDY orbit it measures the pairs of a
+    cell list.  None of them imports scipy.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -637,7 +756,8 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     if abs(y.a - 1.0) < 1e-12 and abs(y.b) < 1e-12 and abs(y.c - 1.0) < 1e-12:
         return PackingReport(y, rho, 1, np.array([[y.a, y.b, y.c]]), GREEDY, fixed_point=True)
     pts = _conjugation_candidates(y, rho)
-    return _certified(action, None, y, rho, pts[_greedy_walk(action, None, pts, rho)], GREEDY)
+    accepted = _greedy_walk(action, None, pts, rho, _angle_balls)
+    return _certified(action, None, y, rho, pts[accepted], GREEDY)
 
 
 def _conjugation_candidates(y: MatrixPoint, rho: float) -> np.ndarray:

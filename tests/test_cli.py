@@ -447,16 +447,24 @@ class TestEntryPoint:
 
     def test_circle_tables_load_no_scipy(self):
         # the README packing and 2-D expansion tables certify exact circle
-        # counts by adjacent angles, with no kd-tree
+        # counts by adjacent angles; the 3-D and product expansions and the
+        # conjugation packings walk without a tree and are certified by
+        # blocks and cell lists: none loads scipy
         code = (
             "import sys\n"
+            "from randerslab import orbits\n"
             "from randerslab.cli import RunConfig, run\n"
-            "for name, params in [\n"
-            "    ('packing', {'space': 'euclid', 'dim': 2, 'rho': 1, 'radii': '10:1000:log'}),\n"
-            "    ('expansion', {'space': 'poincare', 'dim': 2, 'rho': 1, 'radii': '0.9,0.99,0.999'}),\n"
+            "for name, params, method in [\n"
+            "    ('packing', {'space': 'euclid', 'dim': 2, 'rho': 1, 'radii': '10:1000:log'}, 'ANGULAR_EXACT'),\n"
+            "    ('expansion', {'space': 'poincare', 'dim': 2, 'rho': 1, 'radii': '0.9,0.99,0.999'}, 'ANGULAR_EXACT'),\n"
+            "    ('expansion', {'space': 'poincare', 'dim': 3, 'radii': '0.9,0.99'}, 'GREEDY'),\n"
+            "    ('expansion', {'action': 'product', 'blocks': '2,3', 'rho': 2, 'radii': '5:40:4:lin'}, 'GREEDY'),\n"
             "]:\n"
             "    result = run(RunConfig(subcommand=name, params=params))\n"
-            "    assert result.passed and 'ANGULAR_EXACT' in result.render_csv()\n"
+            "    assert result.passed and method in result.render_csv()\n"
+            "for lam in (10.0, 100.0):\n"
+            "    y = orbits.MatrixPoint.diagonal(lam)\n"
+            "    orbits.packing_count(orbits.GroupAction(orbits.MATRIX_CONJUGATION), None, y, 0.5)\n"
             "print([m for m in sys.modules if m.startswith('scipy')])\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

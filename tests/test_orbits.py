@@ -790,6 +790,25 @@ def _reference_greedy_walk(action, space, points, rho) -> list:
     return accepted
 
 
+def _reference_pairwise_min_distance(action, space, centers) -> float:
+    """Smallest pairwise distance among centers, certified with a kd-tree.
+
+    The nearest-neighbour chords give a pair whose exact distance bounds the
+    minimum from above; query_pairs collects every pair within the chord of
+    that bound, and the exact formula measures those.
+    """
+    from scipy.spatial import cKDTree
+
+    if len(centers) < 2:
+        return math.inf
+    emb, chord, key, dist = orbits._orbit_metric(action, space, centers)
+    tree = cKDTree(emb)
+    nearest = tree.query(emb, k=2)[1][:, 1]
+    bound = float(dist(key(np.arange(len(emb)), nearest).min()))
+    pairs = tree.query_pairs(chord(bound), output_type="ndarray")
+    return float(dist(key(pairs[:, 0], pairs[:, 1]).min()))
+
+
 class TestWalkAgainstReferenceCopies:
     @pytest.mark.parametrize("n", [256, 1000, 59088, 500000])
     def test_spiral_is_bit_identical(self, n):
@@ -807,7 +826,7 @@ class TestWalkAgainstReferenceCopies:
         y = np.array([radius, 0.0, 0.0])
         pts = radius * _reference_sphere_points3(n_steps)
         accepted = _reference_greedy_walk(ROT, space, pts, rho)
-        assert orbits._greedy_walk(ROT, space, pts, rho) == accepted
+        assert orbits._greedy_walk(ROT, space, pts, rho, orbits._tree_balls) == accepted
         assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
 
     def test_conjugation_walk(self):
@@ -816,7 +835,7 @@ class TestWalkAgainstReferenceCopies:
         n_steps = 17770
         pts = orbits._conjugates(y, math.pi * np.arange(n_steps) / n_steps)
         accepted = _reference_greedy_walk(CONJ, None, pts, rho)
-        assert orbits._greedy_walk(CONJ, None, pts, rho) == accepted
+        assert orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls) == accepted
         assert report.centers.tobytes() == pts[accepted].tobytes()
 
 
@@ -866,6 +885,140 @@ class TestLatticeBall:
         pts = _spiral_candidates(space, y, rho)
         accepted = _reference_greedy_walk(ROT, space, pts, rho)
         assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
+
+
+class TestAngleBall:
+    """A conjugation walk takes each ball from the index window of its angle
+    grid; that fetch must hold every later member of the kd-tree chord ball."""
+
+    @_PROPERTY
+    @given(lam=st.floats(1.5, 1e5), rho=st.floats(0.1, 3.0), phase=st.floats(0.0, math.pi))
+    @example(lam=1e4, rho=0.5, phase=0.0)  # 500,000 candidates, windows of 13
+    @example(lam=100.0, rho=0.5, phase=1.0)  # the benchmark's diag100, rotated
+    @example(lam=1.5, rho=3.0, phase=0.0)  # one ball holds the whole orbit
+    def test_fetch_holds_the_chord_ball(self, lam, rho, phase):
+        from scipy.spatial import cKDTree
+
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
+        pts = orbits._conjugation_candidates(y, rho)
+        emb, chord, _, _ = orbits._orbit_metric(CONJ, None, pts)
+        reach = chord(2.0 * rho)
+        later_ball = orbits._angle_balls(emb, reach)
+        n = len(pts)
+        probes = sorted({0, 1, 2, n - 2, n - 1} | set(np.linspace(0, n - 1, 129).astype(int).tolist()))
+        for i, near in zip(probes, cKDTree(emb).query_ball_point(emb[probes], reach)):
+            near = np.asarray(near, dtype=np.intp)
+            fetched = later_ball(i)
+            assert np.all(fetched > i) and len(np.unique(fetched)) == len(fetched)
+            assert np.isin(near[near > i], fetched).all(), i
+
+
+def _conjugation_rho(lam, n_centers):
+    """Half the distance of two points of the orbit of diag(lam) that are
+    pi / n_centers apart in angle: a walk accepts about n_centers centers."""
+    delta = lam - 1.0 / lam
+    return math.acosh(1.0 + (math.sin(math.pi / n_centers) * delta) ** 2 / 2.0) / math.sqrt(2.0)
+
+
+class TestCellListCertificate:
+    """The cell-list certificate returns, bit for bit, the minimum the
+    kd-tree certificate returns."""
+
+    @_PROPERTY
+    @given(
+        dim=st.integers(3, 5),
+        curvature=st.sampled_from([0.0, -1.0, -2.25]),
+        radius=st.floats(0.3, 0.9),
+        rho=st.floats(0.5, 1.5),
+    )
+    @example(dim=3, curvature=-1.0, radius=0.9, rho=1.0)  # the README chart radius 0.9
+    def test_sphere_walks(self, dim, curvature, radius, rho):
+        # Euclidean radii span [3, 9] rho; Poincare chart radii [0.3, 0.9]
+        space = SpaceForm(dim, curvature)
+        y = (10.0 * radius * rho if curvature == 0.0 else radius) * np.eye(dim)[0]
+        centers = orbits._sphere_walk(space, y, rho)
+        expected = _reference_pairwise_min_distance(ROT, space, centers)
+        assert orbits._pairwise_min_distance(ROT, space, centers) == expected
+
+    @_PROPERTY
+    @given(
+        lam=st.floats(1.5, 1e5),
+        n_centers=st.integers(2, 20_000),
+        phase=st.floats(0.0, math.pi),
+    )
+    @example(lam=1e5, n_centers=20_000, phase=0.5)
+    def test_conjugation_walks(self, lam, n_centers, phase):
+        # the centers come from the walk itself, as packing_count refuses
+        # some walks at large lambda (see test_walk_refused_by_its_certificate)
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
+        rho = _conjugation_rho(lam, n_centers)
+        pts = orbits._conjugation_candidates(y, rho)
+        centers = pts[orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls)]
+        expected = _reference_pairwise_min_distance(CONJ, None, centers)
+        assert orbits._pairwise_min_distance(CONJ, None, centers) == expected
+
+    @pytest.mark.xfail(raises=RuntimeError, strict=True)
+    def test_walk_refused_by_its_certificate(self):
+        # the walk blocks with the key of (later, accepted) and the
+        # certificate measures (earlier, later); at lambda = 1e5 the key's
+        # terms are of order lambda^2 and cancel, so the two orders differ by
+        # 1e-9 relative, and a pair the walk kept reads 7.8013570106 < 2 rho
+        # = 7.8013570115 in the certificate (and in the kd-tree reference)
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(1e5), 0.5))
+        packing_count(CONJ, None, y, _conjugation_rho(1e5, 20_000))
+
+    @_PROPERTY
+    @given(
+        model=st.sampled_from(["euclid", "poincare"]),
+        polar=st.lists(
+            st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
+            min_size=2, max_size=60, unique=True,
+        ),
+    )
+    def test_plane_sets(self, model, polar):
+        # Euclidean points within radius 9.5, Poincare points within 0.95
+        space = EUCLID2 if model == "euclid" else HYP2
+        scale = 10.0 if model == "euclid" else 1.0
+        pts = np.array([[scale * r * math.cos(t), scale * r * math.sin(t)] for r, t in polar])
+        expected = _reference_pairwise_min_distance(ROT, space, pts)
+        assert orbits._pairwise_min_distance(ROT, space, pts) == expected
+
+
+class TestProductCertificate:
+    """A product report is certified by its blocks: bit for bit the kd-tree
+    minimum over the full grid."""
+
+    @_PROPERTY
+    @given(
+        blocks=st.sampled_from([(2, 3), (3, 2, 2), (2, 2), (3, 3)]),
+        scales=st.lists(st.floats(0.0, 6.0), min_size=3, max_size=3),
+        rho=st.floats(0.5, 1.5),
+    )
+    @example(blocks=(2, 3), scales=[20.0 / math.sqrt(2.0)] * 3, rho=2.0)  # the benchmark's radius 20
+    @example(blocks=(3, 2, 2), scales=[3.0, 0.0, 2.0], rho=1.0)  # a block at its fixed point
+    def test_grid_minimum_is_the_kd_tree_minimum(self, blocks, scales, rho):
+        action = GroupAction(PRODUCT_ROTATION, blocks)
+        y = np.concatenate([s * np.eye(b)[0] for s, b in zip(scales, blocks)])
+        report = packing_count(action, SpaceForm(y.size, 0.0), y, rho)
+        expected = _reference_pairwise_min_distance(action, None, report.centers)
+        assert report.min_pairwise_distance == expected
+
+    def test_verify_rejects_a_repeated_row(self):
+        y = np.array([3.0, 0.0, 2.0, 0.0])
+        report = packing_count(PROD22, None, y, 0.5)
+        report.verify(PROD22, None)
+        repeated = np.concatenate([report.centers, report.centers[-1:]])
+        with pytest.raises(RuntimeError, match="repeated"):
+            PackingReport(y, 0.5, len(repeated), repeated, GREEDY).verify(PROD22, None)
+
+    def test_verify_rejects_a_crowded_block(self):
+        # every pair of the grid differs by 4 in one block, but the two
+        # points of the other block are 2e-3 apart
+        crowded = [[1.0, 0.0], [math.cos(1e-3), math.sin(1e-3)]]
+        centers = np.array([p + q for p in crowded for q in ([2.0, 0.0], [-2.0, 0.0])])
+        report = PackingReport(np.array([1.0, 0.0, 2.0, 0.0]), 0.5, 4, centers, GREEDY)
+        with pytest.raises(RuntimeError, match="violated"):
+            report.verify(PROD22, None)
 
 
 class TestWalkSize:
@@ -974,13 +1127,14 @@ class TestAngularCertificate:
         rho = ratio * geodesic_distance(space, np.zeros(2), y)
         centers = orbits._circle_centers(space, y, rho)
         adjacent = orbits._angular_min_distance(ROT, space, centers)
-        assert adjacent == orbits._pairwise_min_distance(ROT, space, centers)
+        assert adjacent == _reference_pairwise_min_distance(ROT, space, centers)
 
     def test_centers_off_one_circle_are_refused(self):
         # the closest pair, (1, 0) and (1, 0.1), is not adjacent in angle:
         # adjacency alone would certify 4.0 >= 2 rho
         centers = np.array([[1.0, 0.0], [5.0, 0.2], [1.0, 0.1], [-5.0, 0.0]])
-        assert orbits._pairwise_min_distance(ROT, EUCLID2, centers) == pytest.approx(0.1)
+        cell_list = orbits._pairwise_min_distance(ROT, EUCLID2, centers)
+        assert cell_list == _reference_pairwise_min_distance(ROT, EUCLID2, centers) == pytest.approx(0.1)
         report = PackingReport(np.array([1.0, 0.0]), 1.0, 4, centers, ANGULAR_EXACT)
         with pytest.raises(RuntimeError, match="one norm"):
             report.verify(ROT, EUCLID2)
