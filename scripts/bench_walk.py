@@ -33,7 +33,10 @@ reports:
 - the README chart radius 0.99 (19,854 centres);
 - the product (2, 3) grids of ``expansion --action product --blocks 2,3
   --rho 2 --radii 5:40:4:lin``;
-- the conjugation orbit of diag(1e4), rho = 0.5 (41,666 centres).
+- the conjugation orbit of diag(1e4), rho = 0.5 (41,666 centres);
+- Euclidean spheres of dimension 5, 6 and 8 at radii 20, 10 and 6
+  (rho = 1; 105,152, 46,681 and 45,073 centres), whose certificate
+  measures its close pairs on a kd-tree of the centres.
 """
 
 import json
@@ -135,6 +138,8 @@ def _certificates():
         for r in np.linspace(5.0, 40.0, 4)
     ]
     rows.append(_certificate(f"matrix.diag{1e4:g}", CONJ, None, diag(1e4), 0.5))
+    for d, r in ((5, 20.0), (6, 10.0), (8, 6.0)):
+        rows.append(_certificate(f"euclid{d}.r{r:g}", ROT, SpaceForm(d, 0.0), r * np.eye(d)[0], 1.0))
     return rows
 
 

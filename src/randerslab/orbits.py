@@ -25,12 +25,13 @@ On a 2-sphere it reads each chord ball off the Fibonacci spiral
 (_lattice_balls) and on a conjugation orbit off the angle grid
 (_angle_balls), building no tree; only a sphere of dimension >= 4 searches
 one lean scipy.spatial.cKDTree of its candidates.  Every pair of the
-centers is certified with the exact distance formulas, and no certificate
-loads scipy.  On one centred circle distance grows with the angular gap,
-so an exact circle count is certified by the pairs adjacent in angle.  A
-product grid is certified by its blocks, as its minimum is the least
-block minimum.  Every other greedy report goes through a cell list of its
-embedding.
+centers is certified with the exact distance formulas.  On one centred
+circle distance grows with the angular gap, so an exact circle count is
+certified by the pairs adjacent in angle.  A product grid is certified by
+its blocks, as its minimum is the least block minimum.  Every other
+greedy report measures the close pairs of its embedding: from a cell list
+where it has at most 3 columns, and from a kd-tree of the centres on a
+sphere of dimension >= 4, whose walk has loaded scipy.spatial already.
 """
 
 from __future__ import annotations
@@ -294,20 +295,18 @@ def _orbit_metric(action, space, points):
 
 
 def _pairwise_min_distance(action, space, centers) -> float:
-    """Smallest pairwise distance among centers, certified with a cell list.
+    """Smallest pairwise distance among centers.
 
     The exact distance of consecutive rows bounds the minimum from above
     (B; the walks emit their centers in walk order, so some consecutive
     rows lie close).  Every pair at most B apart lies within chord(B) in
-    the embedding, so in the same or in adjacent cubic cells of side
-    chord(B) over the first min(D, 3) embedding columns: a projection
-    moves no pair apart.  This is the fixed-radius cell list of Bentley,
-    Stanat and Williams (Inf. Process. Lett. 6 (1977) 209-212).  Each cell
-    is joined with itself and with its (3^k - 1) / 2 neighbours of positive
-    offset, found by searchsorted on the sorted int64 cell codes; the three
-    cells along the last axis hold consecutive codes and make one range of
-    rows.  Each pair collected is measured with the exact key, as rows
-    i < j: the conjugation key rounds differently the other way round.
+    the embedding, so the minimum is that of the pairs within chord(B),
+    each measured with the exact key as rows i < j: the conjugation key
+    rounds differently the other way round.  An embedding of at most 3
+    columns takes those pairs from a cell list (_cell_pairs).  A wider
+    one, the points of a sphere of dimension >= 4, takes them from a
+    kd-tree (_tree_pairs): cells over some of its columns would gather
+    every pair that only the other columns set apart.
     """
     n = len(centers)
     if n < 2:
@@ -317,14 +316,30 @@ def _pairwise_min_distance(action, space, centers) -> float:
     bound = float(dist(key(rows[:-1], rows[1:]).min()))
     if bound == 0.0:
         return bound
-    proj = emb[:, :3]
-    k = proj.shape[1]
+    pairs = _cell_pairs if emb.shape[1] <= 3 else _tree_pairs
+    i, j = pairs(emb, chord(bound))
+    return float(dist(key(i, j).min()))
+
+
+def _cell_pairs(emb, radius):
+    """Every pair of rows of an embedding of at most 3 columns that lie
+    within radius, as index arrays i < j, and some pairs farther apart.
+
+    This is the fixed-radius cell list of Bentley, Stanat and Williams
+    (Inf. Process. Lett. 6 (1977) 209-212): such a pair lies in the same
+    or in adjacent cubic cells of side radius.  Each cell is joined with
+    itself and with its (3^k - 1) / 2 neighbours of positive offset, found
+    by searchsorted on the sorted int64 cell codes; the three cells along
+    the last axis hold consecutive codes and make one range of rows.
+    """
+    n, k = emb.shape
+    rows = np.arange(n)
     # the floor of 2^-18 of the largest coordinate keeps the cells per axis,
     # so every code, within int64, and each quotient within 2^-34 of its
     # exact value; the 1e-9 then keeps the quotients of two coordinates at
-    # most chord(B) apart less than one cell apart
-    side = max(chord(bound), 2.0**-18 * float(np.abs(proj).max())) * (1.0 + 1e-9)
-    cells = np.floor(proj / side).astype(np.int64)
+    # most radius apart less than one cell apart
+    side = max(radius, 2.0**-18 * float(np.abs(emb).max())) * (1.0 + 1e-9)
+    cells = np.floor(emb / side).astype(np.int64)
     cells -= cells.min(axis=0) - 1  # from 1, so that each neighbour's index is >= 0
     weights = (int(cells.max()) + 2) ** np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = cells @ weights
@@ -343,7 +358,18 @@ def _pairwise_min_distance(action, space, centers) -> float:
     first = np.repeat(np.tile(rows, len(starts)), counts)
     second = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
     i, j = order[first], order[second]
-    return float(dist(key(np.minimum(i, j), np.maximum(i, j)).min()))
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _tree_pairs(emb, radius):
+    """Every pair of rows of emb that lie within radius, as index arrays
+    i < j, from one kd-tree of the rows (query_pairs).  Only an embedding
+    of 4 or more columns comes here, whose walk loaded scipy.spatial
+    already (_tree_balls)."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(emb).query_pairs(radius, output_type="ndarray")
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _angular_min_distance(action, space, centers) -> float:
@@ -480,7 +506,7 @@ def _tree_balls(emb, radius):
     """Later members of each chord ball, from one kd-tree of the candidates:
     the ball source of a sphere walk of dimension >= 4, whose Kronecker
     points have no order to read a ball off, and the only user of
-    scipy.spatial.
+    scipy.spatial besides the certificate's _tree_pairs on such a sphere.
 
     The tree is built on the embedding without copying it (every embedding
     here is C-contiguous), with sliding-midpoint splits into wide leaves
@@ -509,7 +535,10 @@ def _greedy_walk(action, space, points, rho, balls) -> list:
     Such pairs lie within the chord c = chord(2 rho) of the embedding, so
     after each acceptance the later candidates of that chord ball are the
     ones it may block; the unblocked ones among them whose exact distance
-    is below 2 rho are blocked.  That step is the same for every orbit;
+    is below 2 rho are blocked.  Each pair is keyed as (accepted, later),
+    the order of the certificate's i < j, so the walk keeps no pair the
+    certificate reads below 2 rho (the conjugation key rounds differently
+    the other way round).  That step is the same for every orbit;
     only the source of the balls differs.  balls(emb, c) returns a function
     of the accepted index i that gives an index array of later candidates
     (j > i) holding every later member of the chord ball of i.  Extra
@@ -531,7 +560,7 @@ def _greedy_walk(action, space, points, rho, balls) -> list:
             raise _too_many(f"more than {_MAX_CENTERS}")
         later = later_ball(i)
         later = later[~flags[later]]
-        flags[later[dist(key(later, i)) < 2.0 * rho]] = True
+        flags[later[dist(key(i, later)) < 2.0 * rho]] = True
         i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
     return accepted
 
@@ -713,8 +742,9 @@ def packing_count(
     candidates.  The certificate runs once per report and raises below
     2 rho.  On an ANGULAR_EXACT circle it measures the pairs adjacent in
     angle.  On a product grid it takes the least of its block
-    certificates.  On any other GREEDY orbit it measures the pairs of a
-    cell list.  None of them imports scipy.
+    certificates.  On any other GREEDY orbit it measures the close pairs
+    of a cell list, or of a kd-tree of the centres on a sphere of
+    dimension >= 4.  Only those spheres import scipy.spatial.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")

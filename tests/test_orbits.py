@@ -785,7 +785,7 @@ def _reference_greedy_walk(action, space, points, rho) -> list:
         near = np.asarray(tree.query_ball_point(emb[i], radius), dtype=np.intp)
         later = near[near > i]
         later = later[~flags[later]]
-        flags[later[dist(key(later, i)) < 2.0 * rho]] = True
+        flags[later[dist(key(i, later)) < 2.0 * rho]] = True
         i = blocked.find(0, i + 1)  # next unblocked candidate, -1 past the end
     return accepted
 
@@ -920,8 +920,9 @@ def _conjugation_rho(lam, n_centers):
     return math.acosh(1.0 + (math.sin(math.pi / n_centers) * delta) ** 2 / 2.0) / math.sqrt(2.0)
 
 
-class TestCellListCertificate:
-    """The cell-list certificate returns, bit for bit, the minimum the
+class TestPairwiseCertificate:
+    """The pairwise certificate (a cell list on at most 3 columns, a kd-tree
+    of the centres on more) returns, bit for bit, the minimum the reference
     kd-tree certificate returns."""
 
     @_PROPERTY
@@ -948,24 +949,31 @@ class TestCellListCertificate:
     )
     @example(lam=1e5, n_centers=20_000, phase=0.5)
     def test_conjugation_walks(self, lam, n_centers, phase):
-        # the centers come from the walk itself, as packing_count refuses
-        # some walks at large lambda (see test_walk_refused_by_its_certificate)
         y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
-        rho = _conjugation_rho(lam, n_centers)
-        pts = orbits._conjugation_candidates(y, rho)
-        centers = pts[orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls)]
-        expected = _reference_pairwise_min_distance(CONJ, None, centers)
-        assert orbits._pairwise_min_distance(CONJ, None, centers) == expected
+        report = packing_count(CONJ, None, y, _conjugation_rho(lam, n_centers))
+        expected = _reference_pairwise_min_distance(CONJ, None, report.centers)
+        assert report.min_pairwise_distance == expected
 
-    @pytest.mark.xfail(raises=RuntimeError, strict=True)
-    def test_walk_refused_by_its_certificate(self):
-        # the walk blocks with the key of (later, accepted) and the
-        # certificate measures (earlier, later); at lambda = 1e5 the key's
-        # terms are of order lambda^2 and cancel, so the two orders differ by
-        # 1e-9 relative, and a pair the walk kept reads 7.8013570106 < 2 rho
-        # = 7.8013570115 in the certificate (and in the kd-tree reference)
-        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(1e5), 0.5))
-        packing_count(CONJ, None, y, _conjugation_rho(1e5, 20_000))
+    @pytest.mark.parametrize("phase", [0.0, 0.5])
+    def test_walk_keeps_no_pair_its_certificate_refuses(self, phase):
+        # the key c_i a_j - 2 b_i b_j + a_i c_j sums terms of order lambda^2
+        # that cancel, so its two orders differ by about 1e-9 relative at
+        # lambda = 1e5; the walk keys each pair as (earlier, later), as the
+        # certificate does, so every pair it keeps reads >= 2 rho there
+        y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(1e5), phase))
+        rho = _conjugation_rho(1e5, 20_000)
+        assert packing_count(CONJ, None, y, rho).min_pairwise_distance >= 2.0 * rho
+
+    @_PROPERTY
+    @given(columns=st.integers(2, 3), seed=st.integers(0, 2**16), radius=st.floats(0.01, 2.0))
+    @example(columns=3, seed=0, radius=1e-6)  # cells at their floor of 2^-18 of the extent
+    def test_cell_pairs_hold_every_close_pair(self, columns, seed, radius):
+        from scipy.spatial import cKDTree
+
+        emb = np.random.default_rng(seed).normal(size=(400, columns))
+        i, j = orbits._cell_pairs(emb, radius)
+        assert np.all(i < j)
+        assert cKDTree(emb).query_pairs(radius) <= set(zip(i.tolist(), j.tolist()))
 
     @_PROPERTY
     @given(
