@@ -6,7 +6,13 @@ Run from anywhere; the package is imported from ``src/`` of this checkout.
 Writes ``BENCH_walk.json`` at the root of the checkout with the commit, the
 machine, for each walk its candidates, its acceptances and the best-of-7
 wall time (with the cost per candidate it implies), and for each
-certificate its centres and the best-of-7 wall time.  The walks:
+certificate its centres and the best-of-7 wall time.  A sphere walk also
+gets, from untimed calls: ``peak_bytes``, the tracemalloc peak of one call;
+``largest_window``, the most later candidates in one acceptance's index
+window; and ``fetched_per_acceptance``, the mean length of the candidate
+arrays its ball source returns.  The last two are read by wrapping
+``orbits._lattice_balls`` and ``orbits._SpiralWindow.accept`` for one call.
+The walks:
 
 - the nine 2-sphere walks of the ``orbit-packing`` benchmark workload at
   its seed-free radii: Poincare chart radii 0.75, 0.8 and 0.85 (rho = 1),
@@ -20,8 +26,9 @@ certificate its centres and the best-of-7 wall time.  The walks:
 A sphere walk is timed as ``orbits._sphere_walk``, the spiral build
 included; a conjugation walk as ``orbits._greedy_walk`` over the angle grid
 of ``orbits._conjugation_candidates``, which ``packing_count`` builds first,
-with the ball source ``orbits._packing_matrix`` passes it.  The candidate
-counts come from the same builders the walks use.
+with its metric and the ball source ``orbits._packing_matrix`` passes it.
+A sphere walk's candidate count comes from ``orbits._walk_size``, which
+sizes its spiral, and a conjugation walk's from the rows it runs over.
 
 A certificate is timed as ``PackingReport.verify`` on the report
 ``packing_count`` returns, which runs the same certificate once more.  The
@@ -43,6 +50,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,14 +80,51 @@ def _best(fn):
 
 def _sphere(name, space, radius, rho):
     y = np.array([radius, 0.0, 0.0])
-    candidates = len(orbits._sphere_candidates(space, y, rho))
+    tracemalloc.start()
+    try:
+        orbits._sphere_walk(space, y, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest, fetched = _fetch_stats(space, y, rho)
     centers, wall = _best(lambda: orbits._sphere_walk(space, y, rho))
-    return _row(name, "sphere", candidates, len(centers), wall)
+    row = _row(name, "sphere", orbits._walk_size(space, y, rho), len(centers), wall)
+    row.update(peak_bytes=peak, largest_window=largest, fetched_per_acceptance=fetched)
+    return row
+
+
+def _fetch_stats(space, y, rho):
+    """Largest index window and mean fetch per acceptance of one walk."""
+    windows, fetched = [], []
+    lattice, accept = orbits._lattice_balls, orbits._SpiralWindow.accept
+
+    def balls(spiral, radius):
+        later_ball = lattice(spiral, radius)
+
+        def counted(i):
+            later = later_ball(i)
+            fetched.append(len(later))
+            return later
+
+        return counted
+
+    def window(self, i, end):
+        windows.append(end - i - 1)
+        return accept(self, i, end)
+
+    orbits._lattice_balls, orbits._SpiralWindow.accept = balls, window
+    try:
+        orbits._sphere_walk(space, y, rho)
+    finally:
+        orbits._lattice_balls, orbits._SpiralWindow.accept = lattice, accept
+    return max(windows), sum(fetched) / len(fetched)
 
 
 def _conjugation(name, lam, rho):
     pts = orbits._conjugation_candidates(orbits.MatrixPoint.diagonal(lam), rho)
-    accepted, wall = _best(lambda: orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls))
+    accepted, wall = _best(
+        lambda: orbits._greedy_walk(orbits._orbit_metric(CONJ, None, pts), rho, orbits._angle_balls)
+    )
     return _row(name, "conjugation", len(pts), len(accepted), wall)
 
 

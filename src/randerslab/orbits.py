@@ -22,12 +22,14 @@ tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
 the Frobenius norm.  A greedy walk blocks, after each acceptance, the
 later candidates within that chord whose exact distance is below 2 rho.
 On a 2-sphere it reads each chord ball off the Fibonacci spiral
-(_lattice_balls) and on a conjugation orbit off the angle grid
-(_angle_balls), building no tree; only a sphere of dimension >= 4 searches
-one lean scipy.spatial.cKDTree of its candidates.  Every pair of the
-centers is certified with the exact distance formulas.  On one centred
-circle distance grows with the angular gap, so an exact circle count is
-certified by the pairs adjacent in angle.  A product grid is certified by
+(_lattice_balls), whose candidates it builds range by range into one
+buffer that holds a ball window, not the whole spiral (_SpiralWindow); on
+a conjugation orbit it reads the ball off the angle grid (_angle_balls).
+Neither builds a tree; only a sphere of dimension >= 4 searches one lean
+scipy.spatial.cKDTree of its candidates, all built at once.  Every pair
+of the centers is certified with the exact distance formulas.  On one
+centred circle distance grows with the angular gap, so an exact circle
+count is certified by the pairs adjacent in angle.  A product grid is certified by
 its blocks, as its minimum is the least block minimum.  Every other
 greedy report measures the close pairs of its embedding: from a cell list
 where it has at most 3 columns, and from a kd-tree of the centres on a
@@ -36,10 +38,8 @@ sphere of dimension >= 4, whose walk has loaded scipy.spatial already.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -177,30 +177,7 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
         thetas = 2.0 * math.pi * np.arange(n) / n
         return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     if d == 3:
-        # Fibonacci spiral z = 1 - 2 (k + 1/2) / n, phi = 2 pi k / golden,
-        # (r cos phi, r sin phi, z) with r = sqrt(max(0, 1 - z^2)), written
-        # into one (n, 3) buffer one rounded operation at a time; the middle
-        # column holds r until it is scaled by sin phi, and phi's buffer
-        # takes sin phi once cos phi is written
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        pts = np.empty((n, 3))
-        x, r, z = pts.T
-        phi = np.arange(n, dtype=float)
-        np.add(phi, 0.5, out=z)
-        z *= 2.0
-        z /= n
-        np.subtract(1.0, z, out=z)
-        phi *= 2.0 * math.pi
-        phi /= golden
-        np.multiply(z, z, out=r)
-        np.subtract(1.0, r, out=r)
-        np.maximum(0.0, r, out=r)
-        np.sqrt(r, out=r)
-        np.cos(phi, out=x)
-        x *= r
-        np.sin(phi, out=phi)
-        r *= phi
-        return pts
+        return _spiral_rows(n, 0, np.empty((n, 3)))
     # Kronecker low-discrepancy sequence on the square roots of the first d
     # primes, pushed through the normal inverse CDF
     from scipy.special import ndtri
@@ -214,6 +191,37 @@ def _sphere_points(d: int, n: int) -> np.ndarray:
     pts = ndtri(seq)
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     return pts / np.maximum(norms, 1e-300)
+
+
+def _spiral_rows(n: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Rows start, start + 1, ... of the Fibonacci spiral of n points on the
+    unit 2-sphere (as many as out has), written into out and returned.
+
+    Point k is (r cos phi, r sin phi, z) with z = 1 - 2 (k + 1/2) / n,
+    phi = 2 pi k / golden and r = sqrt(max(0, 1 - z^2)), written one rounded
+    operation at a time; the middle column holds r until it is scaled by
+    sin phi, and phi's buffer takes sin phi once cos phi is written.  Each
+    row goes through the same operations whatever the range, so any range
+    is bit for bit those rows of _sphere_points(3, n), the range [0, n).
+    """
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    x, r, z = out.T
+    phi = np.arange(start, start + len(out), dtype=float)
+    np.add(phi, 0.5, out=z)
+    z *= 2.0
+    z /= n
+    np.subtract(1.0, z, out=z)
+    phi *= 2.0 * math.pi
+    phi /= golden
+    np.multiply(z, z, out=r)
+    np.subtract(1.0, r, out=r)
+    np.maximum(0.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.cos(phi, out=x)
+    x *= r
+    np.sin(phi, out=phi)
+    r *= phi
+    return out
 
 
 def orbit_sample(action: GroupAction, y, n: int, space: Optional[SpaceForm] = None):
@@ -273,25 +281,37 @@ def _orbit_metric(action, space, points):
         )
     pts = np.asarray(points, dtype=float)
     cols = pts.T  # strided views, one per coordinate
+    one_minus = top = None
+    if space is not None and space.model != EUCLIDEAN:
+        one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
+        top = float(np.max(one_minus)) + 1e-15  # its rounding is absolute, a few 1e-16
+    chord, dist = _chart_scale(space, top)
+    return pts, chord, lambda i, j: _chart_key(cols, one_minus, i, j), dist
 
-    def diff2(i, j):
-        # summed column by column, left to right, with no whole rows gathered
-        total = (cols[0][i] - cols[0][j]) ** 2
-        for col in cols[1:]:
-            total += (col[i] - col[j]) ** 2
-        return total
 
+def _chart_scale(space, top):
+    """chord and dist of _orbit_metric for points of R^d (space None or
+    Euclidean) or of a Poincare chart, where top bounds 1 - |p|^2 of
+    every point, rounding included."""
     if space is None or space.model == EUCLIDEAN:
-        return pts, lambda d: d * (1.0 + _CHORD_SLACK), diff2, np.sqrt
+        return lambda d: d * (1.0 + _CHORD_SLACK), np.sqrt
     k = math.sqrt(-space.curvature)
-    one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
-    top = float(np.max(one_minus)) + 1e-15  # its rounding is absolute, a few 1e-16
     return (
-        pts,
         lambda d: top * math.sqrt(math.sinh(min(k * d / 2, 300.0)) ** 2 * (1 + _CHORD_SLACK) + 1e-15),
-        lambda i, j: 2.0 * diff2(i, j) / (one_minus[i] * one_minus[j]),
         lambda x: np.arccosh(np.maximum(1.0, 1.0 + x)) / k,
     )
+
+
+def _chart_key(cols, one_minus, i, j):
+    """key of _orbit_metric for rows i and j of the points whose coordinate
+    columns are cols: |p_i - p_j|^2 in R^d (one_minus None), and
+    2 |p_i - p_j|^2 / ((1 - |p_i|^2) (1 - |p_j|^2)) on a Poincare chart,
+    where one_minus holds 1 - |p|^2 per row."""
+    # summed column by column, left to right, with no whole rows gathered
+    total = (cols[0][i] - cols[0][j]) ** 2
+    for col in cols[1:]:
+        total += (col[i] - col[j]) ** 2
+    return total if one_minus is None else 2.0 * total / (one_minus[i] * one_minus[j])
 
 
 def _pairwise_min_distance(action, space, centers) -> float:
@@ -527,28 +547,30 @@ def _tree_balls(emb, radius):
     return later_ball
 
 
-def _greedy_walk(action, space, points, rho, balls) -> list:
-    """Indices a greedy pass over points accepts: each candidate in order,
-    unless closer than 2 rho to an accepted one.  Raises ValueError at the
-    first acceptance past _MAX_CENTERS.
+def _greedy_walk(metric, rho, balls) -> list:
+    """Indices a greedy pass over the candidates of metric accepts: each
+    candidate in order, unless closer than 2 rho to an accepted one.  Raises
+    ValueError at the first acceptance past _MAX_CENTERS.
 
-    Such pairs lie within the chord c = chord(2 rho) of the embedding, so
-    after each acceptance the later candidates of that chord ball are the
-    ones it may block; the unblocked ones among them whose exact distance
-    is below 2 rho are blocked.  Each pair is keyed as (accepted, later),
-    the order of the certificate's i < j, so the walk keeps no pair the
-    certificate reads below 2 rho (the conjugation key rounds differently
-    the other way round).  That step is the same for every orbit;
-    only the source of the balls differs.  balls(emb, c) returns a function
-    of the accepted index i that gives an index array of later candidates
-    (j > i) holding every later member of the chord ball of i.  Extra
-    candidates cost time only, as the exact distance decides.  The sources
-    are _lattice_balls, for the Fibonacci spiral of a 2-sphere,
-    _angle_balls, for the angle grid of a conjugation orbit, and
-    _tree_balls, one kd-tree for the Kronecker points of a sphere of
-    dimension >= 4, which have no such order.
+    metric is (emb, chord, key, dist) as _orbit_metric gives it, emb of one
+    entry per candidate.  Pairs closer than 2 rho lie within the chord
+    c = chord(2 rho) of the embedding, so after each acceptance the later
+    candidates of that chord ball are the ones it may block; the unblocked
+    ones among them whose exact distance is below 2 rho are blocked.  Each
+    pair is keyed as (accepted, later), the order of the certificate's
+    i < j, so the walk keeps no pair the certificate reads below 2 rho (the
+    conjugation key rounds differently the other way round).  That step is
+    the same for every orbit; only the source of the balls differs.
+    balls(emb, c) returns a function of the accepted index i, called once
+    per acceptance in walk order, that gives an index array of later
+    candidates (j > i) holding every later member of the chord ball of i.
+    Extra candidates cost time only, as the exact distance decides.  The
+    sources are _lattice_balls, for the Fibonacci spiral of a 2-sphere held
+    in a _SpiralWindow, _angle_balls, for the angle grid of a conjugation
+    orbit, and _tree_balls, one kd-tree for the Kronecker points of a sphere
+    of dimension >= 4, which have no such order.
     """
-    emb, chord, key, dist = _orbit_metric(action, space, points)
+    emb, chord, key, dist = metric
     later_ball = balls(emb, chord(2.0 * rho))
     blocked = bytearray(len(emb))
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
@@ -565,18 +587,17 @@ def _greedy_walk(action, space, points, rho, balls) -> list:
     return accepted
 
 
-def _lattice_balls(emb, radius):
+def _lattice_balls(spiral, radius):
     """Later candidates that may lie in each chord ball, read off the
-    Fibonacci spiral of _sphere_points(3, n) scaled by a positive factor;
-    no tree is built.
+    Fibonacci spiral of a _SpiralWindow; no tree is built.
 
     With c = radius (1 + 1e-12), the later members j > i of the chord ball
     of i pass two checks:
 
-    - index window: every rounded step of the z column is monotone, so z
-      never increases with the index, and |z_i - z_j| <= |p_i - p_j|; so
-      j < e, the first index with z_e < z_i - c (the absolute term
-      1e-15 |p_0| in the threshold covers the rounding of z_i - c);
+    - index window: every rounded step of z is monotone, so z never
+      increases with the index, and |z_i - z_j| <= |p_i - p_j|; so j < e,
+      the first index with z_e < z_i - c (the absolute term 1e-15 s in the
+      threshold, for the spiral's scale s, covers the rounding of z_i - c);
     - golden-angle offset: with rho the ring radius hypot(x, y),
       |p_i - p_j| >= 2 sqrt(rho_i rho_j) |sin((phi_i - phi_j) / 2)|, and
       phi_j - phi_i = 2 pi m / golden for the offset m = j - i.  rho is
@@ -587,36 +608,48 @@ def _lattice_balls(emb, radius):
       k = 5e5).  Where c >= 2 sqrt(rho_i rho_min), near the poles, the
       whole window is taken.
 
-    The offsets 1..W are sorted by their centred fraction once (W grows if
-    a window is longer), so each ball is two searchsorted calls and one
-    slice, clipped to the window.  The window end is bisected on the z
-    column itself, a strided view: no array with an entry per candidate is
-    made.
+    z steps by 2 s / n and each rounded z is within 1e-15 s of its exact
+    value, so a window holds fewer than W = int(c n / (2 s) + 2) later
+    candidates (or all of them, W = n - 1).  The offsets 1..W are sorted by
+    their centred fraction once, so each ball is two searchsorted calls and
+    one slice, clipped to the window.  The window end is found on the
+    closed-form z of the spiral (_SpiralWindow.z), a step or two from its
+    linear estimate: no array with an entry per candidate is made.  The
+    rows of each window are held in the spiral's buffer of
+    W + W // 4 + 1 rows, which slides at most once per W / 4 candidates
+    and moves at most W rows when it does.
     """
-    x, y, z = emb.T
-    n = len(emb)
-    scale = math.hypot(*emb[0])  # the sphere's radius, to rounding
+    n, scale = len(spiral), spiral.r
     reach = radius * (1.0 + 1e-12)
     pad = 1e-15 * scale
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    offsets = fractions = None
+    width = int(min(n - 1, reach * n / (2.0 * scale) + 2.0))
+    fractions = np.arange(1, width + 1) / golden
+    fractions -= np.rint(fractions)
+    offsets = np.argsort(fractions, kind="stable")
+    fractions = fractions[offsets]
+    offsets += 1
+    spiral.open(width + width // 4 + 1)
+    x, y, _ = spiral.cols
+    z = spiral.z
 
-    def sort_offsets(width):
-        nonlocal offsets, fractions
-        frac = np.arange(1, width + 1) / golden
-        frac -= np.rint(frac)
-        order = np.argsort(frac, kind="stable")
-        offsets, fractions = order + 1, frac[order]
-
-    # z steps by about 2 scale / n, so windows hold about reach n / (2 scale)
-    sort_offsets(int(min(n - 1, reach * n / (2.0 * scale) + 2.0)))
+    def window_end(i):
+        # the first e > i with -z_e > t = pad + reach - z_i, or n: -z never
+        # decreases with the index, so stepping from the closed-form
+        # estimate finds it in a step or two
+        t = pad + reach - z(i)
+        e = min(n, max(i + 1, math.ceil(((t / scale + 1.0) * n - 1.0) / 2.0)))
+        while e > i + 1 and t < -z(e - 1):
+            e -= 1
+        while e < n and not t < -z(e):
+            e += 1
+        return e
 
     def later_ball(i):
-        end = bisect.bisect_right(z, pad + reach - z[i], i + 1, n, key=operator.neg)
-        if end - i - 1 > len(offsets):
-            sort_offsets(end - i - 1)
-        rho_i = math.hypot(x[i], y[i])
-        bound = 2.0 * math.sqrt(rho_i * min(rho_i, math.hypot(x[end - 1], y[end - 1])))
+        end = window_end(i)
+        base = spiral.accept(i, end)
+        rho_i = math.hypot(x[i - base], y[i - base])
+        bound = 2.0 * math.sqrt(rho_i * min(rho_i, math.hypot(x[end - 1 - base], y[end - 1 - base])))
         if reach >= bound:
             return np.arange(i + 1, end)
         h = math.asin(reach / bound) / math.pi + 1e-8
@@ -624,6 +657,86 @@ def _lattice_balls(emb, radius):
         return later[later < end]
 
     return later_ball
+
+
+class _SpiralWindow:
+    """The candidates of a 2-sphere walk, the Fibonacci spiral
+    _sphere_points(3, n) scaled by r, held as the rows [base, top) of one
+    buffer instead of all at once.
+
+    Its ball source sizes the buffer (open) and, at each acceptance i, asks
+    for the rows [i, end) of that ball's index window (accept).  Where end
+    passes top, the buffer slides to start at i: it moves the overlap
+    [i, top) to its front and builds only the rows after it with
+    _spiral_rows, so each candidate is built at most once, and one blocked
+    before a window reached it never.  A window longer than the buffer
+    raises IndexError; _lattice_balls sizes the buffer past the longest.
+    Row i is copied out as it is accepted; centers() gives those rows.
+
+    metric is the walk's (emb, chord, key, dist), as _orbit_metric gives
+    it for the whole spiral: the key takes candidates by their index on the
+    spiral and measures their buffer rows, with 1 - |p|^2 kept per buffer
+    row on a Poincare chart.  There the chord is scaled by 1 - r^2 + 1e-14,
+    not by the largest 1 - |p|^2 of the candidates plus 1e-15: on the
+    spiral every 1 - |p|^2 rounds to within a few ulps of 1 - r^2 (at most
+    6e-16 for n up to 500,000), and a wider fetch costs time only.
+    """
+
+    def __init__(self, space, n, r):
+        self.n, self.r = n, r
+        self.base = self.top = 0
+        self.rows = np.empty((0, 3))
+        self.one_minus = None if space.model == EUCLIDEAN else np.empty(0)
+        self.accepted = bytearray()
+        self.chord, self.dist = _chart_scale(space, None if self.one_minus is None else 1.0 - r * r + 1e-14)
+
+    @property
+    def metric(self):
+        # built on each call, not kept: a tuple holding self would keep the
+        # buffer alive until the cyclic garbage collector runs
+        return self, self.chord, self.key, self.dist
+
+    def __len__(self):
+        return self.n
+
+    def z(self, k):
+        """z of candidate k in closed form, bit for bit its buffer row's."""
+        return (1.0 - (k + 0.5) * 2.0 / self.n) * self.r
+
+    def open(self, length):
+        """Allocate a buffer of length rows (at most n); cols are its
+        coordinate columns."""
+        self.rows = np.empty((min(length, self.n), 3))
+        self.cols = self.rows.T
+        if self.one_minus is not None:
+            self.one_minus = np.empty(len(self.rows))
+
+    def accept(self, i, end):
+        """Hold the rows [i, end), sliding the buffer if end passes top,
+        copy out row i and return base."""
+        if end > self.top:
+            keep, old = max(0, self.top - i), i - self.base
+            # moved as one dimension, which numpy copies in place where the
+            # ranges overlap; rows of 3 would go through a temporary copy
+            flat = self.rows.reshape(-1)
+            flat[: 3 * keep] = flat[3 * old : 3 * (old + keep)]
+            self.base, self.top = i, min(self.n, i + len(self.rows))
+            new = self.rows[keep : self.top - i]
+            _spiral_rows(self.n, i + keep, new)
+            new *= self.r
+            if self.one_minus is not None:
+                self.one_minus[:keep] = self.one_minus[old : old + keep]
+                fresh = self.one_minus[keep : self.top - i]
+                np.einsum("ij,ij->i", new, new, out=fresh)
+                np.subtract(1.0, fresh, out=fresh)
+        self.accepted += self.rows[i - self.base].tobytes()
+        return self.base
+
+    def key(self, i, j):
+        return _chart_key(self.cols, self.one_minus, i - self.base, j - self.base)
+
+    def centers(self) -> np.ndarray:
+        return np.frombuffer(self.accepted).reshape(-1, 3)
 
 
 def _angle_balls(emb, radius):
@@ -662,21 +775,27 @@ def _angle_balls(emb, radius):
 def _sphere_walk(space, y, rho):
     """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3).
 
-    On a 2-sphere the candidates are the Fibonacci spiral, and each chord
-    ball is read off its index order (_lattice_balls).  The Kronecker points
-    of a higher sphere have no such order and take the kd-tree ball
-    (_tree_balls).
+    On a 2-sphere the candidates are the Fibonacci spiral, streamed through
+    the buffer of a _SpiralWindow, and each chord ball is read off its index
+    order (_lattice_balls): the walk holds a window of candidates, not all
+    of them.  The Kronecker points of a higher sphere have no such order;
+    they are built at once and take the kd-tree ball (_tree_balls).
     """
-    pts = _sphere_candidates(space, y, rho)
-    balls = _lattice_balls if pts.shape[1] == 3 else _tree_balls
-    return pts[_greedy_walk(GroupAction(FULL_ROTATION), space, pts, rho, balls)]
-
-
-def _sphere_candidates(space, y, rho) -> np.ndarray:
-    """The points a sphere walk runs over: the spiral of _sphere_points on
-    the orbit sphere through y, one point per cell of side rho /
-    _WALK_SUBDIVISION of its area, at least 256 and at most _MAX_WALK."""
     y = np.asarray(y, dtype=float)
+    n, r = _walk_size(space, y, rho), float(np.linalg.norm(y))
+    if y.size == 3:
+        spiral = _SpiralWindow(space, n, r)
+        _greedy_walk(spiral.metric, rho, _lattice_balls)
+        return spiral.centers()
+    pts = _sphere_points(y.size, n)
+    pts *= r
+    return pts[_greedy_walk(_orbit_metric(GroupAction(FULL_ROTATION), space, pts), rho, _tree_balls)]
+
+
+def _walk_size(space, y, rho) -> int:
+    """The number of candidates of a sphere walk on the orbit sphere through
+    y: one point per cell of side rho / _WALK_SUBDIVISION of its area, at
+    least 256 and at most _MAX_WALK."""
     d = y.size
     r_orbit = geodesic_distance(space, np.zeros(d), y)
     radius_scale = s_c(space.curvature, r_orbit)
@@ -688,9 +807,7 @@ def _sphere_candidates(space, y, rho) -> np.ndarray:
     except OverflowError:  # a float power out of range raises; take logs
         log_cells = math.log(sphere_area(d)) + (d - 1) * (math.log(radius_scale) - math.log(step))
         cells = math.exp(min(log_cells, 700.0))
-    pts = _sphere_points(d, int(max(256, math.ceil(min(cells, _MAX_WALK)))))
-    pts *= float(np.linalg.norm(y))
-    return pts
+    return int(max(256, math.ceil(min(cells, _MAX_WALK))))
 
 
 def _product_block_counts(space, y, blocks, rho):
@@ -786,7 +903,7 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     if abs(y.a - 1.0) < 1e-12 and abs(y.b) < 1e-12 and abs(y.c - 1.0) < 1e-12:
         return PackingReport(y, rho, 1, np.array([[y.a, y.b, y.c]]), GREEDY, fixed_point=True)
     pts = _conjugation_candidates(y, rho)
-    accepted = _greedy_walk(action, None, pts, rho, _angle_balls)
+    accepted = _greedy_walk(_orbit_metric(action, None, pts), rho, _angle_balls)
     return _certified(action, None, y, rho, pts[accepted], GREEDY)
 
 

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import math
 import subprocess
@@ -548,23 +550,35 @@ def _spiral_candidates(space, y, rho):
 
 
 def _brute_sphere_walk(space, y, rho):
-    """Greedy pass over the spiral candidates of the orbit sphere through y."""
+    """Greedy pass over the spiral candidates of the orbit sphere through y:
+    each candidate in order is accepted unless closer than 2 rho to an
+    accepted one.  A block of candidates is measured against the centers
+    accepted before it at once; the few it leaves are then taken one at a
+    time against those accepted within the block."""
     pts = _spiral_candidates(space, y, rho)
-    accepted = []
-    for p in pts:
-        if accepted:
-            acc = np.array(accepted)
-            diff2 = ((acc - p) ** 2).sum(axis=1)
-            if space.model == EUCLIDEAN:
-                dist = np.sqrt(diff2)
-            else:
-                denom = (1.0 - p @ p) * (1.0 - np.einsum("ij,ij->i", acc, acc))
-                dist = np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom))
-                dist /= math.sqrt(-space.curvature)
-            if dist.min() < 2.0 * rho:
-                continue
-        accepted.append(p)
-    return np.array(accepted)
+    k = None if space.model == EUCLIDEAN else math.sqrt(-space.curvature)
+
+    def far(cand, acc):
+        # True for each row of cand at least 2 rho from every row of acc
+        if len(acc) == 0:
+            return np.ones(len(cand), dtype=bool)
+        diff2 = ((acc[None, :, :] - cand[:, None, :]) ** 2).sum(axis=2)
+        if k is None:
+            dist = np.sqrt(diff2)
+        else:
+            denom = (1.0 - np.einsum("ij,ij->i", cand, cand))[:, None] * (1.0 - np.einsum("ij,ij->i", acc, acc))
+            dist = np.arccosh(np.maximum(1.0, 1.0 + 2.0 * diff2 / denom))
+            dist /= k
+        return ~(dist.min(axis=1) < 2.0 * rho)
+
+    accepted = np.empty((0, y.size))
+    for start in range(0, len(pts), 1024):
+        block = pts[start : start + 1024]
+        before = len(accepted)
+        for p in block[far(block, accepted)]:
+            if far(p[None, :], accepted[before:])[0]:
+                accepted = np.concatenate([accepted, p[None, :]])
+    return accepted
 
 
 def _brute_circle_walk(space, chart_r, rho):
@@ -826,7 +840,7 @@ class TestWalkAgainstReferenceCopies:
         y = np.array([radius, 0.0, 0.0])
         pts = radius * _reference_sphere_points3(n_steps)
         accepted = _reference_greedy_walk(ROT, space, pts, rho)
-        assert orbits._greedy_walk(ROT, space, pts, rho, orbits._tree_balls) == accepted
+        assert orbits._greedy_walk(orbits._orbit_metric(ROT, space, pts), rho, orbits._tree_balls) == accepted
         assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
 
     def test_conjugation_walk(self):
@@ -835,7 +849,7 @@ class TestWalkAgainstReferenceCopies:
         n_steps = 17770
         pts = orbits._conjugates(y, math.pi * np.arange(n_steps) / n_steps)
         accepted = _reference_greedy_walk(CONJ, None, pts, rho)
-        assert orbits._greedy_walk(CONJ, None, pts, rho, orbits._angle_balls) == accepted
+        assert orbits._greedy_walk(orbits._orbit_metric(CONJ, None, pts), rho, orbits._angle_balls) == accepted
         assert report.centers.tobytes() == pts[accepted].tobytes()
 
 
@@ -858,12 +872,12 @@ class TestLatticeBall:
         pts = _spiral_candidates(space, np.array([radius, 0.0, 0.0]), rho)
         emb, chord, _, _ = orbits._orbit_metric(ROT, space, pts)
         reach = chord(2.0 * rho)
-        accepted = orbits._greedy_walk(ROT, space, pts, rho, orbits._lattice_balls)
+        accepted = orbits._greedy_walk(orbits._SpiralWindow(space, len(pts), radius).metric, rho, orbits._lattice_balls)
         assert accepted[0] == 0  # the first centre sits at the pole
         z = emb[:, 2]
         assert any(z[i] > 0.0 > z[i] - reach for i in accepted)  # a window across the equator
         probes = sorted(set(accepted) | set(np.linspace(0, len(pts) - 1, 257).astype(int).tolist()))
-        later_ball = orbits._lattice_balls(emb, reach)
+        later_ball = orbits._lattice_balls(orbits._SpiralWindow(space, len(pts), radius), reach)
         for i, near in zip(probes, cKDTree(emb).query_ball_point(emb[probes], reach)):
             near = np.asarray(near, dtype=np.intp)
             fetched = later_ball(i)
@@ -885,6 +899,84 @@ class TestLatticeBall:
         pts = _spiral_candidates(space, y, rho)
         accepted = _reference_greedy_walk(ROT, space, pts, rho)
         assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
+
+
+class TestSpiralWindow:
+    """A 2-sphere walk builds its spiral in index ranges, into one buffer
+    that slides along it; every range, closed-form z and Poincare
+    1 - |p|^2 must be bit for bit those of the whole spiral."""
+
+    @pytest.mark.parametrize("n", [256, 1000, 59088])
+    @pytest.mark.parametrize("start, size", [(0, 1), (1, 1), (5, 7), (3, 4097), (0, 65537)])
+    def test_ranges_equal_the_reference(self, n, start, size):
+        whole = _reference_sphere_points3(n)
+        edges = list(range(start, n, size)) + [n]
+        for lo, hi in zip(edges, edges[1:]):
+            rows = orbits._spiral_rows(n, lo, np.empty((hi - lo, 3)))
+            assert rows.tobytes() == whole[lo:hi].tobytes(), lo
+
+    @pytest.mark.parametrize("n", [256, 188644, 500000])
+    @pytest.mark.parametrize("r", [0.85, 10.0, 20.0 / math.sqrt(2.0)])
+    def test_closed_form_z(self, n, r):
+        spiral = orbits._SpiralWindow(EUCLID3, n, r)
+        z = np.fromiter(map(spiral.z, range(n)), float, count=n)
+        assert z.tobytes() == (r * _reference_sphere_points3(n))[:, 2].tobytes()
+
+    @pytest.mark.parametrize("space", [EUCLID3, POINCARE3])
+    @pytest.mark.parametrize("n, length, steps", [(1000, 5, [1]), (1000, 64, [1, 3, 70]), (59088, 4097, [7, 4097, 9001])])
+    def test_held_rows_equal_the_whole_spiral(self, space, n, length, steps):
+        # acceptances i with windows [i, i + length) that slide the buffer by
+        # one row, by odd offsets, and past its end (no overlap kept)
+        r = 0.85
+        pts = r * _reference_sphere_points3(n)
+        one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
+        spiral = orbits._SpiralWindow(space, n, r)
+        spiral.open(length)
+        i, accepted = 0, []
+        for step in itertools.cycle(steps):
+            if i >= n:
+                break
+            base = spiral.accept(i, min(n, i + length))
+            accepted.append(i)
+            held = slice(base, spiral.top)
+            assert base <= i < spiral.top and spiral.rows[: spiral.top - base].tobytes() == pts[held].tobytes()
+            if space is POINCARE3:
+                assert spiral.one_minus[: spiral.top - base].tobytes() == one_minus[held].tobytes()
+            i += step
+        assert spiral.centers().tobytes() == pts[accepted].tobytes()
+
+    @pytest.mark.parametrize("n", [256, 188644, 500000])
+    def test_poincare_chord_covers_the_whole_spiral(self, n):
+        # the walk scales its chord by a bound on 1 - |p|^2, not by a pass
+        # over the candidates as the whole-array metric does
+        unit = _reference_sphere_points3(n)
+        for r in [0.05, 0.5, 0.75, 0.85, 0.9, 0.99, 0.999]:
+            whole = orbits._orbit_metric(ROT, POINCARE3, r * unit)[1]
+            window = orbits._SpiralWindow(POINCARE3, n, r).chord
+            for d in [0.1, 1.0, 2.0, 5.0]:
+                assert window(d) >= whole(d)
+
+    @pytest.mark.parametrize(
+        "space, radius, rho",
+        [
+            (EUCLID3, 10.0, 1.0),  # 500,000 candidates, 15.3 MB held before
+            (POINCARE3, 0.99, 1.0),  # 500,000 candidates, 19,854 centres
+            (POINCARE3, 0.85, 1.0),
+            (EUCLID3, 20.0 / math.sqrt(2.0), 2.0),  # a 3-block of the product (2, 3)
+        ],
+    )
+    def test_walk_holds_a_window(self, space, radius, rho):
+        y = np.array([radius, 0.0, 0.0])
+        gc.disable()  # what outlives the walk must be freed without a collection
+        tracemalloc.start()
+        try:
+            centers = orbits._sphere_walk(space, y, rho)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 5e6
+        assert current <= 2 * centers.nbytes + 10_000
 
 
 class TestAngleBall:
@@ -1052,7 +1144,7 @@ class TestWalkSize:
         # step^(d - 1) is out of float range: 256 candidates, one ball
         y = np.zeros(space.dim)
         y[0] = 1.0
-        assert len(orbits._sphere_candidates(space, y, rho)) == 256
+        assert orbits._walk_size(space, y, rho) == 256
         assert packing_count(ROT, space, y, rho).count == 1
 
     def test_points_above_twelve_dimensions(self):
