@@ -6,12 +6,13 @@ Run from anywhere; the package is imported from ``src/`` of this checkout.
 Writes ``BENCH_walk.json`` at the root of the checkout with the commit, the
 machine, for each walk its candidates, its acceptances and the best-of-7
 wall time (with the cost per candidate it implies), and for each
-certificate its centres and the best-of-7 wall time.  A sphere walk also
-gets, from untimed calls: ``peak_bytes``, the tracemalloc peak of one call;
-``largest_window``, the most later candidates in one acceptance's index
-window; and ``fetched_per_acceptance``, the mean length of the candidate
-arrays its ball source returns.  The last two are read by wrapping
-``orbits._lattice_balls`` and ``orbits._SpiralWindow.accept`` for one call.
+certificate its centres and the best-of-7 wall time.  Every sphere walk
+and every certificate also gets ``peak_bytes``, the tracemalloc peak of
+one untimed call.  A sphere walk gets, from one more untimed walk of its
+spiral: ``largest_window``, the most later candidates in one acceptance's
+index window; and ``fetched_per_acceptance``, the mean length of the
+candidate arrays its ball returns.  That walk wraps the ball that
+``orbits._lattice_balls`` builds and its ``_SpiralWindow``'s ``accept``.
 The walks:
 
 - the nine 2-sphere walks of the ``orbit-packing`` benchmark workload at
@@ -26,7 +27,8 @@ The walks:
 A sphere walk is timed as ``orbits._sphere_walk``, the spiral build
 included; a conjugation walk as ``orbits._greedy_walk`` over the angle grid
 of ``orbits._conjugation_candidates``, which ``packing_count`` builds first,
-with its metric and the ball source ``orbits._packing_matrix`` passes it.
+with the metric and the angle-grid ball that ``orbits._packing_matrix``
+builds for it, timed with the walk.
 A sphere walk's candidate count comes from ``orbits._walk_size``, which
 sizes its spiral, and a conjugation walk's from the rows it runs over.
 
@@ -43,7 +45,11 @@ reports:
 - the conjugation orbit of diag(1e4), rho = 0.5 (41,666 centres);
 - Euclidean spheres of dimension 5, 6 and 8 at radii 20, 10 and 6
   (rho = 1; 105,152, 46,681 and 45,073 centres), whose certificate
-  measures its close pairs on a kd-tree of the centres.
+  measures its close pairs on a kd-tree of the centres;
+- the ANGULAR_EXACT circles of Euclidean radius 1000 and 63,000 and of
+  Poincare chart radius 0.999 (rho = 1; 3,141, 197,920 and 2,671
+  centres), the largest README circles and one near the 200,000-centre
+  cap, whose certificate measures its close pairs on a cell list.
 """
 
 import json
@@ -78,14 +84,20 @@ def _best(fn):
     return out, best
 
 
-def _sphere(name, space, radius, rho):
-    y = np.array([radius, 0.0, 0.0])
+def _peak(fn):
+    """The tracemalloc peak of one call of fn, in bytes."""
     tracemalloc.start()
     try:
-        orbits._sphere_walk(space, y, rho)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def _sphere(name, space, radius, rho):
+    y = np.array([radius, 0.0, 0.0])
+    peak = _peak(lambda: orbits._sphere_walk(space, y, rho))
     largest, fetched = _fetch_stats(space, y, rho)
     centers, wall = _best(lambda: orbits._sphere_walk(space, y, rho))
     row = _row(name, "sphere", orbits._walk_size(space, y, rho), len(centers), wall)
@@ -94,37 +106,34 @@ def _sphere(name, space, radius, rho):
 
 
 def _fetch_stats(space, y, rho):
-    """Largest index window and mean fetch per acceptance of one walk."""
+    """Largest index window and mean fetch per acceptance of the walk that
+    orbits._sphere_walk makes on a 2-sphere."""
+    spiral = orbits._SpiralWindow(space, orbits._walk_size(space, y, rho), float(np.linalg.norm(y)))
+    later_ball, accept = orbits._lattice_balls(spiral, spiral.chord(2.0 * rho)), spiral.accept
     windows, fetched = [], []
-    lattice, accept = orbits._lattice_balls, orbits._SpiralWindow.accept
 
-    def balls(spiral, radius):
-        later_ball = lattice(spiral, radius)
+    def counted(i):
+        later = later_ball(i)
+        fetched.append(len(later))
+        return later
 
-        def counted(i):
-            later = later_ball(i)
-            fetched.append(len(later))
-            return later
-
-        return counted
-
-    def window(self, i, end):
+    def window(i, end):
         windows.append(end - i - 1)
-        return accept(self, i, end)
+        return accept(i, end)
 
-    orbits._lattice_balls, orbits._SpiralWindow.accept = balls, window
-    try:
-        orbits._sphere_walk(space, y, rho)
-    finally:
-        orbits._lattice_balls, orbits._SpiralWindow.accept = lattice, accept
+    spiral.accept = window
+    orbits._greedy_walk(spiral.n, rho, counted, spiral.key, spiral.dist)
     return max(windows), sum(fetched) / len(fetched)
 
 
 def _conjugation(name, lam, rho):
     pts = orbits._conjugation_candidates(orbits.MatrixPoint.diagonal(lam), rho)
-    accepted, wall = _best(
-        lambda: orbits._greedy_walk(orbits._orbit_metric(CONJ, None, pts), rho, orbits._angle_balls)
-    )
+
+    def walk():
+        emb, chord, key, dist = orbits._orbit_metric(CONJ, None, pts)
+        return orbits._greedy_walk(len(pts), rho, orbits._angle_balls(emb, chord(2.0 * rho)), key, dist)
+
+    accepted, wall = _best(walk)
     return _row(name, "conjugation", len(pts), len(accepted), wall)
 
 
@@ -155,14 +164,15 @@ def _walks():
 def _certificate(name, action, space, y, rho):
     report = orbits.packing_count(action, space, y, rho)
     _, wall = _best(lambda: report.verify(action, space))
-    return {"certificate": name, "centers": report.count, "wall_s": wall}
+    peak = _peak(lambda: report.verify(action, space))
+    return {"certificate": name, "centers": report.count, "wall_s": wall, "peak_bytes": peak}
 
 
 def _certificates():
     poincare, euclid, euclid5 = SpaceForm(3, -1.0), SpaceForm(3, 0.0), SpaceForm(5, 0.0)
 
-    def axis(r):
-        return np.array([r, 0.0, 0.0])
+    def axis(r, dim=3):
+        return r * np.eye(dim)[0]
 
     def product(r):  # the radius spread over the first coordinate of each block
         return np.array([r, 0.0, r, 0.0, 0.0]) / math.sqrt(2.0)
@@ -184,7 +194,10 @@ def _certificates():
     ]
     rows.append(_certificate(f"matrix.diag{1e4:g}", CONJ, None, diag(1e4), 0.5))
     for d, r in ((5, 20.0), (6, 10.0), (8, 6.0)):
-        rows.append(_certificate(f"euclid{d}.r{r:g}", ROT, SpaceForm(d, 0.0), r * np.eye(d)[0], 1.0))
+        rows.append(_certificate(f"euclid{d}.r{r:g}", ROT, SpaceForm(d, 0.0), axis(r, d), 1.0))
+    for r in (1000.0, 63000.0):
+        rows.append(_certificate(f"circle.euclid2.r{r:g}", ROT, SpaceForm(2, 0.0), axis(r, 2), 1.0))
+    rows.append(_certificate("circle.poincare2.r0.999", ROT, SpaceForm(2, -1.0), axis(0.999, 2), 1.0))
     return rows
 
 

@@ -11,29 +11,40 @@ Three enumerated actions are supported:
 
 packing_count reports a certified number of mutually disjoint geodesic
 rho-balls centered on an orbit: the exact angular count where the orbit is
-a circle, otherwise a deterministic greedy walk whose result is a lower
-bound.  Every report carries its centers and is verified pairwise.
+a circle (ANGULAR_EXACT), otherwise a deterministic greedy walk whose
+result is a lower bound (GREEDY); a product orbit takes the product grid
+of its blocks' packings.  Every report carries its centers and is verified
+pairwise.
 
 The threshold 2 rho is a fixed Euclidean chord threshold on every orbit
 packed here: a FULL_ROTATION orbit keeps one chart radius r, so in the
 Poincare ball d = acosh(1 + 2|x-y|^2 / (1-r^2)^2) / k; product orbits are
 Euclidean; on a conjugation orbit det = 1 and the trace is constant, so
 tr(X^-1 Y) = 2 + |X-Y|_F^2 / 2 (Cayley-Hamilton) and (a, sqrt2 b, c) carries
-the Frobenius norm.  A greedy walk blocks, after each acceptance, the
-later candidates within that chord whose exact distance is below 2 rho.
-On a 2-sphere it reads each chord ball off the Fibonacci spiral
-(_lattice_balls), whose candidates it builds range by range into one
-buffer that holds a ball window, not the whole spiral (_SpiralWindow); on
-a conjugation orbit it reads the ball off the angle grid (_angle_balls).
-Neither builds a tree; only a sphere of dimension >= 4 searches one lean
-scipy.spatial.cKDTree of its candidates, all built at once.  Every pair
-of the centers is certified with the exact distance formulas.  On one
-centred circle distance grows with the angular gap, so an exact circle
-count is certified by the pairs adjacent in angle.  A product grid is certified by
-its blocks, as its minimum is the least block minimum.  Every other
-greedy report measures the close pairs of its embedding: from a cell list
-where it has at most 3 columns, and from a kd-tree of the centres on a
-sphere of dimension >= 4, whose walk has loaded scipy.spatial already.
+the Frobenius norm.  The greedy walk (_greedy_walk) blocks, after each
+acceptance, the later candidates within that chord whose exact distance is
+below 2 rho.  Its caller hands it the source of those chord balls:
+
+- a 2-sphere (a whole orbit or a product 3-block): _lattice_balls reads
+  each ball off the Fibonacci spiral, whose candidates a _SpiralWindow
+  builds range by range into one buffer that holds a ball window, not
+  the whole spiral;
+- a conjugation orbit: _angle_balls reads each ball off the angle grid;
+- a sphere of dimension >= 4, whose Kronecker points have no order to read
+  a ball off: _tree_balls searches one lean scipy.spatial.cKDTree of its
+  candidates, all built at once.
+
+Every pair of the centers is certified once per report with the exact
+distance formulas (_certified):
+
+- a product grid by its blocks (_product_min_distance), as its minimum is
+  the least block minimum;
+- every other report, ANGULAR_EXACT circles included, by the close pairs
+  of its embedding (_pairwise_min_distance): from a cell list where it has
+  at most 3 columns, and from a kd-tree of the centres on a sphere of
+  dimension >= 4, whose walk has loaded scipy.spatial already.
+
+Only those spheres import scipy.spatial.
 """
 
 from __future__ import annotations
@@ -318,8 +329,8 @@ def _pairwise_min_distance(action, space, centers) -> float:
     """Smallest pairwise distance among centers.
 
     The exact distance of consecutive rows bounds the minimum from above
-    (B; the walks emit their centers in walk order, so some consecutive
-    rows lie close).  Every pair at most B apart lies within chord(B) in
+    (B; the walks emit their centers in walk order and a circle in angle
+    order, so some consecutive rows lie close).  Every pair at most B apart lies within chord(B) in
     the embedding, so the minimum is that of the pairs within chord(B),
     each measured with the exact key as rows i < j: the conjugation key
     rounds differently the other way round.  An embedding of at most 3
@@ -392,28 +403,6 @@ def _tree_pairs(emb, radius):
     return pairs[:, 0], pairs[:, 1]
 
 
-def _angular_min_distance(action, space, centers) -> float:
-    """Smallest pairwise distance among centers on one centred circle.
-
-    There distance grows with the angular gap, so the closest pair is
-    adjacent in angle: the centers are sorted by angle and each adjacent
-    pair, the wrap included, is measured with the exact distance of
-    _orbit_metric, in O(n log n).  Raises unless the centers are points of
-    the plane that share one norm, to rounding.
-    """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != 2:
-        raise RuntimeError("packing certificate: circle centers must be points of the plane")
-    if len(centers) < 2:
-        return math.inf
-    norms = np.hypot(centers[:, 0], centers[:, 1])
-    if not np.ptp(norms) <= 1e-12 * norms.max():
-        raise RuntimeError("packing certificate: circle centers do not share one norm")
-    _, _, key, dist = _orbit_metric(action, space, centers)
-    order = np.argsort(np.arctan2(centers[:, 1], centers[:, 0]))
-    return float(dist(key(order, np.roll(order, -1)).min()))
-
-
 @dataclass(frozen=True)
 class PackingReport:
     """Certified family of disjoint geodesic rho-balls centered on an orbit;
@@ -450,9 +439,9 @@ def _product_min_distance(action, centers) -> float:
     exact zeros, and rounded addition is monotone: the key of a pair is at
     least that of each block where it differs, and equal to it where it
     differs in that block alone.  So the minimum is that over the blocks
-    with at least 2 distinct rows of each block's own certificate (adjacent
-    angles on a circle, the cell list on a higher sphere): a lower bound for
-    any set without repeated rows, and the minimum itself, bit for bit, on a
+    with at least 2 distinct rows of each block's own certificate
+    (_pairwise_min_distance): a lower bound for any set without repeated
+    rows, and the minimum itself, bit for bit, on a
     full product grid.  Each block's distinct rows are taken in the order of
     their first appearance, which is walk order on a grid.
     """
@@ -465,19 +454,15 @@ def _product_min_distance(action, centers) -> float:
         offset += bdim
         first = _first_rows(block)
         if len(first) > 1:
-            certify = _angular_min_distance if bdim == 2 else _pairwise_min_distance
-            dmin = min(dmin, certify(action, None, block[first]))
+            dmin = min(dmin, _pairwise_min_distance(action, None, block[first]))
     return dmin
 
 
 def _certified(action, space, y, rho, centers, method) -> PackingReport:
-    """Report on centers after one pass of the pairwise certificate (the
-    adjacent angles of an ANGULAR_EXACT circle, the block certificates of a
-    product orbit, the cell list of every other GREEDY orbit); raises on
-    failure."""
-    if method == ANGULAR_EXACT:
-        dmin = _angular_min_distance(action, space, centers)
-    elif action.kind == PRODUCT_ROTATION:
+    """Report on centers after one pass of the pairwise certificate: the
+    block certificates on a product orbit, _pairwise_min_distance on every
+    other; raises on failure."""
+    if action.kind == PRODUCT_ROTATION:
         dmin = _product_min_distance(action, centers)
     else:
         dmin = _pairwise_min_distance(action, space, centers)
@@ -523,10 +508,8 @@ def _chart_radius(space: SpaceForm, geodesic_radius: float) -> float:
 
 
 def _tree_balls(emb, radius):
-    """Later members of each chord ball, from one kd-tree of the candidates:
-    the ball source of a sphere walk of dimension >= 4, whose Kronecker
-    points have no order to read a ball off, and the only user of
-    scipy.spatial besides the certificate's _tree_pairs on such a sphere.
+    """Later members of each chord ball of radius, from one kd-tree of the
+    candidates emb, whose Kronecker points have no order to read a ball off.
 
     The tree is built on the embedding without copying it (every embedding
     here is C-contiguous), with sliding-midpoint splits into wide leaves
@@ -547,32 +530,24 @@ def _tree_balls(emb, radius):
     return later_ball
 
 
-def _greedy_walk(metric, rho, balls) -> list:
-    """Indices a greedy pass over the candidates of metric accepts: each
-    candidate in order, unless closer than 2 rho to an accepted one.  Raises
-    ValueError at the first acceptance past _MAX_CENTERS.
+def _greedy_walk(n, rho, later_ball, key, dist) -> list:
+    """Indices a greedy pass over n candidates accepts: each candidate in
+    order, unless closer than 2 rho to an accepted one.  Raises ValueError
+    at the first acceptance past _MAX_CENTERS.
 
-    metric is (emb, chord, key, dist) as _orbit_metric gives it, emb of one
-    entry per candidate.  Pairs closer than 2 rho lie within the chord
-    c = chord(2 rho) of the embedding, so after each acceptance the later
-    candidates of that chord ball are the ones it may block; the unblocked
-    ones among them whose exact distance is below 2 rho are blocked.  Each
-    pair is keyed as (accepted, later), the order of the certificate's
-    i < j, so the walk keeps no pair the certificate reads below 2 rho (the
-    conjugation key rounds differently the other way round).  That step is
-    the same for every orbit; only the source of the balls differs.
-    balls(emb, c) returns a function of the accepted index i, called once
-    per acceptance in walk order, that gives an index array of later
-    candidates (j > i) holding every later member of the chord ball of i.
-    Extra candidates cost time only, as the exact distance decides.  The
-    sources are _lattice_balls, for the Fibonacci spiral of a 2-sphere held
-    in a _SpiralWindow, _angle_balls, for the angle grid of a conjugation
-    orbit, and _tree_balls, one kd-tree for the Kronecker points of a sphere
-    of dimension >= 4, which have no such order.
+    key and dist are those of the candidates' _orbit_metric: candidates i
+    and j lie dist(key(i, j)) apart.  later_ball(i), called once per
+    acceptance in walk order, gives an index array of later candidates
+    (j > i) that holds every later member of the chord ball chord(2 rho)
+    of i, as pairs closer than 2 rho lie within that chord; extra
+    candidates cost time only, as the exact distance decides.  The
+    unblocked ones among them whose exact distance is below 2 rho are
+    blocked.  Each pair is keyed as (accepted, later), the order of the
+    certificate's i < j, so the walk keeps no pair the certificate reads
+    below 2 rho (the conjugation key rounds differently the other way
+    round).
     """
-    emb, chord, key, dist = metric
-    later_ball = balls(emb, chord(2.0 * rho))
-    blocked = bytearray(len(emb))
+    blocked = bytearray(n)
     flags = np.frombuffer(blocked, dtype=bool)  # writable view of blocked
     accepted = []
     i = 0
@@ -619,7 +594,7 @@ def _lattice_balls(spiral, radius):
     W + W // 4 + 1 rows, which slides at most once per W / 4 candidates
     and moves at most W rows when it does.
     """
-    n, scale = len(spiral), spiral.r
+    n, scale = spiral.n, spiral.r
     reach = radius * (1.0 + 1e-12)
     pad = 1e-15 * scale
     golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -673,9 +648,9 @@ class _SpiralWindow:
     raises IndexError; _lattice_balls sizes the buffer past the longest.
     Row i is copied out as it is accepted; centers() gives those rows.
 
-    metric is the walk's (emb, chord, key, dist), as _orbit_metric gives
-    it for the whole spiral: the key takes candidates by their index on the
-    spiral and measures their buffer rows, with 1 - |p|^2 kept per buffer
+    chord, key and dist are the walk's, as _orbit_metric gives them for the
+    whole spiral: key takes candidates by their index on the spiral and
+    measures their buffer rows, with 1 - |p|^2 kept per buffer
     row on a Poincare chart.  There the chord is scaled by 1 - r^2 + 1e-14,
     not by the largest 1 - |p|^2 of the candidates plus 1e-15: on the
     spiral every 1 - |p|^2 rounds to within a few ulps of 1 - r^2 (at most
@@ -689,15 +664,6 @@ class _SpiralWindow:
         self.one_minus = None if space.model == EUCLIDEAN else np.empty(0)
         self.accepted = bytearray()
         self.chord, self.dist = _chart_scale(space, None if self.one_minus is None else 1.0 - r * r + 1e-14)
-
-    @property
-    def metric(self):
-        # built on each call, not kept: a tuple holding self would keep the
-        # buffer alive until the cyclic garbage collector runs
-        return self, self.chord, self.key, self.dist
-
-    def __len__(self):
-        return self.n
 
     def z(self, k):
         """z of candidate k in closed form, bit for bit its buffer row's."""
@@ -773,23 +739,19 @@ def _angle_balls(emb, radius):
 
 
 def _sphere_walk(space, y, rho):
-    """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3).
-
-    On a 2-sphere the candidates are the Fibonacci spiral, streamed through
-    the buffer of a _SpiralWindow, and each chord ball is read off its index
-    order (_lattice_balls): the walk holds a window of candidates, not all
-    of them.  The Kronecker points of a higher sphere have no such order;
-    they are built at once and take the kd-tree ball (_tree_balls).
-    """
+    """Greedy walk over a deterministic spiral on the orbit sphere (dim >= 3):
+    the Fibonacci spiral of a 2-sphere, held a window at a time, or the
+    Kronecker points of a higher sphere, built at once."""
     y = np.asarray(y, dtype=float)
     n, r = _walk_size(space, y, rho), float(np.linalg.norm(y))
     if y.size == 3:
         spiral = _SpiralWindow(space, n, r)
-        _greedy_walk(spiral.metric, rho, _lattice_balls)
+        _greedy_walk(n, rho, _lattice_balls(spiral, spiral.chord(2.0 * rho)), spiral.key, spiral.dist)
         return spiral.centers()
     pts = _sphere_points(y.size, n)
     pts *= r
-    return pts[_greedy_walk(_orbit_metric(GroupAction(FULL_ROTATION), space, pts), rho, _tree_balls)]
+    emb, chord, key, dist = _orbit_metric(GroupAction(FULL_ROTATION), space, pts)
+    return pts[_greedy_walk(n, rho, _tree_balls(emb, chord(2.0 * rho)), key, dist)]
 
 
 def _walk_size(space, y, rho) -> int:
@@ -810,28 +772,24 @@ def _walk_size(space, y, rho) -> int:
     return int(max(256, math.ceil(min(cells, _MAX_WALK))))
 
 
-def _product_block_counts(space, y, blocks, rho):
-    """Per-block packing counts whose product grid is automatically disjoint.
+def _product_block_centers(y, blocks, rho):
+    """Per-block packings whose product grid is automatically disjoint.
 
     Any two grid points differ in at least one block by a full angular step,
     which alone contributes chord >= 2 rho, so the ambient distance clears
     the threshold regardless of the other blocks.
     """
-    counts, block_centers = [], []
+    block_centers = []
     offset = 0
     for bdim in blocks:
         yj = np.asarray(y, dtype=float)[offset : offset + bdim]
-        rj = float(np.linalg.norm(yj))
-        if rj == 0.0:
-            counts.append(1)
+        if float(np.linalg.norm(yj)) == 0.0:
             block_centers.append(np.zeros((1, bdim)))
         else:
             walk = _circle_centers if bdim == 2 else _sphere_walk
-            centers = walk(SpaceForm(bdim, 0.0), yj, rho)
-            block_centers.append(centers)
-            counts.append(len(centers))
+            block_centers.append(walk(SpaceForm(bdim, 0.0), yj, rho))
         offset += bdim
-    return counts, block_centers
+    return block_centers
 
 
 def packing_count(
@@ -849,19 +807,8 @@ def packing_count(
     product grid of its per-block packings.  A packing of more than
     _MAX_CENTERS centers raises ValueError: a circle or a product grid
     before any center is built, a walk at its first acceptance past the
-    cap.
-
-    After each acceptance the walk blocks the later candidates that lie
-    within the chord of 2 rho and that the exact distance confirms.  That
-    ball is read off the Fibonacci spiral of a 2-sphere (_lattice_balls)
-    or the angle grid of a conjugation orbit (_angle_balls) with no tree;
-    only a sphere of dimension >= 4 takes it from one kd-tree of its
-    candidates.  The certificate runs once per report and raises below
-    2 rho.  On an ANGULAR_EXACT circle it measures the pairs adjacent in
-    angle.  On a product grid it takes the least of its block
-    certificates.  On any other GREEDY orbit it measures the close pairs
-    of a cell list, or of a kd-tree of the centres on a sphere of
-    dimension >= 4.  Only those spheres import scipy.spatial.
+    cap.  The certificate runs once per report and raises below 2 rho; the
+    module docstring sets out the walks' ball sources and the certificates.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -888,11 +835,11 @@ def packing_count(
         raise ValueError(f"blocks {action.blocks} do not partition y of size {y.size}")
     if float(np.linalg.norm(y)) == 0.0:
         return PackingReport(y, rho, 1, np.zeros((1, y.size)), GREEDY, fixed_point=True)
-    counts, block_centers = _product_block_counts(space, y, action.blocks, rho)
-    total = int(np.prod(counts))
+    block_centers = _product_block_centers(y, action.blocks, rho)
+    total = math.prod(len(c) for c in block_centers)
     if total > _MAX_CENTERS:
         raise _too_many(total)
-    grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
+    grids = np.meshgrid(*[np.arange(len(c)) for c in block_centers], indexing="ij")
     centers = np.concatenate(
         [block_centers[j][g.ravel()] for j, g in enumerate(grids)], axis=1
     )
@@ -903,7 +850,8 @@ def _packing_matrix(action, y: MatrixPoint, rho: float) -> PackingReport:
     if abs(y.a - 1.0) < 1e-12 and abs(y.b) < 1e-12 and abs(y.c - 1.0) < 1e-12:
         return PackingReport(y, rho, 1, np.array([[y.a, y.b, y.c]]), GREEDY, fixed_point=True)
     pts = _conjugation_candidates(y, rho)
-    accepted = _greedy_walk(_orbit_metric(action, None, pts), rho, _angle_balls)
+    emb, chord, key, dist = _orbit_metric(action, None, pts)
+    accepted = _greedy_walk(len(pts), rho, _angle_balls(emb, chord(2.0 * rho)), key, dist)
     return _certified(action, None, y, rho, pts[accepted], GREEDY)
 
 

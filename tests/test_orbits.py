@@ -840,7 +840,8 @@ class TestWalkAgainstReferenceCopies:
         y = np.array([radius, 0.0, 0.0])
         pts = radius * _reference_sphere_points3(n_steps)
         accepted = _reference_greedy_walk(ROT, space, pts, rho)
-        assert orbits._greedy_walk(orbits._orbit_metric(ROT, space, pts), rho, orbits._tree_balls) == accepted
+        emb, chord, key, dist = orbits._orbit_metric(ROT, space, pts)
+        assert orbits._greedy_walk(len(pts), rho, orbits._tree_balls(emb, chord(2.0 * rho)), key, dist) == accepted
         assert orbits._sphere_walk(space, y, rho).tobytes() == pts[accepted].tobytes()
 
     def test_conjugation_walk(self):
@@ -849,7 +850,8 @@ class TestWalkAgainstReferenceCopies:
         n_steps = 17770
         pts = orbits._conjugates(y, math.pi * np.arange(n_steps) / n_steps)
         accepted = _reference_greedy_walk(CONJ, None, pts, rho)
-        assert orbits._greedy_walk(orbits._orbit_metric(CONJ, None, pts), rho, orbits._angle_balls) == accepted
+        emb, chord, key, dist = orbits._orbit_metric(CONJ, None, pts)
+        assert orbits._greedy_walk(len(pts), rho, orbits._angle_balls(emb, chord(2.0 * rho)), key, dist) == accepted
         assert report.centers.tobytes() == pts[accepted].tobytes()
 
 
@@ -872,7 +874,9 @@ class TestLatticeBall:
         pts = _spiral_candidates(space, np.array([radius, 0.0, 0.0]), rho)
         emb, chord, _, _ = orbits._orbit_metric(ROT, space, pts)
         reach = chord(2.0 * rho)
-        accepted = orbits._greedy_walk(orbits._SpiralWindow(space, len(pts), radius).metric, rho, orbits._lattice_balls)
+        spiral = orbits._SpiralWindow(space, len(pts), radius)
+        balls = orbits._lattice_balls(spiral, spiral.chord(2.0 * rho))
+        accepted = orbits._greedy_walk(len(pts), rho, balls, spiral.key, spiral.dist)
         assert accepted[0] == 0  # the first centre sits at the pole
         z = emb[:, 2]
         assert any(z[i] > 0.0 > z[i] - reach for i in accepted)  # a window across the equator
@@ -1205,7 +1209,8 @@ class TestCertificate:
 
 
 class TestAngularCertificate:
-    """An ANGULAR_EXACT circle is certified by its pairs adjacent in angle."""
+    """An ANGULAR_EXACT circle is certified by the cell list, as every other
+    orbit that is not a product grid is."""
 
     @_PROPERTY
     @given(
@@ -1226,17 +1231,18 @@ class TestAngularCertificate:
         y = chart_r * np.array([math.cos(phase), math.sin(phase)])
         rho = ratio * geodesic_distance(space, np.zeros(2), y)
         centers = orbits._circle_centers(space, y, rho)
-        adjacent = orbits._angular_min_distance(ROT, space, centers)
-        assert adjacent == _reference_pairwise_min_distance(ROT, space, centers)
+        report = packing_count(ROT, space, y, rho)
+        assert report.method == ANGULAR_EXACT and report.centers.tobytes() == centers.tobytes()
+        assert report.min_pairwise_distance == _reference_pairwise_min_distance(ROT, space, centers)
 
     def test_centers_off_one_circle_are_refused(self):
         # the closest pair, (1, 0) and (1, 0.1), is not adjacent in angle:
-        # adjacency alone would certify 4.0 >= 2 rho
+        # the adjacent pairs alone would certify 4.0 >= 2 rho
         centers = np.array([[1.0, 0.0], [5.0, 0.2], [1.0, 0.1], [-5.0, 0.0]])
         cell_list = orbits._pairwise_min_distance(ROT, EUCLID2, centers)
         assert cell_list == _reference_pairwise_min_distance(ROT, EUCLID2, centers) == pytest.approx(0.1)
         report = PackingReport(np.array([1.0, 0.0]), 1.0, 4, centers, ANGULAR_EXACT)
-        with pytest.raises(RuntimeError, match="one norm"):
+        with pytest.raises(RuntimeError, match="violated"):
             report.verify(ROT, EUCLID2)
 
     def test_verify_rejects_crowded_circle(self):
