@@ -248,6 +248,11 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
         lams = _parse_range(params["lambda_grid"])
         for lam in lams[(lams > 0) & np.isfinite(lams)]:  # MatrixPoint refuses the rest
             _check_range("lambda_grid", float(lam), 2.0 * abs(math.log(lam)), "lambda^2 and lambda^-2")
+            if not orbits.MatrixPoint.diagonal(float(lam)).eigenvalues[1] > 0.0:
+                raise ValidationError(
+                    f"lambda_grid = {float(lam)!r} is out of range: the smaller eigenvalue of "
+                    "diag(lambda, 1/lambda) rounds to 0 from about lambda = 2^27 (or 2^-27)"
+                )
         rows = []
         for lam in lams:
             res = orbits.orbit_hausdorff_matrix(orbits.MatrixPoint.diagonal(float(lam)))

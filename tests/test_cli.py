@@ -248,6 +248,16 @@ class TestValidation:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error and record["message"].split()[0] in (name, name + ":")
 
+    @pytest.mark.parametrize("lam", ["1e9", "1e-9", "1:1e9:3:log"])
+    def test_matrix_lambda_whose_smaller_eigenvalue_rounds_to_zero(self, capsys, lam):
+        # from lambda = 2^27 (and below 2^-27) the smaller eigenvalue of
+        # diag(lambda, 1/lambda) rounds to 0 and its log has no value
+        assert main(["hausdorff", "--example", "matrix", "--lambda-grid", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError" and record["message"].split()[0] == "lambda_grid"
+
 
 class TestParameterDefaults:
     def test_run_and_flags_share_defaults(self, tmp_path):
