@@ -330,14 +330,14 @@ def _pairwise_min_distance(action, space, centers) -> float:
 
     The exact distance of consecutive rows bounds the minimum from above
     (B; the walks emit their centers in walk order and a circle in angle
-    order, so some consecutive rows lie close).  Every pair at most B apart lies within chord(B) in
-    the embedding, so the minimum is that of the pairs within chord(B),
-    each measured with the exact key as rows i < j: the conjugation key
-    rounds differently the other way round.  An embedding of at most 3
-    columns takes those pairs from a cell list (_cell_pairs).  A wider
-    one, the points of a sphere of dimension >= 4, takes them from a
-    kd-tree (_tree_pairs): cells over some of its columns would gather
-    every pair that only the other columns set apart.
+    order, so some consecutive rows lie close).  Every pair at most B
+    apart lies within chord(B) in the embedding, so the minimum is that of
+    the pairs within chord(B), each measured with the exact key as rows
+    i < j: the conjugation key rounds differently the other way round.  An
+    embedding of at most 3 columns takes those pairs from a cell list
+    (_cell_pairs).  A wider one, the points of a sphere of dimension >= 4,
+    takes them from a kd-tree (_tree_pairs): cells over some of its
+    columns would gather every pair that only the other columns set apart.
     """
     n = len(centers)
     if n < 2:
@@ -441,9 +441,9 @@ def _product_min_distance(action, centers) -> float:
     differs in that block alone.  So the minimum is that over the blocks
     with at least 2 distinct rows of each block's own certificate
     (_pairwise_min_distance): a lower bound for any set without repeated
-    rows, and the minimum itself, bit for bit, on a
-    full product grid.  Each block's distinct rows are taken in the order of
-    their first appearance, which is walk order on a grid.
+    rows, and the minimum itself, bit for bit, on a full product grid.
+    Each block's distinct rows are taken in the order of their first
+    appearance, which is walk order on a grid.
     """
     centers = np.asarray(centers, dtype=float)
     if len(_first_rows(centers)) < len(centers):
@@ -650,8 +650,8 @@ class _SpiralWindow:
 
     chord, key and dist are the walk's, as _orbit_metric gives them for the
     whole spiral: key takes candidates by their index on the spiral and
-    measures their buffer rows, with 1 - |p|^2 kept per buffer
-    row on a Poincare chart.  There the chord is scaled by 1 - r^2 + 1e-14,
+    measures their buffer rows, with 1 - |p|^2 kept per buffer row on a
+    Poincare chart.  There the chord is scaled by 1 - r^2 + 1e-14,
     not by the largest 1 - |p|^2 of the candidates plus 1e-15: on the
     spiral every 1 - |p|^2 rounds to within a few ulps of 1 - r^2 (at most
     6e-16 for n up to 500,000), and a wider fetch costs time only.
