@@ -328,14 +328,8 @@ def _run_rearrange(config: RunConfig, params: dict) -> RunResult:
     _, _, holds = rearrange.polya_szego_check(u, u_star, p=2.0)
     checks["polya_szego"] = holds
     grid = np.linspace(0.0, max(u.radius, u_star.radius), cells + 1)
-    rows = [
-        {
-            "r": float(r),
-            "u": float(u.interp(r)) if r <= u.radius else 0.0,
-            "u_star": float(u_star.interp(r)) if r <= u_star.radius else 0.0,
-        }
-        for r in grid
-    ]
+    columns = [np.where(grid <= v.radius, v.interp(grid), 0.0).tolist() for v in (u, u_star)]
+    rows = [{"r": r, "u": a, "u_star": b} for r, a, b in zip(grid.tolist(), *columns)]
     return RunResult(config, ["r", "u", "u_star"], rows, checks)
 
 

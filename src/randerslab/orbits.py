@@ -182,8 +182,6 @@ def _conjugates(x: MatrixPoint, thetas) -> np.ndarray:
 
 def _sphere_points(d: int, n: int) -> np.ndarray:
     """n deterministic, roughly uniform unit vectors in R^d."""
-    if d == 1:
-        return np.array([[1.0 if k % 2 == 0 else -1.0] for k in range(n)])
     if d == 2:
         thetas = 2.0 * math.pi * np.arange(n) / n
         return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
@@ -235,7 +233,7 @@ def _spiral_rows(n: int, start: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def orbit_sample(action: GroupAction, y, n: int, space: Optional[SpaceForm] = None):
+def orbit_sample(action: GroupAction, y, n: int):
     """n deterministic points on the orbit of y (uniform parameter grids);
     a conjugation orbit gives (a, b, c) rows."""
     if n < 1:

@@ -543,7 +543,6 @@ class BonannoParameters:
     phi_u1: float
     j_u1: float
     sup_bound_at_rho0: float
-    sup_measured_at_rho0: float
     c_inf: float
     c2: float
     coercivity: float
@@ -620,11 +619,7 @@ def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) 
 
 
 def bonanno_parameters(
-    problem: PDEProblem,
-    s0: float,
-    big_r: float,
-    small_r: float,
-    rho_sweep: Optional[Sequence[float]] = None,
+    problem: PDEProblem, s0: float, big_r: float, small_r: float
 ) -> BonannoParameters:
     """Sweep rho and pick rho0 so that the two strict inequalities
 
@@ -654,14 +649,11 @@ def bonanno_parameters(
         return big_k * rho ** (nl.q / problem.p)
 
     ratio = j1 / phi1
-    if rho_sweep is None:
-        # sup_bound(rho)/rho = K rho^(q/p - 1) crosses ratio at rho_crit;
-        # sweep below it so the inequality holds with a clean margin
-        rho_crit = (ratio / big_k) ** (problem.p / (nl.q - problem.p))
-        hi = min(rho_crit, 0.999 * phi1)
-        rho_sweep = hi * np.geomspace(1e-8, 0.999, 60)
+    # sup_bound(rho)/rho = K rho^(q/p - 1) crosses ratio at rho_crit;
+    # sweep below it so the inequality holds with a clean margin
+    rho_crit = (ratio / big_k) ** (problem.p / (nl.q - problem.p))
     best = None
-    for rho in np.asarray(rho_sweep, dtype=float):
+    for rho in min(rho_crit, 0.999 * phi1) * np.geomspace(1e-8, 0.999, 60):
         if not 0 < rho < phi1:
             continue
         sb = sup_bound(rho)
@@ -670,9 +662,7 @@ def bonanno_parameters(
         if sb <= 0.5 * rho * ratio and (best is None or rho > best):
             best = rho
     if best is None:
-        raise SweepFailure(
-            "no rho satisfied the strict inequalities; enlarge the sweep grid"
-        )
+        raise SweepFailure("no rho satisfied the strict inequalities")
     rho0 = best
     a_bar = (1.0 + rho0) / (ratio - sup_bound(rho0) / rho0)
     return BonannoParameters(
@@ -681,7 +671,6 @@ def bonanno_parameters(
         phi_u1=phi1,
         j_u1=j1,
         sup_bound_at_rho0=sup_bound(rho0),
-        sup_measured_at_rho0=sup_j_under_phi_level(problem, rho0),
         c_inf=c_inf,
         c2=c2,
         coercivity=c_coerc,
@@ -696,7 +685,6 @@ class CriticalPointReport:
     profiles: list
     energies: list
     gradient_norms: list
-    distinct: np.ndarray
     n_converged: int
     n_starts: int
 
@@ -892,9 +880,10 @@ def _polish_root(problem, u, tol_factor):
     Steps are accepted on gradient-norm decrease, which is immune to the
     floating resolution of the energy, so this phase finishes critical
     points (minima or mountain-pass saddles alike) that the monotone
-    energy descent can only approach.
+    energy descent can only approach.  Every trial gets its gradient with
+    its exact Hessian bands, so an accepted trial brings the next Jacobian.
     """
-    g = yield "gradient", u
+    g, (diag_phi, off, diag_react) = yield "bands", u, False
     g_norm = float(np.linalg.norm(g))
     mass = problem.disc["mass"]
     tau = 0.0
@@ -902,7 +891,6 @@ def _polish_root(problem, u, tol_factor):
         _, _, e_val = yield "energy", u
         if g_norm <= tol_factor * (1.0 + abs(e_val)):
             break
-        _, (diag_phi, off, diag_react) = yield "bands", u, False
         diag = diag_phi + diag_react
         stepped = False
         for _ in range(40):
@@ -911,10 +899,11 @@ def _polish_root(problem, u, tol_factor):
                 alpha = 1.0
                 for _ in range(25):
                     trial = np.maximum(u + alpha * cand, 0.0)
-                    g_trial = yield "gradient", trial
+                    g_trial, bands = yield "bands", trial, False
                     n_trial = float(np.linalg.norm(g_trial))
                     if n_trial < g_norm * (1.0 - 1e-4 * alpha):
                         u, g, g_norm = trial, g_trial, n_trial
+                        diag_phi, off, diag_react = bands
                         stepped = True
                         break
                     alpha *= 0.5
@@ -931,17 +920,13 @@ def _polish_root(problem, u, tol_factor):
 
 def _answer(problem, kind, requests) -> list:
     """Answers to requests of one kind, from one (rows x nodes) stack of
-    their profiles: (Phi, J, E) for "energy"; the free gradient (rim entry
-    0, the rim is not an unknown) for "gradient"; the free gradient and the
-    Hessian bands, flat-floored as the request asks, for "bands"."""
+    their profiles: (Phi, J, E) for "energy"; for "bands", the free gradient
+    (rim entry 0, the rim is not an unknown) and the Hessian bands,
+    flat-floored as the request asks."""
     u = np.stack([req[1] for req in requests])
     if kind == "energy":
         return _energies(problem, u)
     # each start gets copies of its rows, so no start keeps a whole stack alive
-    if kind == "gradient":
-        grad = _gradients(problem, u)[0]
-        grad[:, -1] = 0.0
-        return [row.copy() for row in grad]
     grad, diag_phi, off, diag_react = _gradients_and_bands(problem, u, [req[2] for req in requests])
     grad[:, -1] = 0.0
     return [
@@ -955,11 +940,12 @@ def _run_starts(problem, starts) -> list:
     one problem to their ends, all together, and return their results in
     order.
 
-    A sequence yields a request (kind, profile[, flat_floor]) and receives
-    its answer (see _answer).  Each round answers every waiting request of
-    one kind as one stack, energies first, so the kernels run once per
-    round instead of once per start; the rows of a stack do not mix, so
-    each sequence gets exactly the numbers it would get alone."""
+    A sequence yields a request ("energy", profile) or ("bands", profile,
+    flat_floor) and receives its answer (see _answer).  Each round answers
+    every waiting request of one kind as one stack, energies first, so the
+    kernels run once per round instead of once per start; the rows of a
+    stack do not mix, so each sequence gets exactly the numbers it would
+    get alone."""
     results = [None] * len(starts)
     waiting = {}
 
@@ -973,8 +959,7 @@ def _run_starts(problem, starts) -> list:
     for i in range(len(starts)):
         advance(i, None)
     while waiting:
-        kinds = {req[0] for req in waiting.values()}
-        kind = next(k for k in ("energy", "bands", "gradient") if k in kinds)
+        kind = "energy" if any(req[0] == "energy" for req in waiting.values()) else "bands"
         rows = [i for i, req in waiting.items() if req[0] == kind]
         for i, answer in zip(rows, _answer(problem, kind, [waiting[i] for i in rows])):
             advance(i, answer)
@@ -1033,7 +1018,6 @@ def multi_start_solve(
                 profiles=[prob.profile(c[0]) for c in clusters],
                 energies=[c[1] for c in clusters],
                 gradient_norms=[c[2] for c in clusters],
-                distinct=~np.eye(len(clusters), dtype=bool),
                 n_converged=n_conv,
                 n_starts=len(lam_seeds),
             )

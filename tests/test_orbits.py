@@ -46,11 +46,11 @@ CONJ = GroupAction(MATRIX_CONJUGATION)
 
 class TestOrbitSample:
     def test_origin_is_fixed(self):
-        pts = orbit_sample(ROT, np.zeros(2), 7, space=EUCLID2)
+        pts = orbit_sample(ROT, np.zeros(2), 7)
         assert np.all(pts == 0.0)
 
     def test_axis_points_in_the_plane(self):
-        pts = orbit_sample(ROT, np.array([5.0, 0.0]), 4, space=EUCLID2)
+        pts = orbit_sample(ROT, np.array([5.0, 0.0]), 4)
         expected = np.array([[5, 0], [0, 5], [-5, 0], [0, -5]], dtype=float)
         assert pts == pytest.approx(expected, abs=1e-12)
 
@@ -73,7 +73,7 @@ class TestOrbitSample:
 
     def test_sphere_samples_have_right_radius(self):
         y = np.array([0.0, 0.0, 2.5])
-        pts = orbit_sample(ROT, y, 100, space=EUCLID3)
+        pts = orbit_sample(ROT, y, 100)
         assert np.linalg.norm(pts, axis=1) == pytest.approx(np.full(100, 2.5), rel=1e-12)
 
     def test_deterministic(self):
@@ -710,7 +710,7 @@ class TestGreedyAgainstBruteForce:
 
 def _farthest_sampled_pair(action, space, y):
     """Largest distance over every pair of a 512-point orbit_sample."""
-    pts = orbit_sample(action, y, 512, space=space)
+    pts = orbit_sample(action, y, 512)
     if action.kind == MATRIX_CONJUGATION:
         a, b, c = pts.T
         tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)

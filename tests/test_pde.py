@@ -356,8 +356,8 @@ class TestBonanno:
         # the interval reaches past the ramp's own transition ratio
         assert params.a_bar > params.phi_u1 / params.j_u1
 
-    def test_measured_sup_below_analytic_bound(self, params):
-        assert params.sup_measured_at_rho0 <= params.sup_bound_at_rho0
+    def test_measured_sup_below_analytic_bound(self, problem, params):
+        assert sup_j_under_phi_level(problem, params.rho0) <= params.sup_bound_at_rho0
 
     def test_sup_ratio_vanishes_with_level(self, problem):
         ratios = []
@@ -366,11 +366,10 @@ class TestBonanno:
             ratios.append(sup_j_under_phi_level(problem, rho, max_iter=40) / rho)
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
-    def test_sweep_failure_when_grid_excludes_valid_levels(self, problem):
-        with pytest.raises(SweepFailure):
-            bonanno_parameters(
-                problem, s0=1.0, big_r=1.5, small_r=0.5, rho_sweep=[1e9]
-            )
+    def test_sweep_failure_when_grid_excludes_valid_levels(self):
+        # at d = 40, p = 41 no swept level meets the margin of the inequalities
+        with pytest.raises(SweepFailure, match="no rho satisfied"):
+            bonanno_parameters(example_problem(dim=40, p=41, n_cells=16), 1.0, 1.5, 0.5)
 
 
 def _holder_extremal_profile(problem, radius):
@@ -512,7 +511,6 @@ def _serial_sup_j_under_phi_level(problem, rho, max_iter=120):
 def _serial_bonanno_parameters(problem, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pde, "c_infinity", _serial_c_infinity)
-        mp.setattr(pde, "sup_j_under_phi_level", _serial_sup_j_under_phi_level)
         return bonanno_parameters(problem, *args, **kwargs)
 
 
@@ -586,10 +584,8 @@ class TestMultiStart:
     def test_distinct_matrix_consistent(self, solved):
         _, _, reports = solved
         rep = reports[1]
-        m = rep.n_distinct
-        assert rep.distinct.shape == (m, m)
-        assert not rep.distinct.diagonal().any()
-        assert rep.distinct[0, 1] and rep.distinct[1, 0]
+        distinct = _pairwise_distinct([p.values for p in rep.profiles], 1e-4)
+        assert np.array_equal(distinct, ~np.eye(rep.n_distinct, dtype=bool))
 
     def test_stability_under_grid_doubling(self, solved, problem):
         _, lam_sel, reports = solved
@@ -1157,7 +1153,7 @@ def _loop_ray_witness(problem, lam):
 
 
 def _pairwise_distinct(profiles, threshold):
-    """The pairwise sup-distance loop that filled CriticalPointReport.distinct."""
+    """The pairwise sup-distance matrix of a report's profiles."""
     m = len(profiles)
     distinct = np.ones((m, m), dtype=bool)
     for i in range(m):
@@ -1169,9 +1165,9 @@ def _pairwise_distinct(profiles, threshold):
 
 
 class TestRetiredLoops:
-    """The one-line forms of the gradient flux, the ray witness and the
-    distinct matrix give exactly what the loops and masks they replaced
-    gave."""
+    """The one-line forms of the gradient flux and the ray witness give
+    exactly what the loops and masks they replaced gave, and the clustering
+    leaves every pair of representatives distinct."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -1205,8 +1201,8 @@ class TestRetiredLoops:
         prob = _example_at(n_cells)
         lam_t = find_transition_lambda(prob, 200.0)
         for rep in multi_start_solve(prob, [0.0, lam_t, 2.0 * lam_t, 5.0 * lam_t]):
-            expected = _pairwise_distinct([p.values for p in rep.profiles], 1e-4)
-            assert np.array_equal(rep.distinct, expected)
+            distinct = _pairwise_distinct([p.values for p in rep.profiles], 1e-4)
+            assert np.array_equal(distinct, ~np.eye(rep.n_distinct, dtype=bool))
 
 
 # The one-start-at-a-time kernels, descent and multi-start that the batched
@@ -1448,7 +1444,6 @@ def _reference_multi_start_solve(
                 profiles=[prob.profile(c[0]) for c in clusters],
                 energies=[c[1] for c in clusters],
                 gradient_norms=[c[2] for c in clusters],
-                distinct=~np.eye(len(clusters), dtype=bool),
                 n_converged=n_conv,
                 n_starts=len(lam_seeds),
             )
@@ -1462,7 +1457,6 @@ def _report_bytes(report):
         [prof.values.tobytes() for prof in report.profiles],
         report.energies,
         report.gradient_norms,
-        report.distinct.tobytes(),
         report.n_converged,
         report.n_starts,
     )
@@ -1518,6 +1512,22 @@ class TestBatchedMultiStart:
             u_ref, *rest_ref = _reference_descend(at, seed, 4000, 1e-8, on_step=ref_steps.append)
             assert steps == ref_steps and len(steps) > 0
             assert u.tobytes() == u_ref.tobytes() and rest == rest_ref
+
+    @pytest.mark.parametrize("n_cells", [64, 256])
+    def test_polish_as_reference(self, n_cells):
+        # the example problem's multi-starts at 256 to 2,048 cells never
+        # reach the root polish, so drive it from the default tents, one at
+        # a time and as one batch
+        from randerslab.pde import _polish_root, _run_starts
+
+        prob, lam = _selected_at(n_cells)
+        for at in (replace_lambda(prob, 0.5 * lam), replace_lambda(prob, lam)):
+            tents = _default_seeds(at, 1.0)[1:]
+            expected = [_reference_polish_root(at, u0, 1e-8) for u0 in tents]
+            alone = [_run_starts(at, [_polish_root(at, u0, 1e-8)])[0] for u0 in tents]
+            batch = _run_starts(at, [_polish_root(at, u0, 1e-8) for u0 in tents])
+            for got in (alone, batch):
+                assert [(u.tobytes(), g) for u, g in got] == [(u.tobytes(), g) for u, g in expected]
 
 
 class TestStackedKernels:
