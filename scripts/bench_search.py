@@ -7,10 +7,8 @@ Writes ``BENCH_search.json`` at the root of the checkout with the commit,
 the machine, and, for each call below, the best-of-7 wall time and the
 minor page faults (``ru_minflt``) of each of the 7 calls:
 
-- ``c_infinity`` and ``sup_j_under_phi_level`` on the default ``pde``
-  problem at 1,025 and 2,049 nodes (1024 and 2048 cells), the latter at
-  rho = rho0 of that problem's ``bonanno_parameters`` (s0 = 1, R = 1.5,
-  r = 0.5, the ``pde`` defaults);
+- ``c_infinity`` on the default ``pde`` problem at 1,025 and 2,049 nodes
+  (1024 and 2048 cells);
 - ``embedding_constant`` at the README ``embedding`` configuration
   (Poincare ball, d = 3, p = 2, q = 4, rho = 1, 128 cells);
 - one ``W1pRows`` workspace built, then its ``power`` and
@@ -72,13 +70,7 @@ def _c_infinity_seeds(problem):
 
 def _pde_searches(n_cells):
     problem = pde.example_problem(n_cells=n_cells)
-    rho0 = pde.bonanno_parameters(problem, 1.0, 1.5, 0.5).rho0
-    return {
-        "nodes": n_cells + 1,
-        "rho0": rho0,
-        "c_infinity": _cost(lambda: pde.c_infinity(problem)),
-        "sup_j_under_phi_level": _cost(lambda: pde.sup_j_under_phi_level(problem, rho0)),
-    }
+    return {"nodes": n_cells + 1, "c_infinity": _cost(lambda: pde.c_infinity(problem))}
 
 
 def _row_kernels(n_cells):

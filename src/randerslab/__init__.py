@@ -7,7 +7,7 @@ Modules:
   Gamma/Beta special functions
 - modelspace: constant-curvature model geometries (Euclidean, Poincare ball)
 - randers: Randers metrics, polar transform, Funk model
-- orbits: isometry-orbit sampling, geodesic ball packing, orbit measures
+- orbits: geodesic ball packing and orbit measures on isometry orbits
 - rearrange: Euclidean rearrangement and the gradient-norm comparison
 - sobolev: Sobolev/Lebesgue norms, admissible pairs, embedding estimates
 - pde: variational solver for the quasilinear radial problem
@@ -56,7 +56,6 @@ from .orbits import (
     orbit_diameter,
     orbit_hausdorff_matrix,
     orbit_hausdorff_product_spheres,
-    orbit_sample,
     packing_count,
     spherical_cap_count,
     tangent_packing_lower_bound,

@@ -433,7 +433,7 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         for k, (prof, e_val, g_norm) in enumerate(
             zip(rep.profiles, rep.energies, rep.gradient_norms)
         ):
-            ok_gradient = ok_gradient and g_norm <= 1e-8 * (1.0 + abs(e_val))
+            ok_gradient = ok_gradient and g_norm <= pde.GRADIENT_TOL * (1.0 + abs(e_val))
             rows.append(
                 {
                     "lambda": rep.lam,

@@ -126,6 +126,7 @@ _LEVELS = 8
 # nearer an endpoint than this many ulp of max(|a|, |b|), a node's position
 # rounds too coarsely for f to be read there
 _FLOOR_ULPS = 1e3
+_GROWTH_CAP = 1e12  # a larger level total is DIVERGENT
 
 
 def adaptive_integrate(
@@ -133,7 +134,6 @@ def adaptive_integrate(
     a: float,
     b: float,
     tol: float = 1e-10,
-    growth_cap: float = 1e12,
 ) -> IntegralResult:
     """Integrate f over (a, b) to absolute tolerance tol with one tanh-sinh
     rule (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741).
@@ -145,7 +145,7 @@ def adaptive_integrate(
     A node nearer an endpoint than the floor, 1e3 ulp of max(|a|, |b|) or
     (b-a)/8 if less, takes the value of a power law C delta^(-alpha) in its
     distance delta, fitted from f at the floor and at twice and four times
-    the floor.  A fitted alpha >= 0.999, or a total above growth_cap, is
+    the floor.  A fitted alpha >= 0.999, or a total above _GROWTH_CAP, is
     DIVERGENT.
 
     Endpoint singularities (distance)^(-a) reach tol = 1e-10 for a <= 0.45
@@ -210,7 +210,7 @@ def adaptive_integrate(
         ys[far] = values(np.where(side, b - dist, a + dist)[far])
         weighted += float(weight @ ys)
         value, previous = step * weighted, value
-        if abs(value) > growth_cap:
+        if abs(value) > _GROWTH_CAP:
             return IntegralResult(DIVERGENT, None, evals, True)
         if previous is not None and abs(value - previous) <= 0.1 * tol:
             break

@@ -1,4 +1,4 @@
-"""Isometry-orbit machinery: sampling, geodesic ball packing, orbit measures.
+"""Isometry-orbit machinery: geodesic ball packing and orbit measures.
 
 Three enumerated actions are supported:
 
@@ -75,7 +75,6 @@ __all__ = [
     "MatrixPoint",
     "PackingReport",
     "CoercivityReport",
-    "orbit_sample",
     "packing_count",
     "expansion_profile",
     "orbit_diameter",
@@ -181,14 +180,9 @@ def _conjugates(x: MatrixPoint, thetas) -> np.ndarray:
 
 
 def _sphere_points(d: int, n: int) -> np.ndarray:
-    """n deterministic, roughly uniform unit vectors in R^d."""
-    if d == 2:
-        thetas = 2.0 * math.pi * np.arange(n) / n
-        return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    if d == 3:
-        return _spiral_rows(n, 0, np.empty((n, 3)))
-    # Kronecker low-discrepancy sequence on the square roots of the first d
-    # primes, pushed through the normal inverse CDF
+    """n deterministic, roughly uniform unit vectors in R^d, d >= 4: the
+    Kronecker low-discrepancy sequence on the square roots of the first d
+    primes, pushed through the normal inverse CDF."""
     from scipy.special import ndtri
 
     primes = list(itertools.islice(
@@ -211,7 +205,7 @@ def _spiral_rows(n: int, start: int, out: np.ndarray) -> np.ndarray:
     operation at a time; the middle column holds r until it is scaled by
     sin phi, and phi's buffer takes sin phi once cos phi is written.  Each
     row goes through the same operations whatever the range, so any range
-    is bit for bit those rows of _sphere_points(3, n), the range [0, n).
+    is bit for bit those rows of _spiral_rows(n, 0, ...), the range [0, n).
     """
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     x, r, z = out.T
@@ -230,42 +224,6 @@ def _spiral_rows(n: int, start: int, out: np.ndarray) -> np.ndarray:
     x *= r
     np.sin(phi, out=phi)
     r *= phi
-    return out
-
-
-def orbit_sample(action: GroupAction, y, n: int):
-    """n deterministic points on the orbit of y (uniform parameter grids);
-    a conjugation orbit gives (a, b, c) rows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if action.kind == MATRIX_CONJUGATION:
-        return _conjugates(y, 2.0 * math.pi * np.arange(n) / n)
-    y = np.asarray(y, dtype=float)
-    if action.kind == FULL_ROTATION:
-        r = float(np.linalg.norm(y))
-        if r == 0.0:
-            return np.zeros((n, y.size))
-        if y.size == 2:
-            thetas = 2.0 * math.pi * np.arange(n) / n
-            cos, sin = np.cos(thetas), np.sin(thetas)
-            return np.stack(
-                [cos * y[0] - sin * y[1], sin * y[0] + cos * y[1]], axis=1
-            )
-        return r * _sphere_points(y.size, n)
-    blocks = action.blocks
-    if sum(blocks) != y.size:
-        raise ValueError(f"blocks {blocks} do not partition a vector of size {y.size}")
-    out = np.zeros((n, y.size))
-    offset = 0
-    for j, bdim in enumerate(blocks):
-        yj = y[offset : offset + bdim]
-        rj = float(np.linalg.norm(yj))
-        if rj > 0.0:
-            # offset each block's grid deterministically to avoid aligned seams
-            pts = _sphere_points(bdim, n)
-            shift = (j * 7919) % n
-            out[:, offset : offset + bdim] = rj * np.roll(pts, shift, axis=0)
-        offset += bdim
     return out
 
 
@@ -634,7 +592,7 @@ def _lattice_balls(spiral, radius):
 
 class _SpiralWindow:
     """The candidates of a 2-sphere walk, the Fibonacci spiral
-    _sphere_points(3, n) scaled by r, held as the rows [base, top) of one
+    _spiral_rows(n, 0, ...) scaled by r, held as the rows [base, top) of one
     buffer instead of all at once.
 
     Its ball source sizes the buffer (open) and, at each acceptance i, asks

@@ -9,9 +9,9 @@ energy
     E_lambda(u) = (1/p) int F*(x, Du)^p dV_F - lambda int alpha H(u) dV_F
 
 restricted to radial profiles: a spectral-gap (McKean-type) bound makes
-E_lambda coercive for every lambda >= 0, a scan of sub-level suprema
-produces the parameter interval [0, a_bar] of the three-critical-points
-setup, and a deterministic multi-start projected descent hunts for
+E_lambda coercive for every lambda >= 0, a sweep of levels against a
+closed-form bound on the sub-level suprema produces the parameter
+interval [0, a_bar] of the three-critical-points setup, and a deterministic multi-start projected descent hunts for
 critical points of the discretized energy.
 """
 
@@ -54,7 +54,6 @@ __all__ = [
     "GridDoublingCheck",
     "grid_doubling_check",
     "example_problem",
-    "sup_j_under_phi_level",
     "finsler_ball_volume",
 ]
 
@@ -510,7 +509,7 @@ def c_infinity(problem: PDEProblem, max_iter: int = 200) -> float:
     radial cone: the best quotient of a seeded ascent, read at the start of
     each seed's last of max_iter iterations, times 1.1.  Not a bound: at
     1024 cells profiles reach 0.97 against the 0.815 returned (ROADMAP.md,
-    "A certified c_inf")."""
+    item 1, "Certified c_inf")."""
     p = problem.p
     disc = problem.disc
     x = disc["r"] / disc["r"][-1]
@@ -580,44 +579,6 @@ def example_problem(
     )
 
 
-def sup_j_under_phi_level(problem: PDEProblem, rho: float, max_iter: int = 120) -> float:
-    """Projected ascent estimate of sup {J(u) : Phi(u) <= rho}.
-
-    Seeds are rescaled onto the sub-level set (Phi is p-homogeneous, so the
-    projection is an exact amplitude scaling) and then pushed up the J
-    gradient with backtracking.
-    """
-    disc = problem.disc
-    p = problem.p
-    x = disc["r"] / disc["r"][-1]
-    seeds = [
-        (1.0 - x) ** k for k in (0.5, 1.0, 2.0)
-    ] + [np.clip(1.0 - x / f, 0.0, 1.0) for f in (0.1, 0.3, 0.6)]
-    seeds += [np.exp(-((x / s) ** 2)) - math.exp(-1.0 / s**2) for s in (0.2, 0.5)]
-
-    # every function below acts on a stack of profiles, one per row
-    def project(u):
-        _, _, conorms = _phi_terms(problem, u)
-        for i, phi_p in enumerate(np.sum(conorms**p * disc["vol_f"], axis=1)):
-            phi = float(phi_p) / p
-            if phi > rho:
-                u[i] = u[i] * (rho / phi) ** (1.0 / p) * (1.0 - 1e-12)
-        return u
-
-    def j_values(u):
-        j = np.sum(disc["jw"] * problem.nonlinearity.H(u), axis=1)
-        return [float(v) for v in j], j  # the ascent needs no state
-
-    def ascent(u, _):
-        return disc["jw"] * problem.nonlinearity.h(u)
-
-    _, values = seeded_line_search(
-        np.array(seeds), j_values, ascent, retract=project, grow=1.5, max_iter=max_iter,
-        improves=lambda new, old: new > old * (1.0 + 1e-12) + 1e-300,
-    )
-    return max([0.0] + values)
-
-
 def bonanno_parameters(
     problem: PDEProblem, s0: float, big_r: float, small_r: float
 ) -> BonannoParameters:
@@ -632,9 +593,14 @@ def bonanno_parameters(
     which over-estimates it only if c_inf bounds ||u||_inf / ||u||_{W^{1,p}_g};
     c_infinity is an ascent estimate, not such a bound (see there).  Returns
     the interval endpoint a_bar = (1 + rho0) / (J(u1)/Phi(u1) - sup/rho0).
+    Raises SweepFailure if E(u1) leaves the float range, J(u1) <= 0 or no rho fits.
     """
     u1 = test_function(problem, s0, big_r, small_r)
-    phi1, j1, _ = energy(problem, u1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            phi1, j1, _ = energy(problem, u1)
+    except FloatingPointError as exc:
+        raise SweepFailure(f"s0 = {s0}: the ramp profile's energy leaves the float range ({exc})") from None
     if not j1 > 0:
         raise SweepFailure("the ramp profile has non-positive J; enlarge alpha or s0")
     nl = problem.nonlinearity
@@ -729,18 +695,19 @@ def _solve_tridiag(diag, off, rhs):
     return out if np.isfinite(out).all() else None
 
 
+GRADIENT_TOL = 1e-8  # a start has converged once ||grad E|| <= GRADIENT_TOL (1 + |E|)
 # stagnation hand-off of _descend (see its docstring)
 _STALL_WINDOW = 32
 _STALL_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _descend(problem, u0, max_iter, tol_factor, on_step=None):
+def _descend(problem, u0, max_iter, tol, on_step=None):
     """The descent of _descent_steps from one start: (u, E, ||grad E||,
     converged)."""
-    return _run_starts(problem, [_descent_steps(problem, u0, max_iter, tol_factor, on_step)])[0]
+    return _run_starts(problem, [_descent_steps(problem, u0, max_iter, tol, on_step)])[0]
 
 
-def _descent_steps(problem, u0, max_iter, tol_factor, on_step=None):
+def _descent_steps(problem, u0, max_iter, tol, on_step=None):
     """Projected Newton-type descent on the discrete energy, as a step
     sequence for _run_starts.
 
@@ -791,7 +758,7 @@ def _descent_steps(problem, u0, max_iter, tol_factor, on_step=None):
     mu = 1.0
     for _ in range(max_iter):
         g_norm = float(np.linalg.norm(g))
-        if g_norm <= tol_factor * (1.0 + abs(e_val)):
+        if g_norm <= tol * (1.0 + abs(e_val)):
             converged = True
             break
         diag_phi, off, diag_react = bands
@@ -831,9 +798,9 @@ def _descent_steps(problem, u0, max_iter, tol_factor, on_step=None):
     # Endgame: finish by driving grad E to zero directly.
     g_norm = float(np.linalg.norm(g))
     if not converged:
-        u, g_norm = yield from _polish_root(problem, u, tol_factor)
+        u, g_norm = yield from _polish_root(problem, u, tol)
     phi, _, e_val = yield "energy", u
-    converged = converged or g_norm <= tol_factor * (1.0 + abs(e_val))
+    converged = converged or g_norm <= tol * (1.0 + abs(e_val))
     if converged and problem.p * phi < _zero_only_level(problem):
         return np.zeros_like(u), 0.0, 0.0, True
     return u, e_val, g_norm, converged
@@ -872,7 +839,7 @@ def _zero_only_level(problem) -> float:
     return level
 
 
-def _polish_root(problem, u, tol_factor):
+def _polish_root(problem, u, tol):
     """Damped Newton iteration on grad E = 0 with the exact Jacobian, at
     most 120 steps, as a step sequence for _run_starts; returns
     (u, ||grad E||).
@@ -889,7 +856,7 @@ def _polish_root(problem, u, tol_factor):
     tau = 0.0
     for _ in range(120):
         _, _, e_val = yield "energy", u
-        if g_norm <= tol_factor * (1.0 + abs(e_val)):
+        if g_norm <= tol * (1.0 + abs(e_val)):
             break
         diag = diag_phi + diag_react
         stepped = False
@@ -971,8 +938,7 @@ def multi_start_solve(
     lambda_grid: Sequence[float],
     seeds: Optional[Sequence[np.ndarray]] = None,
     max_iter: int = 4000,
-    tol_factor: float = 1e-8,
-) -> list:
+    ) -> list:
     """Deterministic multi-start descent on E_lambda for each lambda.
 
     Converged profiles are clustered by L^inf distance (threshold
@@ -1001,7 +967,7 @@ def multi_start_solve(
                 lam_seeds.append(witness)
         # every start of this lambda steps as one row of the kernels' stacks
         outcomes = _run_starts(
-            prob, [_descent_steps(prob, seed, max_iter, tol_factor) for seed in lam_seeds]
+            prob, [_descent_steps(prob, seed, max_iter, GRADIENT_TOL) for seed in lam_seeds]
         )
         results = [(u, e_val, g_norm) for u, e_val, g_norm, converged in outcomes if converged]
         n_conv = len(results)

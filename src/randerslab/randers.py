@@ -21,8 +21,7 @@ beta = x/(1-|x|^2), distance -log(1-|x|)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,21 +55,17 @@ class BetaProfile:
     """Radial profile r -> b(r) with sup b = a in [0, 1).
 
     kinds: "zero" (b = 0), "constant" (b = a away from the origin),
-    "tanh" (b = a tanh(r), smooth and vanishing at the origin),
-    "custom" (user callable, not serializable).
+    "tanh" (b = a tanh(r), smooth and vanishing at the origin).
     """
 
     kind: str = "zero"
     a: float = 0.0
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"beta_sup must lie in [0, 1), got {self.a}")
-        if self.kind not in ("zero", "constant", "tanh", "custom"):
+        if self.kind not in ("zero", "constant", "tanh"):
             raise ValueError(f"unknown beta profile kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom beta profile needs fn")
         if self.kind == "zero" and self.a != 0.0:
             raise ValueError("zero profile must have a = 0")
 
@@ -80,15 +75,11 @@ class BetaProfile:
             out = np.zeros_like(r_arr)
         elif self.kind == "constant":
             out = np.where(r_arr > 0, self.a, 0.0)
-        elif self.kind == "tanh":
-            out = self.a * np.tanh(r_arr)
         else:
-            out = np.clip(np.asarray(self.fn(r_arr), dtype=float), 0.0, self.a)
+            out = self.a * np.tanh(r_arr)
         return float(out) if r_arr.ndim == 0 else out
 
     def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom beta profiles are not serializable")
         return {"kind": self.kind, "params": {"a": self.a}}
 
     @classmethod

@@ -29,7 +29,6 @@ from .modelspace import (
     unit_ball_volume,
 )
 from .numerics import cell_nodes
-from .randers import radial_density
 
 __all__ = [
     "RadialProfile",
@@ -184,40 +183,25 @@ def euclidean_rearrangement(u: RadialProfile) -> RadialProfile:
     return RadialProfile(grid=target_grid, values=new_vals, ambient=SpaceForm(d, 0.0))
 
 
-def lq_norm(u: RadialProfile, q: float, weight: str = "riemannian") -> float:
-    """L^q norm of the profile against the radial volume element.
-
-    weight "riemannian" uses dv_g; "finsler" additionally multiplies by the
-    Randers Hausdorff density (1 - b(r)^2)^((d+1)/2) of the ambient.
-    """
+def lq_norm(u: RadialProfile, q: float) -> float:
+    """L^q norm of the profile against the Riemannian volume element dv_g."""
     if q == math.inf:
         return float(np.max(np.abs(u.values)))
     if not q > 0:
         raise ValueError(f"q must be positive or inf, got {q}")
-    rs, half, w, area = _cell_measure(u, weight)
+    rs, half, w = cell_nodes(u.grid, 4)
+    area = area_factor(u.space, rs)
     return float(np.sum(half * w * np.abs(u.cell_values(rs)) ** q * area)) ** (1.0 / q)
 
 
-def gradient_lp_norm(u: RadialProfile, p: float, weight: str = "riemannian") -> float:
+def gradient_lp_norm(u: RadialProfile, p: float) -> float:
     """L^p norm of |grad u| = |du/dr| for the piecewise-linear profile."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     slopes = np.diff(u.values) / np.diff(u.grid)
-    _, half, w, area = _cell_measure(u, weight)
-    shell = (half * w * area).sum(axis=1)
-    return float(np.sum(np.abs(slopes) ** p * shell)) ** (1.0 / p)
-
-
-def _cell_measure(u: RadialProfile, weight: str):
-    """cell_nodes of u's grid and dv_g at the nodes, times the ambient's
-    Randers density for weight "finsler"."""
     rs, half, w = cell_nodes(u.grid, 4)
-    area = area_factor(u.space, rs)
-    if weight == "finsler":
-        area = area * radial_density(u.ambient, rs)
-    elif weight != "riemannian":
-        raise ValueError(f"unknown weight {weight!r}")
-    return rs, half, w, area
+    shell = (half * w * area_factor(u.space, rs)).sum(axis=1)
+    return float(np.sum(np.abs(slopes) ** p * shell)) ** (1.0 / p)
 
 
 def norm_preservation_check(u: RadialProfile, u_star: RadialProfile, q: float) -> float:

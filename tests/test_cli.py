@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from randerslab import sobolev
 from randerslab.cli import RunConfig, ValidationError, main, run
 from randerslab.modelspace import SpaceForm
 from randerslab.orbits import FULL_ROTATION, GroupAction, expansion_profile
-from randerslab.pde import example_problem
+from randerslab.pde import PDEProblem, example_problem
 
 
 def run_to_file(tmp_path, name, argv):
@@ -248,6 +249,16 @@ class TestValidation:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error and record["message"].split()[0] in (name, name + ":")
 
+    @pytest.mark.parametrize("s0", ["1e100", "1e300"])
+    def test_pde_s0_whose_ramp_energy_overflows(self, capsys, s0):
+        # the ramp's co-norm^p overflows, and at 1e300 J is inf - inf: the
+        # record names s0, not a RuntimeWarning or a non-positive J
+        assert main(["pde", "--cells", "16", "--lambda-grid", "0", "--s0", s0]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "SweepFailure" and record["message"].startswith(f"s0 = {float(s0)}:")
+
     @pytest.mark.parametrize("lam", ["1e9", "1e-9", "1:1e9:3:log"])
     def test_matrix_lambda_whose_smaller_eigenvalue_rounds_to_zero(self, capsys, lam):
         # from lambda = 2^27 (and below 2^-27) the smaller eigenvalue of
@@ -356,6 +367,12 @@ class TestPdeProblemFile:
         }
         grid = next(iter(result.extra_files.values())).splitlines()
         assert len(grid) == 1 + 65
+
+    def test_readme_problem_is_the_built_in_problem(self):
+        # the README's problem file round-trips and is the pde default at 2048 cells
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert PDEProblem.from_dict(block).to_dict() == block == example_problem(n_cells=2048).to_dict()
 
     @pytest.mark.parametrize(
         "flags", [["--cells", "999"], ["--dim", "3"], ["--kappa", "2", "--p", "4"]]

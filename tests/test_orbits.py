@@ -28,7 +28,6 @@ from randerslab.orbits import (
     orbit_diameter,
     orbit_hausdorff_matrix,
     orbit_hausdorff_product_spheres,
-    orbit_sample,
     packing_count,
     simplex_min_exponent_sum,
     spherical_cap_count,
@@ -45,21 +44,15 @@ CONJ = GroupAction(MATRIX_CONJUGATION)
 
 
 class TestOrbitSample:
-    def test_origin_is_fixed(self):
-        pts = orbit_sample(ROT, np.zeros(2), 7)
-        assert np.all(pts == 0.0)
-
-    def test_axis_points_in_the_plane(self):
-        pts = orbit_sample(ROT, np.array([5.0, 0.0]), 4)
-        expected = np.array([[5, 0], [0, 5], [-5, 0], [0, -5]], dtype=float)
-        assert pts == pytest.approx(expected, abs=1e-12)
+    """A conjugation orbit at n equal angles, as orbits._conjugates builds
+    the candidates of the conjugation walk."""
 
     def test_matrix_identity_is_fixed_by_conjugation(self):
-        samples = orbit_sample(CONJ, MatrixPoint.identity(), 16)
+        samples = _conjugation_samples(MatrixPoint.identity(), 16)
         assert samples == pytest.approx(np.tile([1.0, 0.0, 1.0], (16, 1)), abs=1e-12)
 
     def test_matrix_samples_keep_determinant(self):
-        samples = orbit_sample(CONJ, MatrixPoint(2.0, 0.5, 0.625), 32)
+        samples = _conjugation_samples(MatrixPoint(2.0, 0.5, 0.625), 32)
         assert samples.shape == (32, 3)
         a, b, c = samples.T
         assert a * c - b**2 == pytest.approx(np.ones(32), abs=1e-10)
@@ -69,17 +62,7 @@ class TestOrbitSample:
     def test_matrix_rows_match_pointwise_conjugation(self, lam, phase, n):
         y = MatrixPoint(*_conjugate(MatrixPoint.diagonal(lam), phase))
         expected = np.array([_conjugate(y, float(t)) for t in 2.0 * math.pi * np.arange(n) / n])
-        assert np.array_equal(orbit_sample(CONJ, y, n), expected)
-
-    def test_sphere_samples_have_right_radius(self):
-        y = np.array([0.0, 0.0, 2.5])
-        pts = orbit_sample(ROT, y, 100)
-        assert np.linalg.norm(pts, axis=1) == pytest.approx(np.full(100, 2.5), rel=1e-12)
-
-    def test_deterministic(self):
-        a = orbit_sample(PROD22, np.array([1.0, 0, 2.0, 0]), 50)
-        b = orbit_sample(PROD22, np.array([1.0, 0, 2.0, 0]), 50)
-        assert np.array_equal(a, b)
+        assert np.array_equal(_conjugation_samples(y, n), expected)
 
 
 class TestPackingCount:
@@ -214,7 +197,7 @@ class TestMatrixOrbitDiameter:
     def test_diameter_realized_by_sampled_pair(self):
         y = MatrixPoint.diagonal(5.0)
         diam = orbit_diameter(CONJ, None, y)
-        samples = orbit_sample(CONJ, y, 512)
+        samples = _conjugation_samples(y, 512)
         brute = max(
             _row_distance(samples[i], samples[j])
             for i in range(0, 512, 16)
@@ -255,7 +238,7 @@ class TestCoercivityProbe:
         best, found = math.inf, False
         for frac in np.linspace(0.5, 1.0, 5):
             chart = orbits._chart_radius(space, frac * radius)
-            for u in orbits._sphere_points(space.dim, 32):
+            for u in _sphere_directions(space.dim, 32):
                 diam = orbit_diameter(action, space, chart * u)
                 best, found = min(best, diam), found or diam <= t
         report = coercivity_probe(action, space, t, radius)
@@ -534,6 +517,20 @@ def _conjugate(x, theta):
     return np.array([m[0, 0], m[0, 1], m[1, 1]])
 
 
+def _conjugation_samples(y, n):
+    """(a, b, c) rows of the conjugates of y at the n angles 2 pi k / n."""
+    return orbits._conjugates(y, 2.0 * math.pi * np.arange(n) / n)
+
+
+def _sphere_directions(d, n):
+    """n unit vectors in R^d: equal angles on the circle, the Fibonacci
+    spiral on the 2-sphere, the walk's Kronecker points above."""
+    if d == 2:
+        thetas = 2.0 * math.pi * np.arange(n) / n
+        return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    return _reference_sphere_points3(n) if d == 3 else orbits._sphere_points(d, n)
+
+
 def _row_distance(x, y):
     """matrix_distance between two (a, b, c) rows."""
     return matrix_distance(MatrixPoint(*x), MatrixPoint(*y))
@@ -546,7 +543,7 @@ def _spiral_candidates(space, y, rho):
     step = rho / orbits._WALK_SUBDIVISION
     area = sphere_area(d) * s_c(space.curvature, r_orbit) ** (d - 1)
     n_steps = int(min(orbits._MAX_WALK, max(256, math.ceil(area / step ** (d - 1)))))
-    return float(np.linalg.norm(y)) * orbits._sphere_points(d, n_steps)
+    return float(np.linalg.norm(y)) * _sphere_directions(d, n_steps)
 
 
 def _brute_sphere_walk(space, y, rho):
@@ -709,12 +706,17 @@ class TestGreedyAgainstBruteForce:
 
 
 def _farthest_sampled_pair(action, space, y):
-    """Largest distance over every pair of a 512-point orbit_sample."""
-    pts = orbit_sample(action, y, 512)
+    """Largest distance over every pair of 512 points of the orbit of y:
+    the conjugates at equal angles, or y moved blockwise by seeded random
+    orthogonal matrices (QR of normal draws)."""
     if action.kind == MATRIX_CONJUGATION:
-        a, b, c = pts.T
+        a, b, c = _conjugation_samples(y, 512).T
         tr = np.outer(c, a) - 2.0 * np.outer(b, b) + np.outer(a, c)
         return math.sqrt(2.0) * math.acosh(max(1.0, float(tr.max()) / 2.0))
+    rng = np.random.default_rng(0)
+    parts = np.split(y, np.cumsum(action.blocks or (y.size,))[:-1])
+    turns = [np.linalg.qr(rng.standard_normal((512, b.size, b.size)))[0] for b in parts]
+    pts = np.concatenate([q @ b for q, b in zip(turns, parts)], axis=1)
     diff2 = sum(np.subtract.outer(col, col) ** 2 for col in pts.T)
     if space is None or space.model == EUCLIDEAN:
         return math.sqrt(float(diff2.max()))
@@ -771,8 +773,8 @@ class TestExactDiameter:
 
 # -- reference copies: the Fibonacci spiral as np.stack of its columns, and the
 # greedy walk with query_ball_point lists on a balanced kd-tree.  The brute-force
-# oracles above reuse orbits._sphere_points and reach only radii <= 2 rho, so
-# these pin the spiral and the walk at the sizes the benchmark runs.
+# oracles above reach only radii <= 2 rho, so these pin the spiral and the walk
+# at the sizes the benchmark runs.
 
 
 def _reference_sphere_points3(n):
@@ -826,7 +828,7 @@ def _reference_pairwise_min_distance(action, space, centers) -> float:
 class TestWalkAgainstReferenceCopies:
     @pytest.mark.parametrize("n", [256, 1000, 59088, 500000])
     def test_spiral_is_bit_identical(self, n):
-        assert np.array_equal(orbits._sphere_points(3, n), _reference_sphere_points3(n))
+        assert np.array_equal(orbits._spiral_rows(n, 0, np.empty((n, 3))), _reference_sphere_points3(n))
 
     @pytest.mark.parametrize(
         "space, radius, rho, n_steps",
@@ -1311,7 +1313,7 @@ class TestLargeMatrixOrbits:
     @pytest.mark.parametrize("lam", [1e3, 1e6])
     def test_orbit_sample(self, lam):
         # at 360 samples, conjugation drifts det(diag(1e3)) by 1.2e-10
-        samples = orbit_sample(CONJ, MatrixPoint.diagonal(lam), 360)
+        samples = _conjugation_samples(MatrixPoint.diagonal(lam), 360)
         assert samples.shape == (360, 3)
         assert samples[:, 0] + samples[:, 2] == pytest.approx(np.full(360, lam + 1.0 / lam), rel=1e-12)
 

@@ -34,7 +34,6 @@ from randerslab.pde import (
     multi_start_solve,
     reference_nonlinearity,
     replace_lambda,
-    sup_j_under_phi_level,
 )
 from randerslab.pde import _default_seeds, _solve_tridiag, _zero_only_level
 from randerslab.pde import test_function as ramp_profile
@@ -52,7 +51,7 @@ def solved(problem):
     """Shared transition scan + multi-start run (the expensive part)."""
     lam_t = find_transition_lambda(problem, 200.0)
     lam_sel = 2.0 * lam_t
-    reports = multi_start_solve(problem, [0.0, lam_sel], max_iter=2000, tol_factor=1e-8)
+    reports = multi_start_solve(problem, [0.0, lam_sel], max_iter=2000)
     return lam_t, lam_sel, reports
 
 
@@ -357,13 +356,13 @@ class TestBonanno:
         assert params.a_bar > params.phi_u1 / params.j_u1
 
     def test_measured_sup_below_analytic_bound(self, problem, params):
-        assert sup_j_under_phi_level(problem, params.rho0) <= params.sup_bound_at_rho0
+        assert _serial_sup_j_under_phi_level(problem, params.rho0) <= params.sup_bound_at_rho0
 
     def test_sup_ratio_vanishes_with_level(self, problem):
         ratios = []
         for k in [2, 3, 4, 5]:
             rho = 10.0 ** (-k)
-            ratios.append(sup_j_under_phi_level(problem, rho, max_iter=40) / rho)
+            ratios.append(_serial_sup_j_under_phi_level(problem, rho, max_iter=40) / rho)
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_sweep_failure_when_grid_excludes_valid_levels(self):
@@ -462,8 +461,11 @@ def _serial_c_infinity(problem, max_iter=200):
 
 
 def _serial_sup_j_under_phi_level(problem, rho, max_iter=120):
-    """The one-seed-at-a-time projected ascent that the batched search
-    replaced, kept verbatim as the reference it must reproduce bit for bit."""
+    """Projected ascent estimate of sup {J(u) : Phi(u) <= rho}, one seed at
+    a time: seeds are rescaled onto the sub-level set (Phi is
+    p-homogeneous) and pushed up the J gradient with backtracking.  The
+    package runs no such ascent; TestBonanno measures its closed-form
+    bound against this one."""
     disc = problem.disc
     p = problem.p
     r = problem.grid
@@ -515,22 +517,19 @@ def _serial_bonanno_parameters(problem, *args, **kwargs):
 
 
 class TestBatchedSearches:
-    """c_inf, the sub-level supremum and the Bonanno parameters they feed
-    are exactly what the serial loops gave."""
+    """c_inf and the Bonanno parameters it feeds are exactly what the
+    serial loops gave."""
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
         beta_sup=st.floats(0.0, 0.5),
         alpha_rate=st.floats(0.4, 1.5),
         n_cells=st.integers(64, 256),
-        level=st.floats(-6.0, 0.0),
         max_iter=st.sampled_from([1, 2, 7, 200]),
     )
-    def test_equal_serial_references(self, beta_sup, alpha_rate, n_cells, level, max_iter):
+    def test_equal_serial_references(self, beta_sup, alpha_rate, n_cells, max_iter):
         prob = example_problem(beta_sup=beta_sup, alpha_rate=alpha_rate, n_cells=n_cells)
         assert c_infinity(prob, max_iter=max_iter) == _serial_c_infinity(prob, max_iter=max_iter)
-        rho = 10.0**level
-        assert sup_j_under_phi_level(prob, rho) == _serial_sup_j_under_phi_level(prob, rho)
         assert bonanno_parameters(prob, 1.0, 1.5, 0.5) == _serial_bonanno_parameters(prob, 1.0, 1.5, 0.5)
 
     def test_default_problem(self, problem, params):
@@ -554,7 +553,7 @@ class TestCoercivityWitness:
 
 class TestMultiStart:
     def test_lambda_zero_unique_trivial_point(self, problem):
-        reports = multi_start_solve(problem, [0.0], max_iter=400, tol_factor=1e-8)
+        reports = multi_start_solve(problem, [0.0], max_iter=400)
         rep = reports[0]
         assert rep.n_distinct == 1
         assert float(np.max(np.abs(rep.profiles[0].values))) == 0.0
@@ -596,8 +595,8 @@ class TestMultiStart:
             assert check.drift < 1e-2
 
     def test_deterministic(self, problem):
-        a = multi_start_solve(problem, [1.0], max_iter=200, tol_factor=1e-8)[0]
-        b = multi_start_solve(problem, [1.0], max_iter=200, tol_factor=1e-8)[0]
+        a = multi_start_solve(problem, [1.0], max_iter=200)[0]
+        b = multi_start_solve(problem, [1.0], max_iter=200)[0]
         assert a.n_distinct == b.n_distinct
         for pa, pb in zip(a.profiles, b.profiles):
             assert np.array_equal(pa.values, pb.values)

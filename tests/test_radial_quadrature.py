@@ -98,14 +98,7 @@ def _ref_forward_distance(problem, r, dr):
     return out
 
 
-def _ref_density(ambient, rs):
-    if not isinstance(ambient, RandersStructure):
-        return np.ones_like(rs)
-    b = ambient.beta(rs)
-    return (1.0 - b * b) ** ((ambient.dim + 1) / 2.0)
-
-
-def _ref_lq_norm(u, q, weight="riemannian"):
+def _ref_lq_norm(u, q):
     if q == math.inf:
         return float(np.max(np.abs(u.values)))
     rule = gauss_legendre(4)
@@ -115,21 +108,17 @@ def _ref_lq_norm(u, q, weight="riemannian"):
     frac = (rs - u.grid[:-1, None]) / np.diff(u.grid)[:, None]
     uu = u.values[:-1, None] + frac * np.diff(u.values)[:, None]
     area = area_factor(u.space, rs)
-    if weight == "finsler":
-        area = area * _ref_density(u.ambient, rs)
     integral = float(np.sum(half * rule.weights[None, :] * np.abs(uu) ** q * area))
     return integral ** (1.0 / q)
 
 
-def _ref_gradient_lp_norm(u, p, weight="riemannian"):
+def _ref_gradient_lp_norm(u, p):
     slopes = np.diff(u.values) / np.diff(u.grid)
     rule = gauss_legendre(4)
     mid = 0.5 * (u.grid[:-1] + u.grid[1:])[:, None]
     half = 0.5 * np.diff(u.grid)[:, None]
     rs = mid + half * rule.nodes[None, :]
     area = area_factor(u.space, rs)
-    if weight == "finsler":
-        area = area * _ref_density(u.ambient, rs)
     shell = (half * rule.weights[None, :] * area).sum(axis=1)
     return float(np.sum(np.abs(slopes) ** p * shell)) ** (1.0 / p)
 
@@ -197,11 +186,10 @@ def test_radial_norms_are_bit_identical(dim, shape):
     assert np.array_equal(
         cumulative_ball_volumes(space, u.grid), _ref_cumulative_ball_volumes(space, u.grid)
     )
-    for weight in ("riemannian", "finsler"):
-        for q in (1.5, 2.0, 4.5, math.inf):
-            assert lq_norm(u, q, weight) == _ref_lq_norm(u, q, weight)
-        for p in (1.5, 2.0, 3.5):
-            assert gradient_lp_norm(u, p, weight) == _ref_gradient_lp_norm(u, p, weight)
+    for q in (1.5, 2.0, 4.5, math.inf):
+        assert lq_norm(u, q) == _ref_lq_norm(u, q)
+    for p in (1.5, 2.0, 3.5):
+        assert gradient_lp_norm(u, p) == _ref_gradient_lp_norm(u, p)
     for p in (1.5, 2.0, 3.5):
         norms = sobolev_norms(u, structure, p, qs=(2.0, 4.0))
         assert (norms.w1p_finsler, norms.w1p_riemann) == _ref_w1p_powers(u, structure, p)
@@ -210,11 +198,10 @@ def test_radial_norms_are_bit_identical(dim, shape):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_plain_space_form_has_unit_density(dim):
-    # a SpaceForm ambient carries no Randers density, and a Randers structure
-    # with beta = 0 gives the Riemannian energy on both sides
+    # a Randers structure with beta = 0 gives the Riemannian energy on both sides
     space = SpaceForm(dim, -1.0)
     u = tent_profile(space, 1.0, n=128)
-    assert lq_norm(u, 3.0, "finsler") == lq_norm(u, 3.0) == _ref_lq_norm(u, 3.0)
+    assert lq_norm(u, 3.0) == _ref_lq_norm(u, 3.0)
     flat = RandersStructure(space, BetaProfile())
     norms = sobolev_norms(u, flat, 2.5)
     assert norms.w1p_finsler == norms.w1p_riemann == _ref_w1p_powers(u, flat, 2.5)[1]
@@ -236,12 +223,3 @@ def _ref_comparison_volume(c, d, rho):
 def test_comparison_volume_moves_by_ulps_only(c, d, rho):
     # the panels are summed in one pass now, not panel by panel
     assert comparison_volume(c, d, rho) == pytest.approx(_ref_comparison_volume(c, d, rho), rel=2e-15)
-
-
-def test_unknown_weight_is_rejected():
-    # both norms share one weight selection; gradient_lp_norm used to read an
-    # unknown weight as "riemannian"
-    u = tent_profile(SpaceForm(2, -1.0), 1.0, n=16)
-    for norm in (lq_norm, gradient_lp_norm):
-        with pytest.raises(ValueError, match="unknown weight"):
-            norm(u, 2.0, "bogus")
