@@ -406,8 +406,13 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         if clash:
             raise ValidationError(f"a --problem file replaces {', '.join(clash)}; leave them out")
         config = replace(config, params={k: v for k, v in config.params.items() if k not in built_in})
-        with open(params["problem"], "r", encoding="utf-8") as fh:
-            problem = pde.PDEProblem.from_dict(json.load(fh))
+        path = params["problem"]
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        try:
+            problem = pde.PDEProblem.from_dict(data)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"problem: {path} is malformed ({type(exc).__name__}: {exc})") from None
     else:
         problem = pde.example_problem(
             dim=params["dim"],
@@ -593,14 +598,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config_from_args(_build_parser().parse_args(argv))
         result = run(config)
-    except (
-        ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError, pde.SweepFailure
-    ) as exc:
+        _emit(result)
+    except (ValidationError, ValueError, OSError, pde.SweepFailure) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 2
-    _emit(result)
     if not result.passed:
         sys.stderr.write(
             json.dumps(

@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,31 +98,43 @@ class AlphaProfile:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Continuous h, its derivative dh and primitive H, and the certified growth parameters.
+    """The driving term h(s) = s_+^(q-1) for small s crossing over to
+    s_+^(w-1) for large s, with a C^1 cubic Hermite blend on [s1, 1.05];
+    its derivative dh and primitive H, and the certified growth parameters.
 
-    The constructor checks on grids that H is positive on (0, s0], that
-    |h(s)| <= C (1 + |s|^(w-1)) with 1 < w, and that H(s)/|s|^q stays
-    bounded (by c1 for |s| <= s1) as s -> 0 with q > w.
+    The smooth crossover keeps the energy twice differentiable, which the
+    Newton solver needs.  The constructor checks on grids that H is
+    positive on (0, s0], that |h(s)| <= C (1 + |s|^(w-1)) with 1 < w, and
+    that H(s)/|s|^q stays bounded (by c1 = 1/q for |s| <= s1) as s -> 0
+    with q > w.
     """
 
-    h: Callable
-    H: Callable
-    s0: float
-    C: float
     w: float
     q: float
-    c1: float
-    dh: Callable
-    s1: float = 1.0
-    name: str = "custom"
+    s0 = 1.0
+    C = 1.2
+    s1 = 1.0 - 0.05
+
+    @property
+    def c1(self) -> float:
+        return 1.0 / self.q
 
     def __post_init__(self):
-        if not (self.s0 > 0 and self.C > 0 and self.c1 > 0 and 0 < self.s1):
-            raise ValueError("s0, C, c1, s1 must be positive")
         if not 1.0 < self.w:
             raise ValueError(f"need w > 1, got {self.w}")
         if not self.q > self.w:
             raise ValueError(f"need q > w, got q={self.q}, w={self.w}")
+        # Hermite cubic h(s1 + t span) = c0 + c1 t + c2 t^2 + c3 t^3, t in [0, 1],
+        # and H at both ends of the blend, shared by every kernel call
+        q, w, a, b = self.q, self.w, self.s1, 1.0 + 0.05
+        span = b - a
+        fa, fb = a ** (q - 1.0), b ** (w - 1.0)
+        ma, mb = (q - 1.0) * a ** (q - 2.0), (w - 1.0) * b ** (w - 2.0)
+        k = SimpleNamespace(b=b, span=span, c0=fa, c1=ma * span, H_a=a**q / q)
+        k.c2 = 3.0 * (fb - fa) - (2.0 * ma + mb) * span
+        k.c3 = 2.0 * (fa - fb) + (ma + mb) * span
+        object.__setattr__(self, "_k", k)
+        k.H_b = k.H_a + self._cubic_primitive(1.0)
         # (A1): H positive up to s0
         ss = np.geomspace(1e-6 * self.s0, self.s0, 64)
         if np.any(np.asarray(self.H(ss)) <= 0):
@@ -138,88 +150,60 @@ class Nonlinearity:
         if np.any(np.asarray(self.H(ss)) > self.c1 * (1.0 + 1e-9) * ss**self.q):
             raise ValueError("H(s)/|s|^q exceeds c1 below s1")
 
+    def _cubic_primitive(self, t):
+        k = self._k
+        return k.span * t * (k.c0 + t * (k.c1 / 2.0 + t * (k.c2 / 3.0 + t * k.c3 / 4.0)))
 
-def reference_nonlinearity(
-    p: float, w: float = 1.5, q: Optional[float] = None, blend: float = 0.05
-) -> Nonlinearity:
-    """Default driving term: h(s) = s_+^(q-1) for small s crossing over to
-    s_+^(w-1) for large s, with a C^1 cubic Hermite blend on
-    [1 - blend, 1 + blend].
+    def _piecewise(self, s, low_fn, cubic_fn, high_fn):
+        """Evaluate each branch only on the nodes where it is active:
+        s <= 0 gives 0, (0, s1] low_fn(s), [1.05, inf) high_fn(s), and
+        everything else (the open blend interval, and NaN) cubic_fn(t) at
+        t = (s - s1) / span."""
+        s_arr = np.asarray(s, dtype=float)
+        low = (s_arr > 0.0) & (s_arr <= self.s1)
+        high = s_arr >= self._k.b
+        mid = ~((s_arr <= 0.0) | low | high)
+        out = np.zeros_like(s_arr)
+        out[low] = low_fn(s_arr[low])
+        out[mid] = cubic_fn((s_arr[mid] - self.s1) / self._k.span)
+        out[high] = high_fn(s_arr[high])
+        return float(out) if s_arr.ndim == 0 else out
 
-    The smooth crossover keeps the energy twice differentiable, which the
-    Newton solver needs; the growth hypotheses hold with C = 1.2,
-    c1 = 1/q, s1 = 1 - blend, and exponents w < p < q = p + 1 by default.
-    """
+    def h(self, s):
+        q, w, k = self.q, self.w, self._k
+        return self._piecewise(
+            s,
+            lambda s: s ** (q - 1.0),
+            lambda t: k.c0 + t * (k.c1 + t * (k.c2 + t * k.c3)),
+            lambda s: s ** (w - 1.0),
+        )
+
+    def dh(self, s):
+        q, w, k = self.q, self.w, self._k
+        return self._piecewise(
+            s,
+            lambda s: (q - 1.0) * np.maximum(s, 1e-300) ** (q - 2.0),
+            lambda t: (k.c1 + t * (2.0 * k.c2 + 3.0 * t * k.c3)) / k.span,
+            lambda s: (w - 1.0) * s ** (w - 2.0),
+        )
+
+    def H(self, s):
+        q, w, k = self.q, self.w, self._k
+        return self._piecewise(
+            s,
+            lambda s: s**q / q,
+            lambda t: k.H_a + self._cubic_primitive(t),
+            lambda s: k.H_b + (s**w - k.b**w) / w,
+        )
+
+
+def reference_nonlinearity(p: float, w: float = 1.5, q: Optional[float] = None) -> Nonlinearity:
+    """The driving term for the exponent p: w < p < q = p + 1 by default."""
     if q is None:
         q = p + 1.0
     if not (1.0 < w < p < q):
         raise ValueError(f"need 1 < w < p < q, got w={w}, p={p}, q={q}")
-    if not 0.0 < blend < 0.5:
-        raise ValueError(f"blend must lie in (0, 0.5), got {blend}")
-    a = 1.0 - blend
-    b = 1.0 + blend
-    span = b - a
-    fa, fb = a ** (q - 1.0), b ** (w - 1.0)
-    ma, mb = (q - 1.0) * a ** (q - 2.0), (w - 1.0) * b ** (w - 2.0)
-    # Hermite cubic h(a + t span) = c0 + c1 t + c2 t^2 + c3 t^3, t in [0, 1]
-    c0 = fa
-    c1_ = ma * span
-    c2 = 3.0 * (fb - fa) - (2.0 * ma + mb) * span
-    c3 = 2.0 * (fa - fb) + (ma + mb) * span
-
-    def _cubic_primitive(t):
-        return span * t * (c0 + t * (c1_ / 2.0 + t * (c2 / 3.0 + t * c3 / 4.0)))
-
-    H_a = a**q / q
-    H_b = H_a + _cubic_primitive(1.0)
-
-    def piecewise(low_fn, cubic_fn, high_fn):
-        """Kernel that evaluates each branch only on the nodes where it is
-        active: s <= 0 gives 0, (0, a] low_fn(s), [b, inf) high_fn(s), and
-        everything else (the open blend interval, and NaN) cubic_fn(t) at
-        t = (s - a) / span."""
-
-        def kernel(s):
-            s_arr = np.asarray(s, dtype=float)
-            low = (s_arr > 0.0) & (s_arr <= a)
-            high = s_arr >= b
-            mid = ~((s_arr <= 0.0) | low | high)
-            out = np.zeros_like(s_arr)
-            out[low] = low_fn(s_arr[low])
-            out[mid] = cubic_fn((s_arr[mid] - a) / span)
-            out[high] = high_fn(s_arr[high])
-            return float(out) if s_arr.ndim == 0 else out
-
-        return kernel
-
-    h = piecewise(
-        lambda s: s ** (q - 1.0),
-        lambda t: c0 + t * (c1_ + t * (c2 + t * c3)),
-        lambda s: s ** (w - 1.0),
-    )
-    dh = piecewise(
-        lambda s: (q - 1.0) * np.maximum(s, 1e-300) ** (q - 2.0),
-        lambda t: (c1_ + t * (2.0 * c2 + 3.0 * t * c3)) / span,
-        lambda s: (w - 1.0) * s ** (w - 2.0),
-    )
-    H = piecewise(
-        lambda s: s**q / q,
-        lambda t: H_a + _cubic_primitive(t),
-        lambda s: H_b + (s**w - b**w) / w,
-    )
-
-    return Nonlinearity(
-        h=h,
-        H=H,
-        s0=1.0,
-        C=1.2,
-        w=w,
-        q=q,
-        c1=1.0 / q,
-        s1=a,
-        name="reference",
-        dh=dh,
-    )
+    return Nonlinearity(w=w, q=q)
 
 
 @dataclass
@@ -326,14 +310,12 @@ class PDEProblem:
 
     def to_dict(self) -> dict:
         nl = self.nonlinearity
-        if nl.name != "reference":
-            raise ValueError("only the reference nonlinearity is serializable")
         return {
             "randers": self.randers.to_dict(),
             "p": self.p,
             "lambda": self.lam,
             "alpha": self.alpha.to_dict(),
-            "nonlinearity": {"name": nl.name, "params": {"w": nl.w, "q": nl.q}},
+            "nonlinearity": {"name": "reference", "params": {"w": nl.w, "q": nl.q}},
             "grid": {"n_cells": self.n_cells, "r_max": self.r_max},
         }
 
@@ -593,8 +575,11 @@ def bonanno_parameters(
     which over-estimates it only if c_inf bounds ||u||_inf / ||u||_{W^{1,p}_g};
     c_infinity is an ascent estimate, not such a bound (see there).  Returns
     the interval endpoint a_bar = (1 + rho0) / (J(u1)/Phi(u1) - sup/rho0).
-    Raises SweepFailure if E(u1) leaves the float range, J(u1) <= 0 or no rho fits.
+    Raises SweepFailure if q <= p, E(u1) leaves the float range, J(u1) <= 0 or no rho fits.
     """
+    nl = problem.nonlinearity
+    if not nl.q > problem.p:
+        raise SweepFailure(f"q = {nl.q} <= p = {problem.p}: the sub-level estimate needs q > p")
     u1 = test_function(problem, s0, big_r, small_r)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -603,7 +588,6 @@ def bonanno_parameters(
         raise SweepFailure(f"s0 = {s0}: the ramp profile's energy leaves the float range ({exc})") from None
     if not j1 > 0:
         raise SweepFailure("the ramp profile has non-positive J; enlarge alpha or s0")
-    nl = problem.nonlinearity
     c2 = max(nl.c1, nl.C * (1.0 + nl.s1 ** (nl.w - 1.0)) / nl.s1 ** (nl.q - 1.0))
     c_inf = c_infinity(problem)
     c_coerc = coercivity_constant(problem.dim, problem.randers.beta_sup, problem.p, problem.kappa)
@@ -696,6 +680,7 @@ def _solve_tridiag(diag, off, rhs):
 
 
 GRADIENT_TOL = 1e-8  # a start has converged once ||grad E|| <= GRADIENT_TOL (1 + |E|)
+_MAX_DESCENT_STEPS = 4000  # step cap of each multi-start descent
 # stagnation hand-off of _descend (see its docstring)
 _STALL_WINDOW = 32
 _STALL_RTOL = 4.0 * np.finfo(float).eps
@@ -816,11 +801,10 @@ def _zero_only_level(problem) -> float:
     A critical point satisfies Euler's identity
     p Phi(v) = lambda sum jw h(v) v <= lambda c_h ||alpha||_1 ||v||_inf^q
     while ||v||_inf <= s1, where c_h is the largest h(s) s / s^q on a check
-    grid of (0, s1], as Nonlinearity reads its bounds.  For q > p these
-    bound p Phi(v) from below; for q <= p they bound it from above, so no
-    level is returned when lambda c_h > 0.  The level is certified when
-    h(s) s <= c_h s^q holds on all of (0, s1], as it does (with c_h = 1)
-    for the reference nonlinearity.
+    grid of (0, s1]; h(s) s = s^q there, so c_h is 1 up to rounding and
+    the level is certified.  For q > p these bound p Phi(v) from below;
+    for q <= p (a term built for a smaller p) they bound it from above, so
+    no level is returned when lambda c_h > 0.
     """
     disc = problem.disc
     p = problem.p
@@ -933,12 +917,7 @@ def _run_starts(problem, starts) -> list:
     return results
 
 
-def multi_start_solve(
-    problem: PDEProblem,
-    lambda_grid: Sequence[float],
-    seeds: Optional[Sequence[np.ndarray]] = None,
-    max_iter: int = 4000,
-    ) -> list:
+def multi_start_solve(problem: PDEProblem, lambda_grid: Sequence[float]) -> list:
     """Deterministic multi-start descent on E_lambda for each lambda.
 
     Converged profiles are clustered by L^inf distance (threshold
@@ -950,10 +929,7 @@ def multi_start_solve(
     problem's one ray table (PDEProblem.rays) as a start.
     """
     s0 = problem.nonlinearity.s0
-    if seeds is None:
-        seeds = _default_seeds(problem, s0)
-    if len(seeds) < 8:
-        raise ValueError("multi-start needs at least 8 seeds")
+    seeds = _default_seeds(problem, s0)
     threshold = 1e-4 * s0
     reports = []
     for lam in lambda_grid:
@@ -967,7 +943,7 @@ def multi_start_solve(
                 lam_seeds.append(witness)
         # every start of this lambda steps as one row of the kernels' stacks
         outcomes = _run_starts(
-            prob, [_descent_steps(prob, seed, max_iter, GRADIENT_TOL) for seed in lam_seeds]
+            prob, [_descent_steps(prob, seed, _MAX_DESCENT_STEPS, GRADIENT_TOL) for seed in lam_seeds]
         )
         results = [(u, e_val, g_norm) for u, e_val, g_norm, converged in outcomes if converged]
         n_conv = len(results)

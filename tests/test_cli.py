@@ -386,6 +386,63 @@ class TestPdeProblemFile:
         assert all(flag in record["message"] for flag in flags[::2])
 
 
+def _without_alpha(data):
+    del data["alpha"]
+    return data
+
+
+def _with(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+
+    return edit
+
+
+def _with_q(q):
+    def edit(data):
+        data["nonlinearity"]["params"]["q"] = q
+        return data
+
+    return edit
+
+
+class TestFileErrors:
+    """A malformed problem or config file, a directory in place of a file
+    and an output path in a missing directory each exit 2 with the one-line
+    JSON record naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_without_alpha, _with_q("4.5"), _with("p", None), _with("nonlinearity", "reference"), lambda data: [data]],
+        ids=["no-alpha", "string-q", "null-p", "nonlinearity-name-only", "top-level-list"],
+    )
+    def test_malformed_problem_file(self, tmp_path, capsys, edit):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(edit(example_problem(n_cells=64).to_dict())))
+        self._assert_record(capsys, ["pde", "--problem", str(path), "--lambda-grid", "0"], str(path))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pde", "--problem", "{dir}", "--lambda-grid", "0"], ["--config", "{dir}"]],
+        ids=["problem", "config"],
+    )
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys, argv):
+        self._assert_record(capsys, [a.format(dir=tmp_path) for a in argv], str(tmp_path))
+
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "table.csv")
+        self._assert_record(capsys, ["funk", "--dim", "2", "--output", out], out)
+
+    @staticmethod
+    def _assert_record(capsys, argv, path):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and path in json.loads(lines[0])["message"]
+
+
 class TestConfigRoundTrip:
     def test_emitted_config_reingests_identically(self, tmp_path):
         argv = ["funk", "--dim", "2,3", "--p", "1.5,2", "--q", "2.5,4"]

@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import math
 from collections import deque
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -51,7 +51,7 @@ def solved(problem):
     """Shared transition scan + multi-start run (the expensive part)."""
     lam_t = find_transition_lambda(problem, 200.0)
     lam_sel = 2.0 * lam_t
-    reports = multi_start_solve(problem, [0.0, lam_sel], max_iter=2000)
+    reports = multi_start_solve(problem, [0.0, lam_sel])
     return lam_t, lam_sel, reports
 
 
@@ -82,33 +82,32 @@ class TestNonlinearity:
             reference_nonlinearity(3.5, w=0.9)
         with pytest.raises(ValueError):
             reference_nonlinearity(3.5, q=2.0)
-        with pytest.raises(ValueError):
-            # H not positive near zero violates the sign hypothesis
-            Nonlinearity(
-                h=lambda s: -np.asarray(s),
-                H=lambda s: -np.asarray(s) ** 2 / 2.0,
-                s0=1.0,
-                C=2.0,
-                w=1.5,
-                q=3.0,
-                c1=1.0,
-                dh=lambda s: -np.ones_like(np.asarray(s, dtype=float)),
-            )
+        with pytest.raises(ValueError, match="H must be positive"):
+            # at p = 55, s^q / q underflows to 0 at the small end of the
+            # (A1) grid, which a problem file could ask for
+            reference_nonlinearity(55.0)
 
-    def test_small_s_bound_where_s_power_underflows(self):
+    def test_small_s_bound_where_s_power_underflows(self, monkeypatch):
         # at q = 42, s^q underflows to 0 at the small end of the (A3) check
         # grid: the check still passes H = s^q / q with c1 = 1/q and still
         # refuses twice that
         nl = reference_nonlinearity(41.0)
         assert nl.q == 42.0 and (1e-8) ** nl.q == 0.0
+        reference_H = Nonlinearity.H
+        monkeypatch.setattr(Nonlinearity, "H", lambda self, s: 2.0 * reference_H(self, s))
         with pytest.raises(ValueError, match="exceeds c1 below s1"):
-            dataclasses.replace(nl, H=lambda s: 2.0 * nl.H(s))
+            reference_nonlinearity(41.0)
+
+    def test_equal_inputs_give_equal_terms(self):
+        assert [f.name for f in dataclasses.fields(Nonlinearity)] == ["w", "q"]
+        assert reference_nonlinearity(3.5) == reference_nonlinearity(3.5) == Nonlinearity(1.5, 4.5)
+        assert reference_nonlinearity(3.5) != reference_nonlinearity(3.5, q=5.0)
 
 
-def _three_branch_reference(p, w, q, blend):
+def _three_branch_reference(p, w, q):
     """(h, dh, H) evaluated the straightforward way: every branch and a clip
     at every point, then np.where picks the active one."""
-    a, b = 1.0 - blend, 1.0 + blend
+    a, b = 1.0 - 0.05, 1.0 + 0.05
     span = b - a
     fa, fb = a ** (q - 1.0), b ** (w - 1.0)
     ma, mb = (q - 1.0) * a ** (q - 2.0), (w - 1.0) * b ** (w - 2.0)
@@ -165,14 +164,13 @@ class TestNonlinearityKernels:
         p=st.floats(2.1, 6.0),
         w_frac=st.floats(0.05, 0.95),
         dq=st.floats(0.1, 2.0),
-        blend=st.floats(0.01, 0.49),
         drawn=st.lists(st.floats(-3.0, 3.0), max_size=64),
     )
-    def test_kernels_match_three_branch_formulas(self, p, w_frac, dq, blend, drawn):
+    def test_kernels_match_three_branch_formulas(self, p, w_frac, dq, drawn):
         w, q = 1.0 + w_frac * (p - 1.0), p + dq
-        nl = reference_nonlinearity(p, w=w, q=q, blend=blend)
-        ref = _three_branch_reference(p, w, q, blend)
-        a, b = 1.0 - blend, 1.0 + blend
+        nl = reference_nonlinearity(p, w=w, q=q)
+        ref = _three_branch_reference(p, w, q)
+        a, b = 1.0 - 0.05, 1.0 + 0.05
         ends = [a, b, 0.0]
         special = [-2.0, -1e-300, -0.0, 5e-324, 1e-310, 1e-300, 0.5 * a, 1.0, 3.0 * b, 1e6]
         special += [math.nextafter(x, d) for x in ends for d in (-math.inf, math.inf)]
@@ -224,6 +222,13 @@ class TestProblemValidation:
         assert clone.randers == problem.randers
         assert clone.n_cells == problem.n_cells
         assert clone.r_max == problem.r_max
+
+    def test_round_trip_gives_an_equal_problem(self, problem):
+        assert PDEProblem.from_dict(problem.to_dict()) == problem
+
+    def test_equal_inputs_give_equal_problems(self):
+        assert example_problem(p=4.0, n_cells=64) == example_problem(p=4.0, n_cells=64)
+        assert example_problem(p=4.0, n_cells=64) != example_problem(p=4.5, n_cells=64)
 
 
 class TestEnergy:
@@ -369,6 +374,14 @@ class TestBonanno:
         # at d = 40, p = 41 no swept level meets the margin of the inequalities
         with pytest.raises(SweepFailure, match="no rho satisfied"):
             bonanno_parameters(example_problem(dim=40, p=41, n_cells=16), 1.0, 1.5, 0.5)
+
+    @pytest.mark.parametrize("p", [4.5, 5.0])
+    def test_sweep_failure_names_q_not_above_p(self, p):
+        # a term built for p = 3.5 has q = 4.5: at p = 4.5 the estimate's
+        # exponent p/(q - p) divides by zero, below it no level can fit
+        problem = dataclasses.replace(example_problem(n_cells=64), p=p)
+        with pytest.raises(SweepFailure, match=rf"^q = 4\.5 <= p = {p}:"):
+            bonanno_parameters(problem, 1.0, 1.5, 0.5)
 
 
 def _holder_extremal_profile(problem, radius):
@@ -553,7 +566,7 @@ class TestCoercivityWitness:
 
 class TestMultiStart:
     def test_lambda_zero_unique_trivial_point(self, problem):
-        reports = multi_start_solve(problem, [0.0], max_iter=400)
+        reports = multi_start_solve(problem, [0.0])
         rep = reports[0]
         assert rep.n_distinct == 1
         assert float(np.max(np.abs(rep.profiles[0].values))) == 0.0
@@ -595,8 +608,8 @@ class TestMultiStart:
             assert check.drift < 1e-2
 
     def test_deterministic(self, problem):
-        a = multi_start_solve(problem, [1.0], max_iter=200)[0]
-        b = multi_start_solve(problem, [1.0], max_iter=200)[0]
+        a = multi_start_solve(problem, [1.0])[0]
+        b = multi_start_solve(problem, [1.0])[0]
         assert a.n_distinct == b.n_distinct
         for pa, pb in zip(a.profiles, b.profiles):
             assert np.array_equal(pa.values, pb.values)
@@ -631,10 +644,6 @@ class TestMultiStart:
         assert g_norm <= 1e-8 * (1.0 + abs(e_val))
         assert e_val < 0 and float(np.max(u)) > 0.5
         assert len(steps) <= 600
-
-    def test_needs_enough_seeds(self, problem):
-        with pytest.raises(ValueError):
-            multi_start_solve(problem, [0.0], seeds=[np.zeros(problem.grid.size)] * 3)
 
 
 @pytest.fixture(scope="module")
@@ -1399,19 +1408,10 @@ def _reference_polish_root(problem, u, tol_factor):
     return u, g_norm
 
 
-def _reference_multi_start_solve(
-    problem: PDEProblem,
-    lambda_grid: Sequence[float],
-    seeds: Optional[Sequence[np.ndarray]] = None,
-    max_iter: int = 4000,
-    tol_factor: float = 1e-8,
-) -> list:
+def _reference_multi_start_solve(problem: PDEProblem, lambda_grid: Sequence[float]) -> list:
     """The multi-start, one seed after another."""
     s0 = problem.nonlinearity.s0
-    if seeds is None:
-        seeds = _default_seeds(problem, s0)
-    if len(seeds) < 8:
-        raise ValueError("multi-start needs at least 8 seeds")
+    seeds = _default_seeds(problem, s0)
     threshold = 1e-4 * s0
     reports = []
     for lam in lambda_grid:
@@ -1426,7 +1426,7 @@ def _reference_multi_start_solve(
         results = []
         n_conv = 0
         for seed in lam_seeds:
-            u, e_val, g_norm, converged = _reference_descend(prob, seed, max_iter, tol_factor)
+            u, e_val, g_norm, converged = _reference_descend(prob, seed, 4000, 1e-8)
             if converged:
                 n_conv += 1
                 results.append((u, e_val, g_norm))
