@@ -10,9 +10,12 @@ certificate its centres and the best-of-7 wall time.  Every sphere walk
 and every certificate also gets ``peak_bytes``, the tracemalloc peak of
 one untimed call.  A sphere walk gets, from one more untimed walk of its
 spiral: ``largest_window``, the most later candidates in one acceptance's
-index window; and ``fetched_per_acceptance``, the mean length of the
-candidate arrays its ball returns.  That walk wraps the ball that
-``orbits._lattice_balls`` builds and its ``_SpiralWindow``'s ``accept``.
+index window; ``fetched_per_acceptance``, the mean length of the
+candidate arrays its ball returns; and ``chord_per_acceptance``, the mean
+number of later members of the accepted candidate's ball, the fetched
+candidates within 2 rho by the walk's own key and dist (blocked or not).
+That walk wraps the ball that ``orbits._lattice_balls`` builds and its
+``_SpiralWindow``'s ``accept``.
 The walks:
 
 - the nine 2-sphere walks of the ``orbit-packing`` benchmark workload at
@@ -98,23 +101,26 @@ def _peak(fn):
 def _sphere(name, space, radius, rho):
     y = np.array([radius, 0.0, 0.0])
     peak = _peak(lambda: orbits._sphere_walk(space, y, rho))
-    largest, fetched = _fetch_stats(space, y, rho)
+    largest, fetched, chord = _fetch_stats(space, y, rho)
     centers, wall = _best(lambda: orbits._sphere_walk(space, y, rho))
     row = _row(name, "sphere", orbits._walk_size(space, y, rho), len(centers), wall)
-    row.update(peak_bytes=peak, largest_window=largest, fetched_per_acceptance=fetched)
+    row.update(
+        peak_bytes=peak, largest_window=largest, fetched_per_acceptance=fetched, chord_per_acceptance=chord
+    )
     return row
 
 
 def _fetch_stats(space, y, rho):
-    """Largest index window and mean fetch per acceptance of the walk that
-    orbits._sphere_walk makes on a 2-sphere."""
+    """Largest index window, mean fetch and mean later ball members per
+    acceptance of the walk that orbits._sphere_walk makes on a 2-sphere."""
     spiral = orbits._SpiralWindow(space, orbits._walk_size(space, y, rho), float(np.linalg.norm(y)))
     later_ball, accept = orbits._lattice_balls(spiral, spiral.chord(2.0 * rho)), spiral.accept
-    windows, fetched = [], []
+    windows, fetched, members = [], [], []
 
     def counted(i):
         later = later_ball(i)
         fetched.append(len(later))
+        members.append(int(np.count_nonzero(spiral.dist(spiral.key(i, later)) < 2.0 * rho)))
         return later
 
     def window(i, end):
@@ -123,7 +129,7 @@ def _fetch_stats(space, y, rho):
 
     spiral.accept = window
     orbits._greedy_walk(spiral.n, rho, counted, spiral.key, spiral.dist)
-    return max(windows), sum(fetched) / len(fetched)
+    return max(windows), sum(fetched) / len(fetched), sum(members) / len(members)
 
 
 def _conjugation(name, lam, rho):

@@ -408,11 +408,10 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         config = replace(config, params={k: v for k, v in config.params.items() if k not in built_in})
         path = params["problem"]
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            problem = pde.PDEProblem.from_dict(data)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValidationError(f"problem: {path} is malformed ({type(exc).__name__}: {exc})") from None
+            try:
+                problem = pde.PDEProblem.from_dict(json.load(fh))
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise ValidationError(f"problem: {path} is malformed ({type(exc).__name__}: {exc})") from None
     else:
         problem = pde.example_problem(
             dim=params["dim"],
@@ -580,7 +579,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"config: {args.config} is not JSON ({exc})") from None
+        return RunConfig.from_dict(data)
     if not args.subcommand:
         raise ValidationError("a subcommand or --config is required")
     spec = _SUBCOMMANDS[args.subcommand][2]

@@ -528,7 +528,17 @@ def _lattice_balls(spiral, radius):
     - index window: every rounded step of z is monotone, so z never
       increases with the index, and |z_i - z_j| <= |p_i - p_j|; so j < e,
       the first index with z_e < z_i - c (the absolute term 1e-15 s in the
-      threshold, for the spiral's scale s, covers the rounding of z_i - c);
+      threshold, for the spiral's scale s, covers the rounding of z_i - c).
+      Sooner: |p_i - p_j| >= |(rho_i - rho_j, z_i - z_j)|, the meridian chord
+      2 s sin((theta_j - theta_i) / 2) of the polar angle theta, which grows
+      with the index; so, unless the arc theta_i + T, T = 2 asin(min(1,
+      c' / (2 s))), passes the south pole, j < the first e with z_e <
+      s cos(theta_i + T) = z_i cos T - rho_i sin T.  Each row's (rho, z) is
+      within 1e-15 s of radius s (r^2 is 1 - z^2 rounded, so r's error near a
+      pole cancels z's) and the threshold rounds by under 2e-15 s, so
+      c' = c + 4e-15 s and the threshold drops by 4e-15 s, which c's 1e-12
+      relative pad does not cover where c << s; rho_i is r s, from z by the
+      spiral's operations (acos(z / s) loses 1e-8 rad near a pole);
     - golden-angle offset: with rho the ring radius hypot(x, y),
       |p_i - p_j| >= 2 sqrt(rho_i rho_j) |sin((phi_i - phi_j) / 2)|, and
       phi_j - phi_i = 2 pi m / golden for the offset m = j - i.  rho is
@@ -563,12 +573,18 @@ def _lattice_balls(spiral, radius):
     spiral.open(width + width // 4 + 1)
     x, y, _ = spiral.cols
     z = spiral.z
+    turn = 2.0 * math.asin(min(1.0, (reach + 4.0 * pad) / (2.0 * scale)))
+    cos_turn, sin_turn = math.cos(turn), math.sin(turn)
 
     def window_end(i):
-        # the first e > i with -z_e > t = pad + reach - z_i, or n: -z never
-        # decreases with the index, so stepping from the closed-form
-        # estimate finds it in a step or two
-        t = pad + reach - z(i)
+        # the first e > i with -z_e > t = pad + reach - z_i, or the meridian
+        # t if smaller, or n: -z never decreases with the index, so stepping
+        # from the closed-form estimate finds it in a step or two
+        u = 1.0 - (i + 0.5) * 2.0 / n
+        z_i, rho_i = u * scale, math.sqrt(max(0.0, 1.0 - u * u)) * scale
+        t = pad + reach - z_i
+        if rho_i * cos_turn + z_i * sin_turn > 0.0:
+            t = min(t, 4.0 * pad + rho_i * sin_turn - z_i * cos_turn)
         e = min(n, max(i + 1, math.ceil(((t / scale + 1.0) * n - 1.0) / 2.0)))
         while e > i + 1 and t < -z(e - 1):
             e -= 1

@@ -328,7 +328,7 @@ class PDEProblem:
         params = nl_data.get("params", {})
         nl = reference_nonlinearity(p, w=float(params.get("w", 1.5)), q=params.get("q"))
         grid = data.get("grid", {})
-        return cls(
+        problem = cls(
             randers=RandersStructure.from_dict(data["randers"]),
             p=p,
             lam=float(data.get("lambda", 0.0)),
@@ -337,6 +337,17 @@ class PDEProblem:
             n_cells=int(grid.get("n_cells", 2048)),
             r_max=float(grid["r_max"]) if "r_max" in grid else None,
         )
+        _refuse_unknown_keys(data, problem.to_dict())
+        return problem
+
+
+def _refuse_unknown_keys(data: dict, written: dict, where: str = "") -> None:
+    """Raise ValueError at a key of data, at any level, that written lacks."""
+    for key, value in data.items():
+        if key not in written:
+            raise ValueError(f"unknown key {where + key!r}")
+        if isinstance(value, dict) and isinstance(written[key], dict):
+            _refuse_unknown_keys(value, written[key], f"{where}{key}.")
 
 
 def _rows(problem: PDEProblem, u) -> np.ndarray:

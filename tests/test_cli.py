@@ -399,6 +399,14 @@ def _with(key, value):
     return edit
 
 
+def _with_grid(key, value):
+    def edit(data):
+        data["grid"][key] = value
+        return data
+
+    return edit
+
+
 def _with_q(q):
     def edit(data):
         data["nonlinearity"]["params"]["q"] = q
@@ -434,13 +442,35 @@ class TestFileErrors:
         out = str(tmp_path / "missing" / "table.csv")
         self._assert_record(capsys, ["funk", "--dim", "2", "--output", out], out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["pde", "--problem", "{path}", "--lambda-grid", "0"], ["--config", "{path}"]],
+        ids=["problem", "config"],
+    )
+    def test_file_that_is_not_json(self, tmp_path, capsys, argv):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"subcommand": "pde", ')
+        self._assert_record(capsys, [a.format(path=path) for a in argv], str(path), "Expecting")
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(_with("lamda", 5.0), "lamda"), (_with_grid("ncells", 8), "grid.ncells")],
+        ids=["top-level", "grid"],
+    )
+    def test_unknown_key_in_problem_file(self, tmp_path, capsys, edit, key):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(edit(example_problem(n_cells=64).to_dict())))
+        self._assert_record(capsys, ["pde", "--problem", str(path), "--lambda-grid", "0"], str(path), key)
+
     @staticmethod
-    def _assert_record(capsys, argv, path):
+    def _assert_record(capsys, argv, *words):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and path in json.loads(lines[0])["message"]
+        assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert all(word in message for word in words), message
 
 
 class TestConfigRoundTrip:

@@ -890,6 +890,53 @@ class TestLatticeBall:
             assert np.all(fetched > i)
             assert np.isin(near[near > i], fetched).all(), i
 
+    @_PROPERTY
+    @given(
+        radius=st.floats(0.05, 0.99),
+        fraction=st.floats(-4.0, 0.0),
+        curvature=st.sampled_from([0.0, -0.5, -1.0, -2.25]),
+    )
+    @example(radius=0.5, fraction=-4.0, curvature=0.0)  # reach 2e-4 s: only the absolute pad is left
+    @example(radius=0.99, fraction=-4.0, curvature=-2.25)
+    @example(radius=0.05, fraction=0.0, curvature=-0.5)  # reach 2 s: every arc passes the south pole
+    def test_meridian_fetch_holds_the_chord_ball(self, radius, fraction, curvature):
+        # rho is 10^fraction of the orbit's geodesic radius; the probes take
+        # both poles, the equator and a grid between them
+        from scipy.spatial import cKDTree
+
+        space = SpaceForm(3, curvature)
+        y = np.array([20.0 * radius if curvature == 0.0 else radius, 0.0, 0.0])
+        rho = 10.0**fraction * geodesic_distance(space, np.zeros(3), y)
+        pts = _spiral_candidates(space, y, rho)
+        n = len(pts)
+        reach = orbits._orbit_metric(ROT, space, pts)[1](2.0 * rho)
+        later_ball = orbits._lattice_balls(orbits._SpiralWindow(space, n, y[0]), reach)
+        ends = {0, 1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2, n - 1}
+        probes = sorted(ends | set(np.linspace(0, n - 1, 65).astype(int).tolist()))
+        for i, near in zip(probes, cKDTree(pts).query_ball_point(pts[probes], reach)):
+            near = np.asarray(near, dtype=np.intp)
+            fetched = later_ball(i)
+            assert np.all((fetched > i) & (fetched < n))
+            assert np.isin(near[near > i], fetched).all(), i
+
+    @pytest.mark.parametrize(
+        "space, radius, parent_fetch",
+        [(EUCLID3, 10.0, 6536), (POINCARE3, 0.85, 9147)],
+    )
+    def test_fetch_stays_near_the_chord_ball(self, space, radius, parent_fetch):
+        # mean candidates per acceptance; the z window alone fetched
+        # parent_fetch, about 2.6 chord balls
+        spiral = orbits._SpiralWindow(space, orbits._walk_size(space, np.array([radius, 0.0, 0.0]), 1.0), radius)
+        later_ball, fetched = orbits._lattice_balls(spiral, spiral.chord(2.0)), []
+
+        def counted(i):
+            later = later_ball(i)
+            fetched.append(len(later))
+            return later
+
+        orbits._greedy_walk(spiral.n, 1.0, counted, spiral.key, spiral.dist)
+        assert np.mean(fetched) <= 0.6 * parent_fetch
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         radius=st.floats(0.05, 0.99),
@@ -981,7 +1028,7 @@ class TestSpiralWindow:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert peak <= 5e6
+        assert peak <= 4e6
         assert current <= 2 * centers.nbytes + 10_000
 
 

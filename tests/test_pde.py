@@ -226,6 +226,27 @@ class TestProblemValidation:
     def test_round_trip_gives_an_equal_problem(self, problem):
         assert PDEProblem.from_dict(problem.to_dict()) == problem
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("lamda",),
+            ("grid", "ncells"),
+            ("alpha", "rate"),
+            ("alpha", "params", "decay"),
+            ("nonlinearity", "w"),
+            ("nonlinearity", "params", "p"),
+            ("randers", "kappa"),
+            ("randers", "beta_profile", "a"),
+            ("randers", "beta_profile", "params", "b"),
+        ],
+        ids=".".join,
+    )
+    def test_unknown_keys_are_refused(self, keys):
+        data = example_problem(n_cells=64).to_dict()
+        functools.reduce(lambda level, key: level[key], keys[:-1], data)[keys[-1]] = 5.0
+        with pytest.raises(ValueError, match=f"unknown key '{'.'.join(keys)}'"):
+            PDEProblem.from_dict(data)
+
     def test_equal_inputs_give_equal_problems(self):
         assert example_problem(p=4.0, n_cells=64) == example_problem(p=4.0, n_cells=64)
         assert example_problem(p=4.0, n_cells=64) != example_problem(p=4.5, n_cells=64)
