@@ -896,7 +896,7 @@ class TestLatticeBall:
         fraction=st.floats(-4.0, 0.0),
         curvature=st.sampled_from([0.0, -0.5, -1.0, -2.25]),
     )
-    @example(radius=0.5, fraction=-4.0, curvature=0.0)  # reach 2e-4 s: only the absolute pad is left
+    @example(radius=0.5, fraction=-4.0, curvature=0.0)  # reach 2e-4 s: the 1e-12 relative pad is below the rounding
     @example(radius=0.99, fraction=-4.0, curvature=-2.25)
     @example(radius=0.05, fraction=0.0, curvature=-0.5)  # reach 2 s: every arc passes the south pole
     def test_meridian_fetch_holds_the_chord_ball(self, radius, fraction, curvature):
