@@ -45,9 +45,9 @@ class ValidationError(ValueError):
 
 
 def _convert(kind, value, name: str):
-    """A config value read as its flag text, kind(str(value)): a config
-    accepts exactly what the command line accepts.  A float parameter must
-    be finite."""
+    """A flag or config value read as its text, kind(str(value)): the one
+    converter of both, so a config accepts exactly what the command line
+    accepts.  A float parameter must be finite."""
     try:
         converted = kind(str(value))
     except ValueError as exc:
@@ -406,12 +406,7 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         if clash:
             raise ValidationError(f"a --problem file replaces {', '.join(clash)}; leave them out")
         config = replace(config, params={k: v for k, v in config.params.items() if k not in built_in})
-        path = params["problem"]
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                problem = pde.PDEProblem.from_dict(json.load(fh))
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
-                raise ValidationError(f"problem: {path} is malformed ({type(exc).__name__}: {exc})") from None
+        problem = _read_json(params["problem"], "problem", pde.PDEProblem.from_dict)
     else:
         problem = pde.example_problem(
             dim=params["dim"],
@@ -514,9 +509,9 @@ def run(config: RunConfig) -> RunResult:
     """Execute one run; raises ValidationError for malformed configs.
 
     Parameters absent from config.params or null there take their table
-    defaults; given ones are read from their text as the flags are.  The
-    result's config records every resolved parameter except those left at
-    a None default or replaced by a `pde` problem file, so a replayed
+    defaults; given ones are read from their text, a flag's as a config's.
+    The result's config records every resolved parameter except those left
+    at a None default or replaced by a `pde` problem file, so a replayed
     config prints the header of the equivalent command line.
     """
     if config.subcommand not in _SUBCOMMANDS:
@@ -567,34 +562,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run configuration (overrides flags)")
     sub = parser.add_subparsers(dest="subcommand")
     for name, (_, help_line, spec) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        for param, (kind, default) in spec.items():
-            sp.add_argument("--" + param.replace("_", "-"), type=kind, default=default)
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", default="csv")
-        sp.add_argument("--seed", type=int, default=0)
+        # a flag not given leaves no attribute: its default is run()'s
+        sp = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        for param in spec:
+            sp.add_argument("--" + param.replace("_", "-"))
+        sp.add_argument("--output")
+        sp.add_argument("--format")
+        sp.add_argument("--seed")
     return parser
 
 
+def _read_json(path: str, what: str, build):
+    """build(data) of the JSON file at path.  A file that is not JSON, or
+    whose data build refuses, is a ValidationError that names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{what}: {path} is not JSON ({exc})") from None
+    try:
+        return build(data)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {path} is malformed ({type(exc).__name__}: {exc})") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The flags given, as the dict a --config file holds: both are read by
+    RunConfig.from_dict and their values by run()."""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise ValidationError(f"config: {args.config} is not JSON ({exc})") from None
-        return RunConfig.from_dict(data)
+        return _read_json(args.config, "config", RunConfig.from_dict)
     if not args.subcommand:
         raise ValidationError("a subcommand or --config is required")
-    spec = _SUBCOMMANDS[args.subcommand][2]
-    params = {k: getattr(args, k) for k in spec}
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-    )
+    flags = {k: v for k, v in vars(args).items() if k != "config"}
+    params = {k: flags.pop(k) for k in _SUBCOMMANDS[args.subcommand][2] if k in flags}
+    return RunConfig.from_dict({**flags, "params": params})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

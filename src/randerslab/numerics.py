@@ -40,14 +40,7 @@ __all__ = [
 
 
 class Divergent:
-    """Singleton token marking an integral or norm that fails to converge."""
-
-    _instance: Optional["Divergent"] = None
-
-    def __new__(cls) -> "Divergent":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Token marking an integral or norm that fails to converge."""
 
     def __repr__(self) -> str:
         return "DIVERGENT"

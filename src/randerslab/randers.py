@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5
-# radii at which global_reversibility and global_uniformity sample beta
-_SAMPLE_RADII = np.linspace(0.0, 100.0, 2001)
 
 
 @dataclass(frozen=True)
@@ -250,11 +248,10 @@ def reversibility(structure, x) -> float:
 
 
 def global_reversibility(structure) -> float:
-    """sup_x r_F(x), sampled at 2001 radii in [0, 100]; +inf for the Funk
-    model."""
+    """sup_x r_F(x), at sup b = a; +inf for the Funk model."""
     if isinstance(structure, FunkModel):
         return math.inf
-    b_max = float(np.max(structure.beta(_SAMPLE_RADII)))
+    b_max = structure.beta_sup
     return (1.0 + b_max) / (1.0 - b_max)
 
 
@@ -265,11 +262,10 @@ def uniformity(structure, x) -> float:
 
 
 def global_uniformity(structure) -> float:
-    """inf_x l_F(x), sampled at 2001 radii in [0, 100]; 0 for the Funk
-    model."""
+    """inf_x l_F(x), at sup b = a; 0 for the Funk model."""
     if isinstance(structure, FunkModel):
         return 0.0
-    b_max = float(np.max(structure.beta(_SAMPLE_RADII)))
+    b_max = structure.beta_sup
     return ((1.0 - b_max) / (1.0 + b_max)) ** 2
 
 

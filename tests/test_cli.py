@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from randerslab import sobolev
-from randerslab.cli import RunConfig, ValidationError, main, run
+from randerslab.cli import RunConfig, ValidationError, _build_parser, main, run
 from randerslab.modelspace import SpaceForm
-from randerslab.orbits import FULL_ROTATION, GroupAction, expansion_profile
+from randerslab.orbits import FULL_ROTATION, PRODUCT_ROTATION, GroupAction, expansion_profile
 from randerslab.pde import PDEProblem, example_problem
 
 
@@ -72,6 +73,32 @@ class TestGoldenAgainstModules:
         for got, exp in zip(rows, expected):
             assert float(got[0]) == pytest.approx(exp["distance"], rel=1e-15)
             assert int(got[2]) == exp["count"]
+
+    def test_product_expansion_matches_expansion_profile(self, tmp_path):
+        argv = ["expansion", "--action", "product", "--blocks", "2,3", "--rho", "2", "--radii", "5,20",
+                "--format", "json"]
+        code, text = run_to_file(tmp_path, "e.json", argv)
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        action = GroupAction(PRODUCT_ROTATION, (2, 3))
+        expected = expansion_profile(action, SpaceForm(5, 0.0), 2.0, np.array([5.0, 20.0]))
+        assert [{k: r[k] for k in ("distance", "rho", "count", "method")} for r in rows] == expected
+        assert [r["normalized"] for r in rows] == [r["count"] * 2.0 / r["distance"] for r in expected]
+
+    def test_failed_check_exits_1_and_writes_the_body(self, tmp_path, capsys, monkeypatch):
+        # a run whose check fails still writes its body, which shows the
+        # check as false, and exits 1 with the ChecksFailed record
+        real = sobolev.funk_counterexample
+        monkeypatch.setattr(
+            sobolev, "funk_counterexample",
+            lambda d, pair: dataclasses.replace(real(d, pair), embedding_fails=False),
+        )
+        code, text = run_to_file(tmp_path, "f.csv", ["funk", "--dim", "2"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChecksFailed", "failed": ["embedding_fails_everywhere"],
+        }
+        assert "# check_embedding_fails_everywhere=false" in text.splitlines()
 
     def test_funk_row_content(self, tmp_path):
         code, text = run_to_file(tmp_path, "f.csv", ["funk", "--dim", "3", "--p", "2", "--q", "4"])
@@ -205,6 +232,22 @@ class TestValidation:
         assert len(lines) == 1 and "usage" not in captured.err
         assert json.loads(lines[0])["error"] == "ValidationError"
 
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["expansion", "--action", "foo", "--radii", "1"], "unknown action 'foo'"),
+            (["hausdorff", "--example", "foo"], "unknown hausdorff example 'foo'"),
+            (["packing", "--radii", "1:2:3:foo"], "unknown range kind 'foo'"),
+            (["funk", "--dim", "2", "--p", "2", "--q", "1"], "no admissible (p, q, d) combination given"),
+        ],
+        ids=["expansion-action", "hausdorff-example", "range-kind", "funk-no-pair"],
+    )
+    def test_refusal_names_what_it_refuses(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -345,6 +388,24 @@ class TestConfigValues:
     def test_null_parameter_takes_its_default(self, params):
         assert run(RunConfig("embedding", params)).render_csv() == run(RunConfig("embedding")).render_csv()
 
+    @pytest.mark.parametrize(
+        "param, value", [("dim", "abc"), ("dim", "2.5"), ("rho", "inf"), ("curvature", "x")]
+    )
+    def test_flag_and_config_value_get_one_record(self, tmp_path, capsys, param, value):
+        # both reach run() as text, so one converter refuses both alike
+        assert main(["packing", "--radii", "1", "--" + param, value]) == 2
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "packing", "params": {"radii": "1", param: value}}))
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert json.loads(from_flag)["message"].startswith(param + ": ")
+
+    def test_parser_leaves_every_value_as_text(self):
+        # a flag not given leaves no attribute, and a given one stays text
+        args = _build_parser().parse_args(["funk", "--dim", "2", "--seed", "3"])
+        assert vars(args) == {"config": None, "subcommand": "funk", "dim": "2", "seed": "3"}
+
     def test_null_problem_solves_the_built_in_problem(self):
         base = {"cells": 32, "lambda_grid": "0"}
         with_null = run(RunConfig("pde", {**base, "problem": None}))
@@ -451,6 +512,28 @@ class TestFileErrors:
         path = tmp_path / "truncated.json"
         path.write_text('{"subcommand": "pde", ')
         self._assert_record(capsys, [a.format(path=path) for a in argv], str(path), "Expecting")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"subcommand": "funk", "params": {"dim": "2"}, "foo": 1}, "unknown config keys: ['foo']"),
+            ([1], "a config must be a JSON object"),
+            ({"subcommand": "funk", "seed": "x"}, "seed: cannot read 'x' as int"),
+        ],
+        ids=["unknown-key", "not-an-object", "seed"],
+    )
+    def test_malformed_config_file(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        self._assert_record(capsys, ["--config", str(path)], f"config: {path} is malformed", message)
+
+    def test_beta_sup_that_does_not_match_the_profile(self, tmp_path, capsys):
+        data = example_problem(n_cells=64).to_dict()
+        data["randers"]["beta_sup"] = 0.3
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        argv = ["pde", "--problem", str(path), "--lambda-grid", "0"]
+        self._assert_record(capsys, argv, f"problem: {path} is malformed", "beta_sup does not match")
 
     @pytest.mark.parametrize(
         "edit, key",

@@ -202,6 +202,28 @@ def test_readme_commands_are_golden(tmp_path):
     )
 
 
+def test_readme_configs_replay_byte_for_byte(tmp_path):
+    # the config each README body records (its `# config=` line, or `config`
+    # in an --output JSON), run through --config, prints that body again:
+    # flags and a config file take one path into the CLI
+    differing = []
+    for index, argv in enumerate(readme_commands(), 1):
+        name = golden_name(index, argv)
+        body = argv[argv.index("--output") + 1] if "--output" in argv else "stdout.txt"
+        want = (GOLDEN / name / body).read_bytes()
+        text = want.decode("utf-8")
+        if text.startswith("{"):
+            config = json.loads(text)["config"]
+        else:
+            line = next(l for l in text.splitlines() if l.startswith("# config="))
+            config = json.loads(line[len("# config=") :])
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        if bodies(["--config", str(cfg)], tmp_path / name) != {"stdout.txt": want}:
+            differing.append(name)
+    assert not differing, f"replayed configs differ from tests/golden/ in {', '.join(differing)}"
+
+
 def test_packings_are_golden():
     want = json.loads(PACKINGS.read_text(encoding="utf-8"))
     got = packing_fingerprints()

@@ -1233,6 +1233,14 @@ class TestCertificate:
         with pytest.raises(RuntimeError):
             report.verify(ROT, EUCLID3)
 
+    def test_verify_rejects_repeated_centers(self):
+        # consecutive equal rows bound the minimum by 0, which is the minimum
+        centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        assert orbits._pairwise_min_distance(ROT, EUCLID3, centers) == 0.0
+        report = PackingReport(centers[0], 0.5, 3, centers, GREEDY)
+        with pytest.raises(RuntimeError, match="min distance 0.0 < 2 rho"):
+            report.verify(ROT, EUCLID3)
+
     @_PROPERTY
     @given(
         lam=st.floats(3.0, 20.0), rho=st.floats(0.3, 1.0), phase=st.floats(0.0, math.pi)

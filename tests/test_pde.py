@@ -327,10 +327,12 @@ class TestTestFunction:
         assert j1 >= nl.H(1.0) * alpha_at_rim * vol_small > 0
 
     def test_ramp_constraint_enforced(self, problem):
+        # r must stay strictly below R (1-a)/(1+a): the bound itself is refused
         a = problem.randers.beta_sup
-        bad_r = 1.5 * (1 - a) / (1 + a) + 0.01
-        with pytest.raises(ValueError):
-            ramp_profile(problem, s0=1.0, big_r=1.5, small_r=bad_r)
+        bound = 1.5 * (1 - a) / (1 + a)
+        for bad_r in (bound, bound + 0.01):
+            with pytest.raises(ValueError, match="need 0 < r"):
+                ramp_profile(problem, s0=1.0, big_r=1.5, small_r=bad_r)
 
     def test_phi_two_sided_bound(self, problem):
         s0, big_r, small_r = 1.0, 1.5, 0.5
@@ -556,7 +558,8 @@ class TestBatchedSearches:
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
-        beta_sup=st.floats(0.0, 0.5),
+        # below 0.5: at a = 0.5 the ramp's r = 0.5 meets its bound R (1-a)/(1+a)
+        beta_sup=st.floats(0.0, 0.5, exclude_max=True),
         alpha_rate=st.floats(0.4, 1.5),
         n_cells=st.integers(64, 256),
         max_iter=st.sampled_from([1, 2, 7, 200]),
@@ -1024,6 +1027,11 @@ class TestRayTable:
     def test_default_problem(self, problem, solved):
         lam_t, _, _ = solved
         assert lam_t == _reference_find_transition_lambda(problem, 200.0)
+
+    def test_no_witness_up_to_the_bound(self, problem):
+        # at lambda = 1 every ray's energy stays above 0, below the transition
+        with pytest.raises(SweepFailure, match=r"no negative-energy ray witness up to lambda = 1\.0;"):
+            find_transition_lambda(problem, 1.0)
 
 
 def _reference_ray_table(problem):
