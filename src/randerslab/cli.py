@@ -28,16 +28,21 @@ SCHEMA_VERSION = 1
 __all__ = ["RunConfig", "RunResult", "run", "main"]
 
 
-def _fmt(value) -> str:
+def _token(value):
+    """The token of a value that JSON has no literal for (DIVERGENT, inf,
+    -inf), or the value itself: one spelling in both output formats."""
     if is_divergent(value):
         return "DIVERGENT"
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _fmt(value) -> str:
+    value = _token(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 class ValidationError(ValueError):
@@ -46,15 +51,28 @@ class ValidationError(ValueError):
 
 def _convert(kind, value, name: str):
     """A flag or config value read as its text, kind(str(value)): the one
-    converter of both, so a config accepts exactly what the command line
-    accepts.  A float parameter must be finite."""
+    reader of both, so a config accepts exactly what the command line
+    accepts.  A kind [k] reads a comma list, each token as k; a float
+    must be finite; a reader's own ValidationError gets the name in front."""
+    if isinstance(kind, list):
+        return [_convert(kind[0], token, name) for token in str(value).split(",")]
     try:
         converted = kind(str(value))
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
     except ValueError as exc:
         raise ValidationError(f"{name}: cannot read {value!r} as {kind.__name__}") from exc
     if kind is float and not math.isfinite(converted):
         raise ValidationError(f"{name}: must be finite, got {value!r}")
     return converted
+
+
+def exponent(text: str) -> float:
+    """A Lebesgue exponent: a finite float, or inf, the one spelling of an
+    infinite exponent."""
+    if not (text == "inf" or math.isfinite(float(text))):
+        raise ValueError(f"not an exponent: {text!r}")
+    return float(text)
 
 
 # log 1e300: a magnitude that a run derives from its flags must stay below
@@ -114,6 +132,11 @@ def _parse_range(spec: str) -> np.ndarray:
     if kind != "lin":
         raise ValidationError(f"unknown range kind {kind!r}")
     return np.linspace(a, b, n)
+
+
+def _range_or_auto(spec: str):
+    """_parse_range(spec), or None for 'auto': pde then picks its own lambdas."""
+    return None if spec == "auto" else _parse_range(spec)
 
 
 @dataclass(frozen=True)
@@ -181,19 +204,12 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        def enc(v):
-            if is_divergent(v):
-                return "DIVERGENT"
-            if isinstance(v, float) and math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
         payload = {
             "schema": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "checks": {k: bool(v) for k, v in sorted(self.checks.items())},
             "columns": self.columns,
-            "rows": [{c: enc(row[c]) for c in self.columns} for row in self.rows],
+            "rows": [{c: _token(row[c]) for c in self.columns} for row in self.rows],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -208,6 +224,16 @@ def _space_from_params(params) -> SpaceForm:
     raise ValidationError(f"unknown space {params['space']!r}")
 
 
+def _replaced(config: RunConfig, params: dict, names: tuple, by: str) -> RunConfig:
+    """config without the parameters names, whose values by replaces: one
+    away from its default is refused, so the record leaves them all out."""
+    spec = _SUBCOMMANDS[config.subcommand][2]
+    clash = ["--" + k.replace("_", "-") for k in names if params[k] != spec[k][1]]
+    if clash:
+        raise ValidationError(f"{by} replaces {', '.join(clash)}; leave them out")
+    return replace(config, params={k: v for k, v in config.params.items() if k not in names})
+
+
 def _nondecreasing(rows) -> dict:
     counts = [r["count"] for r in rows]
     return {"counts_nondecreasing": all(a <= b for a, b in zip(counts, counts[1:]))}
@@ -216,7 +242,7 @@ def _nondecreasing(rows) -> dict:
 def _run_packing(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
     action = orbits.GroupAction(orbits.FULL_ROTATION)
-    rows = orbits.expansion_profile(action, space, params["rho"], _parse_range(params["radii"]))
+    rows = orbits.expansion_profile(action, space, params["rho"], params["radii"])
     return RunResult(config, ["distance", "rho", "count", "method"], rows, _nondecreasing(rows))
 
 
@@ -226,13 +252,13 @@ def _run_expansion(config: RunConfig, params: dict) -> RunResult:
     kind = params["action"]
     if kind == "full":
         action = orbits.GroupAction(orbits.FULL_ROTATION)
-    elif kind == "product":
-        blocks = tuple(int(b) for b in params["blocks"].split(","))
-        action = orbits.GroupAction(orbits.PRODUCT_ROTATION, blocks)
-        space = SpaceForm(sum(blocks), 0.0)
+    elif kind == "product":  # the blocks make the space R^sum(blocks)
+        config = _replaced(config, params, ("space", "curvature", "dim"), "--action product")
+        action = orbits.GroupAction(orbits.PRODUCT_ROTATION, tuple(params["blocks"]))
+        space = SpaceForm(sum(params["blocks"]), 0.0)
     else:
         raise ValidationError(f"unknown action {kind!r}")
-    raw = orbits.expansion_profile(action, space, rho, _parse_range(params["radii"]))
+    raw = orbits.expansion_profile(action, space, rho, params["radii"])
     rows = [
         {**r, "normalized": r["count"] * rho / r["distance"] if r["distance"] > 0 else 0.0}
         for r in raw
@@ -245,7 +271,7 @@ def _run_expansion(config: RunConfig, params: dict) -> RunResult:
 def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
     example = params["example"]
     if example == "matrix":
-        lams = _parse_range(params["lambda_grid"])
+        lams = params["lambda_grid"]
         for lam in lams[(lams > 0) & np.isfinite(lams)]:  # MatrixPoint refuses the rest
             _check_range("lambda_grid", float(lam), 2.0 * abs(math.log(lam)), "lambda^2 and lambda^-2")
             if not orbits.MatrixPoint.diagonal(float(lam)).eigenvalues[1] > 0.0:
@@ -269,7 +295,7 @@ def _run_hausdorff(config: RunConfig, params: dict) -> RunResult:
             config, ["lambda", "length", "distance", "kappa_check"], rows, checks
         )
     if example == "product":
-        blocks = [int(b) for b in params["blocks"].split(",")]
+        blocks = params["blocks"]
         if params["samples"] < 1:
             raise ValidationError(f"samples must be at least 1, got {params['samples']}")
         if not params["scale"] >= 1.0:  # |y| is drawn from [1, scale]
@@ -334,16 +360,10 @@ def _run_rearrange(config: RunConfig, params: dict) -> RunResult:
 
 
 def _run_funk(config: RunConfig, params: dict) -> RunResult:
-    dims = [int(v) for v in params["dim"].split(",")]
-    ps = [float(v) for v in params["p"].split(",")]
-    if not all(map(math.isfinite, ps)):
-        raise ValidationError(f"p: every p must be finite in {params['p']!r}")
-    qs = [math.inf if v in ("inf", "") else float(v) for v in params["q"].split(",")]
     rows = []
-    ok = True
-    for d in dims:
-        for p in ps:
-            for q in qs:
+    for d in params["dim"]:
+        for p in params["p"]:
+            for q in params["q"]:
                 pair = sobolev.classify_pair(p, q, d)
                 if pair is None:
                     continue
@@ -360,10 +380,9 @@ def _run_funk(config: RunConfig, params: dict) -> RunResult:
                         "fails": verdict.embedding_fails,
                     }
                 )
-                ok = ok and verdict.embedding_fails
     if not rows:
         raise ValidationError("no admissible (p, q, d) combination given")
-    checks = {"embedding_fails_everywhere": ok}
+    checks = {"embedding_fails_everywhere": all(r["fails"] for r in rows)}
     return RunResult(
         config, ["d", "p", "q", "regime", "t", "w_bound", "lq_norm", "fails"], rows, checks
     )
@@ -371,15 +390,14 @@ def _run_funk(config: RunConfig, params: dict) -> RunResult:
 
 def _run_embedding(config: RunConfig, params: dict) -> RunResult:
     space = _space_from_params(params)
-    p = params["p"]
-    q = math.inf if params["q"] == "inf" else float(params["q"])
+    p, q = params["p"], params["q"]
     pair = sobolev.classify_pair(p, q, space.dim)
     if pair is None:
         raise ValidationError(f"(p, q) = ({p}, {q}) is not admissible in dim {space.dim}")
     if params["rho"] > 0:  # embedding_constant refuses the rest
         log_vol = abs(_log_ball_volume(space, params["rho"]))
         _check_range("rho", params["rho"], log_vol, "the ball volume and its reciprocal")
-    centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in _parse_range(params["y_radii"])]
+    centres = [np.array([r] + [0.0] * (space.dim - 1)) for r in params["y_radii"]]
     # the estimate does not depend on the centre (both model geometries are
     # homogeneous): compute it once; geodesic_distance validates every centre
     value = sobolev.embedding_constant(
@@ -399,13 +417,8 @@ def _run_embedding(config: RunConfig, params: dict) -> RunResult:
 
 def _run_pde(config: RunConfig, params: dict) -> RunResult:
     if params["problem"] is not None:
-        # the file replaces the built-in problem's parameters: one away from
-        # its default is an error, and the record leaves them all out
-        built_in, spec = ("dim", "kappa", "beta_a", "p", "alpha_rate", "cells"), _SUBCOMMANDS["pde"][2]
-        clash = ["--" + k.replace("_", "-") for k in built_in if params[k] != spec[k][1]]
-        if clash:
-            raise ValidationError(f"a --problem file replaces {', '.join(clash)}; leave them out")
-        config = replace(config, params={k: v for k, v in config.params.items() if k not in built_in})
+        built_in = ("dim", "kappa", "beta_a", "p", "alpha_rate", "cells")
+        config = _replaced(config, params, built_in, "a --problem file")
         problem = _read_json(params["problem"], "problem", pde.PDEProblem.from_dict)
     else:
         problem = pde.example_problem(
@@ -417,13 +430,12 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
             n_cells=params["cells"],
         )
     bp = pde.bonanno_parameters(problem, params["s0"], params["big_r"], params["small_r"])
-    if params["lambda_grid"] == "auto":
+    lams = params["lambda_grid"]
+    if lams is None:  # auto
         lam_t = pde.find_transition_lambda(problem, min(200.0, bp.a_bar))
         lams = [0.0, min(2.0 * lam_t, bp.a_bar)]
-    else:
-        lams = [float(v) for v in _parse_range(params["lambda_grid"])]
-        if not all(map(math.isfinite, lams)):
-            raise ValidationError(f"lambda_grid: every lambda must be finite in {params['lambda_grid']!r}")
+    elif not np.isfinite(lams).all():
+        raise ValidationError(f"lambda_grid: every lambda must be finite in {config.params['lambda_grid']!r}")
     reports = pde.multi_start_solve(problem, lams)
     rows = []
     ok_gradient = True
@@ -459,23 +471,24 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
     return RunResult(config, columns, rows, checks, extra_files=extra)
 
 
-# Every parameter once: subcommand -> (handler, help line, {name: (type,
-# default)}).  The flag is "--" + name with dashes; a None default leaves the
-# key out of the config unless it is given.
+# Every parameter once: subcommand -> (handler, help line, {name: (kind,
+# default)}).  A kind reads the value's text, [kind] a comma list of them;
+# the default is read the same way.  The flag is "--" + name with dashes; a
+# None default leaves the key out of the config unless it is given.
 _SPACE = {"space": (str, "euclid"), "dim": (int, 2), "curvature": (float, -1.0)}
-_RAY = {"rho": (float, 1.0), "radii": (str, "")}
+_RAY = {"rho": (float, 1.0), "radii": (_parse_range, "")}
 _SUBCOMMANDS = {
     "packing": (_run_packing, "packing counts along a geodesic ray", {**_SPACE, **_RAY}),
     "expansion": (
         _run_expansion,
         "expansion-condition table",
-        {**_SPACE, **_RAY, "action": (str, "full"), "blocks": (str, "2,2")},
+        {**_SPACE, **_RAY, "action": (str, "full"), "blocks": ([int], "2,2")},
     ),
     "hausdorff": (
         _run_hausdorff,
         "orbit measure growth examples",
-        {"example": (str, "matrix"), "lambda_grid": (str, "1:1e6:25:log"),
-         "blocks": (str, "2,2"), "samples": (int, 100), "scale": (float, 10.0)},
+        {"example": (str, "matrix"), "lambda_grid": (_parse_range, "1:1e6:25:log"),
+         "blocks": ([int], "2,2"), "samples": (int, 100), "scale": (float, 10.0)},
     ),
     "rearrange": (
         _run_rearrange,
@@ -486,20 +499,20 @@ _SUBCOMMANDS = {
     "funk": (
         _run_funk,
         "Funk-ball embedding failure table",
-        {"dim": (str, "3"), "p": (str, "2"), "q": (str, "4")},
+        {"dim": ([int], "3"), "p": ([float], "2"), "q": ([exponent], "4")},
     ),
     "embedding": (
         _run_embedding,
         "radial embedding-constant estimates",
         {**_SPACE, "space": (str, "poincare"), "dim": (int, 3), "p": (float, 2.0),
-         "q": (str, "4"), "rho": (float, 1.0), "y_radii": (str, "0"), "grid": (int, 128)},
+         "q": (exponent, "4"), "rho": (float, 1.0), "y_radii": (_parse_range, "0"), "grid": (int, 128)},
     ),
     "pde": (
         _run_pde,
         "quasilinear solver: interval + critical points",
         {"problem": (str, None), "dim": (int, 2), "kappa": (float, 1.5), "beta_a": (float, 0.2),
          "p": (float, 3.5), "alpha_rate": (float, 0.75), "cells": (int, 2048),
-         "lambda_grid": (str, "auto"), "s0": (float, 1.0), "big_r": (float, 1.5),
+         "lambda_grid": (_range_or_auto, "auto"), "s0": (float, 1.0), "big_r": (float, 1.5),
          "small_r": (float, 0.5)},
     ),
 }
@@ -509,10 +522,11 @@ def run(config: RunConfig) -> RunResult:
     """Execute one run; raises ValidationError for malformed configs.
 
     Parameters absent from config.params or null there take their table
-    defaults; given ones are read from their text, a flag's as a config's.
-    The result's config records every resolved parameter except those left
-    at a None default or replaced by a `pde` problem file, so a replayed
-    config prints the header of the equivalent command line.
+    defaults; each is read from its text, a flag's as a config's.  The
+    result's config records every parameter except those left at a None
+    default or replaced by a `pde` problem file or a product action: an
+    int or float as read, any other as its text, so a replayed config
+    prints the header of the equivalent command line.
     """
     if config.subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {config.subcommand!r}")
@@ -522,11 +536,12 @@ def run(config: RunConfig) -> RunResult:
     unknown = set(config.params) - set(spec)
     if unknown:
         raise ValidationError(f"unknown parameters: {sorted(unknown)}")
-    params = {
-        name: default if config.params.get(name) is None else _convert(kind, config.params[name], name)
-        for name, (kind, default) in spec.items()
-    }
-    resolved = {name: value for name, value in params.items() if value is not None}
+    params, resolved = dict.fromkeys(spec), {}
+    for name, (kind, default) in spec.items():
+        text = default if config.params.get(name) is None else config.params[name]
+        if text is not None:  # a None default stays out of the record
+            params[name] = _convert(kind, text, name)
+            resolved[name] = params[name] if kind in (int, float) else str(text)
     return handler(replace(config, params=resolved), params)
 
 

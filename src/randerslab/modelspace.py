@@ -79,10 +79,18 @@ class SpaceForm:
         return comparison_volume(self.curvature, self.dim, rho)
 
 
+# the largest d whose Gamma(d/2 + 1) gamma_fn computes: its Lanczos power
+# overflows from d = 283, although Gamma itself stays finite up to d = 341
+_MAX_DIM = 282
+
+
 def unit_ball_volume(d: int) -> float:
-    """Volume of the unit Euclidean d-ball, pi^(d/2) / Gamma(d/2 + 1)."""
+    """Volume of the unit Euclidean d-ball, pi^(d/2) / Gamma(d/2 + 1), for
+    1 <= d <= _MAX_DIM."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if d > _MAX_DIM:
+        raise ValueError(f"dim = {d} is out of range: the unit ball volume needs dim <= {_MAX_DIM}")
     return math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
 
 

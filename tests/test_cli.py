@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from randerslab import sobolev
-from randerslab.cli import RunConfig, ValidationError, _build_parser, main, run
+from randerslab.cli import _SUBCOMMANDS, RunConfig, ValidationError, _build_parser, main, run
 from randerslab.modelspace import SpaceForm
 from randerslab.orbits import FULL_ROTATION, PRODUCT_ROTATION, GroupAction, expansion_profile
 from randerslab.pde import PDEProblem, example_problem
@@ -152,6 +152,17 @@ _OUT_OF_RANGE = [
     (["funk", "--dim", "2", "--p", "inf", "--q", "inf"], "ValidationError", "p"),
 ]
 
+# dimensions from 283, whose ball volume's Gamma(dim/2 + 1) overflows in
+# its Lanczos power, are refused by value too
+_BALL_VOLUME_OVERFLOW = [
+    (["packing", "--dim", "283", "--radii", "1"], "ValueError", "dim"),
+    (["expansion", "--dim", "283", "--radii", "1"], "ValueError", "dim"),
+    (["rearrange", "--dim", "283", "--cells", "16"], "ValueError", "dim"),
+    (["funk", "--dim", "283", "--p", "300", "--q", "inf"], "ValueError", "dim"),
+    (["embedding", "--space", "euclid", "--dim", "283", "--p", "290", "--q", "inf", "--grid", "8"],
+     "ValueError", "dim"),
+]
+
 
 class TestValidation:
     def test_empty_radii_rejected(self, capsys):
@@ -238,16 +249,50 @@ class TestValidation:
         [
             (["expansion", "--action", "foo", "--radii", "1"], "unknown action 'foo'"),
             (["hausdorff", "--example", "foo"], "unknown hausdorff example 'foo'"),
-            (["packing", "--radii", "1:2:3:foo"], "unknown range kind 'foo'"),
+            (["packing", "--radii", "1:2:3:foo"], "radii: unknown range kind 'foo'"),
             (["funk", "--dim", "2", "--p", "2", "--q", "1"], "no admissible (p, q, d) combination given"),
+            (["funk", "--dim", "abc"], "dim: cannot read 'abc' as int"),
+            (["funk", "--p", "2,x"], "p: cannot read 'x' as float"),
+            (["expansion", "--action", "product", "--blocks", "x", "--radii", "1"],
+             "blocks: cannot read 'x' as int"),
+            (["embedding", "--q", "abc"], "q: cannot read 'abc' as exponent"),
+            (["funk", "--q", "4,,5"], "q: cannot read '' as exponent"),
+            (["funk", "--q", "Infinity"], "q: cannot read 'Infinity' as exponent"),
+            (["packing", "--radii", "1,x"], "radii: cannot parse range '1,x'"),
         ],
-        ids=["expansion-action", "hausdorff-example", "range-kind", "funk-no-pair"],
+        ids=["expansion-action", "hausdorff-example", "range-kind", "funk-no-pair", "int-list",
+             "float-list", "product-blocks", "exponent", "empty-exponent-token", "inf-spelling",
+             "range-list"],
     )
     def test_refusal_names_what_it_refuses(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize(
+        "subcommand, name",
+        [(subcommand, name) for subcommand, (_, _, spec) in _SUBCOMMANDS.items() for name in spec
+         if name != "problem"],
+    )
+    def test_every_malformed_parameter_is_named(self, capsys, subcommand, name):
+        # 'x' reads as no kind of the table; a str parameter is a choice
+        # that its handler refuses as unknown, every other is refused by
+        # run()'s reader before any work, with its name in front
+        ray = ["--radii", "1"] if name != "radii" and subcommand in ("packing", "expansion") else []
+        assert main([subcommand, "--" + name.replace("_", "-"), "x"] + ray) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError"
+        if _SUBCOMMANDS[subcommand][2][name][0] is str:
+            assert record["message"].startswith("unknown ") and record["message"].endswith(f"{name} 'x'")
+        else:
+            assert record["message"].startswith(name + ": ")
+
+    def test_largest_dimension_runs(self, tmp_path):
+        # dim = 282 is the last whose ball volume gamma_fn computes
+        assert run_to_file(tmp_path, "funk.csv", ["funk", "--dim", "282", "--p", "300", "--q", "inf"])[0] == 0
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -272,6 +317,7 @@ class TestValidation:
             (["embedding", "--space", "euclid", "--rho", "1e99"], "ValueError"),
             (["embedding", "--space", "euclid", "--rho", "1e-99"], "ValueError"),
             (["embedding", "--space", "euclid", "--dim", "3", "--rho", "1e55", "--grid", "32"], "ValueError"),
+            *[(argv, error) for argv, error, _ in _BALL_VOLUME_OVERFLOW],
         ],
     )
     def test_out_of_domain_value_gives_error_record(self, capsys, argv, error):
@@ -286,7 +332,7 @@ class TestValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
-    @pytest.mark.parametrize("argv, error, name", _OUT_OF_RANGE)
+    @pytest.mark.parametrize("argv, error, name", _OUT_OF_RANGE + _BALL_VOLUME_OVERFLOW)
     def test_out_of_range_record_names_the_parameter(self, capsys, argv, error, name):
         assert main(argv) == 2
         record = json.loads(capsys.readouterr().err)
@@ -410,6 +456,32 @@ class TestConfigValues:
         base = {"cells": 32, "lambda_grid": "0"}
         with_null = run(RunConfig("pde", {**base, "problem": None}))
         assert with_null.render_csv() == run(RunConfig("pde", base)).render_csv()
+
+
+class TestProductAction:
+    """--action product packs in R^sum(blocks), so it replaces --space,
+    --curvature and --dim, as a pde --problem file replaces its flags."""
+
+    ARGV = ["expansion", "--action", "product", "--blocks", "2,3", "--rho", "2", "--radii", "5"]
+
+    def test_config_records_only_what_the_run_uses(self):
+        result = run(RunConfig("expansion", {"action": "product", "blocks": "2,3", "rho": 2,
+                                             "radii": "5", "dim": 2}))
+        assert result.config.params == {"action": "product", "blocks": "2,3", "radii": "5", "rho": 2.0}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--space", "poincare"], ["--curvature", "-4"], ["--dim", "7"],
+         ["--space", "poincare", "--curvature", "-4", "--dim", "7"]],
+    )
+    def test_replaced_parameters_are_rejected(self, capsys, flags):
+        assert main(self.ARGV + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("--action product replaces")
+        assert all(flag in record["message"] for flag in flags[::2])
 
 
 class TestPdeProblemFile:
