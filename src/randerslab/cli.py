@@ -482,7 +482,7 @@ _SUBCOMMANDS = {
     "expansion": (
         _run_expansion,
         "expansion-condition table",
-        {**_SPACE, **_RAY, "action": (str, "full"), "blocks": ([int], "2,2")},
+        {**_SPACE, "action": (str, "full"), "blocks": ([int], "2,2"), **_RAY},
     ),
     "hausdorff": (
         _run_hausdorff,

@@ -253,8 +253,7 @@ class TestValidation:
             (["funk", "--dim", "2", "--p", "2", "--q", "1"], "no admissible (p, q, d) combination given"),
             (["funk", "--dim", "abc"], "dim: cannot read 'abc' as int"),
             (["funk", "--p", "2,x"], "p: cannot read 'x' as float"),
-            (["expansion", "--action", "product", "--blocks", "x", "--radii", "1"],
-             "blocks: cannot read 'x' as int"),
+            (["expansion", "--action", "product", "--blocks", "x"], "blocks: cannot read 'x' as int"),
             (["embedding", "--q", "abc"], "q: cannot read 'abc' as exponent"),
             (["funk", "--q", "4,,5"], "q: cannot read '' as exponent"),
             (["funk", "--q", "Infinity"], "q: cannot read 'Infinity' as exponent"),
