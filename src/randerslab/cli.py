@@ -125,13 +125,14 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValidationError("range needs at least one point")
     if not math.isfinite(b - a):  # also refuses an inf or nan end
         raise ValidationError(f"range {spec!r} needs finite ends and a finite span")
-    if kind == "log":
-        if not (a > 0 and b > 0):
-            raise ValidationError("log ranges need positive ends")
-        return np.geomspace(a, b, n)
-    if kind != "lin":
+    if kind == "log" and not (a > 0 and b > 0):
+        raise ValidationError("log ranges need positive ends")
+    if kind not in ("lin", "log"):
         raise ValidationError(f"unknown range kind {kind!r}")
-    return np.linspace(a, b, n)
+    try:
+        return np.geomspace(a, b, n) if kind == "log" else np.linspace(a, b, n)
+    except MemoryError:
+        raise ValidationError(f"range {spec!r}: {n} points do not fit in memory") from None
 
 
 def _range_or_auto(spec: str):
@@ -444,7 +445,7 @@ def _run_pde(config: RunConfig, params: dict) -> RunResult:
         for k, (prof, e_val, g_norm) in enumerate(
             zip(rep.profiles, rep.energies, rep.gradient_norms)
         ):
-            ok_gradient = ok_gradient and g_norm <= pde.GRADIENT_TOL * (1.0 + abs(e_val))
+            ok_gradient = ok_gradient and pde.gradient_criterion(g_norm, e_val)
             rows.append(
                 {
                     "lambda": rep.lam,

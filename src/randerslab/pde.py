@@ -17,7 +17,11 @@ critical points of the discretized energy.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -665,6 +669,25 @@ def _default_seeds(problem: PDEProblem, s0: float) -> list:
     return seeds
 
 
+def _lapack():
+    """scipy's LAPACK extension scipy.linalg._flapack, which holds dgtsv,
+    loaded alone: the scipy.linalg package would add about 25 MB and 0.25 s
+    to the process.  It is registered under its own name, so a later import
+    of scipy.linalg reuses it and scipy.linalg.lapack.dgtsv is its dgtsv."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"cannot find scipy's LAPACK extension {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _solve_tridiag(diag, off, rhs):
     """Solve the tridiagonal system on the free nodes 0 .. n-2 and return
     it with a zero rim entry: the Dirichlet node n-1 is not an unknown, so
@@ -674,8 +697,7 @@ def _solve_tridiag(diag, off, rhs):
     side, directly.  Returns None when an entry of the system or of the
     solution is not finite or dgtsv finds it singular (info > 0), so the
     caller moves on to its next tier; any other error propagates."""
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _lapack().dgtsv
     m = diag.size - 1
     d, e, b = diag[:m], off[: m - 1], rhs[:m]
     if not all(np.isfinite(a).all() for a in (d, e, b)):
@@ -691,6 +713,12 @@ def _solve_tridiag(diag, off, rhs):
 
 
 GRADIENT_TOL = 1e-8  # a start has converged once ||grad E|| <= GRADIENT_TOL (1 + |E|)
+
+
+def gradient_criterion(g_norm, e_val, tol=GRADIENT_TOL) -> bool:
+    """||grad E|| <= tol (1 + |E|) with E and ||grad E|| finite: an infinite
+    E would make the bound infinite and pass any gradient."""
+    return math.isfinite(e_val) and math.isfinite(g_norm) and g_norm <= tol * (1.0 + abs(e_val))
 _MAX_DESCENT_STEPS = 4000  # step cap of each multi-start descent
 # stagnation hand-off of _descend (see its docstring)
 _STALL_WINDOW = 32
@@ -754,7 +782,7 @@ def _descent_steps(problem, u0, max_iter, tol, on_step=None):
     mu = 1.0
     for _ in range(max_iter):
         g_norm = float(np.linalg.norm(g))
-        if g_norm <= tol * (1.0 + abs(e_val)):
+        if gradient_criterion(g_norm, e_val, tol):
             converged = True
             break
         diag_phi, off, diag_react = bands
@@ -796,7 +824,7 @@ def _descent_steps(problem, u0, max_iter, tol, on_step=None):
     if not converged:
         u, g_norm = yield from _polish_root(problem, u, tol)
     phi, _, e_val = yield "energy", u
-    converged = converged or g_norm <= tol * (1.0 + abs(e_val))
+    converged = converged or gradient_criterion(g_norm, e_val, tol)
     if converged and problem.p * phi < _zero_only_level(problem):
         return np.zeros_like(u), 0.0, 0.0, True
     return u, e_val, g_norm, converged
@@ -851,7 +879,7 @@ def _polish_root(problem, u, tol):
     tau = 0.0
     for _ in range(120):
         _, _, e_val = yield "energy", u
-        if g_norm <= tol * (1.0 + abs(e_val)):
+        if gradient_criterion(g_norm, e_val, tol):
             break
         diag = diag_phi + diag_react
         stepped = False

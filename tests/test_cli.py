@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,23 @@ class TestValidation:
         assert main(argv) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error and record["message"].split()[0] in (name, name + ":")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["packing", "--radii", "1:2:100000000000000000"], "radii"),
+            (["hausdorff", "--lambda-grid", "1:2:100000000000000000:log"], "lambda_grid"),
+            (["pde", "--lambda-grid", "0:1:100000000000000000"], "lambda_grid"),
+        ],
+    )
+    def test_range_whose_points_cannot_be_allocated(self, capsys, argv, name):
+        # 10^17 points are 800 PB, past the address space, so numpy's
+        # allocation fails at once: a record, not a MemoryError traceback
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError" and record["message"].startswith(name + ": ")
 
     @pytest.mark.parametrize("s0", ["1e100", "1e300"])
     def test_pde_s0_whose_ramp_energy_overflows(self, capsys, s0):
@@ -742,7 +760,8 @@ class TestEntryPoint:
     def test_pde_and_grid_doubling_load_only_lapack(self):
         # every nontrivial point of the 256-cell run, the minimum and the
         # mountain-pass point, survives the doubled grid, and the run and
-        # the checks load no scipy beyond the LAPACK of scipy.linalg
+        # the checks load scipy's LAPACK extension alone, not the
+        # scipy.linalg package
         code = (
             "import sys\n"
             "from randerslab import pde\n"
@@ -760,14 +779,33 @@ class TestEntryPoint:
             "        mountain_pass.append(row['energy'] > 0)\n"
             "print(sorted(mountain_pass))\n"
             "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        mountain_pass, loaded = proc.stdout.splitlines()
+        mountain_pass, loaded, linalg = proc.stdout.splitlines()
         # one minimum below zero energy and one mountain pass above it
         assert mountain_pass == "[False, True]"
         for family in ("interpolate", "sparse", "spatial", "optimize", "special"):
             assert f"'{family}'" not in loaded
+        assert linalg == "False True"
+
+    def test_scipy_linalg_reuses_the_lapack_that_pde_loaded(self):
+        # the extension pde loads alone is the one a later import of
+        # scipy.linalg finds, so both call the same dgtsv
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from randerslab.cli import RunConfig, run\n"
+            "assert run(RunConfig(subcommand='pde', params={'cells': 64})).passed\n"
+            "import scipy.linalg.lapack\n"
+            "from scipy.linalg import solve_banded\n"
+            "assert scipy.linalg.lapack.dgtsv is sys.modules['scipy.linalg._flapack'].dgtsv\n"
+            "print(solve_banded((1, 1), np.array([[0, 1.0], [2.0, 2.0], [1.0, 0]]), np.array([3.0, 3.0])))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[1. 1.]"
 
     def test_help(self):
         proc = subprocess.run(
@@ -779,6 +817,23 @@ class TestEntryPoint:
 
 
 class TestPdeSubcommand:
+    def test_infinite_energy_is_not_converged(self):
+        # at lambda = 1e308 starts overflow to E = -inf, where tol (1 + |E|)
+        # is inf and would pass any gradient norm; run in a subprocess, as
+        # the overflow warns and the suite turns warnings into errors
+        proc = subprocess.run(
+            [sys.executable, "-m", "randerslab", "pde", "--cells", "8", "--lambda-grid", "0,1e308"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        header = lines.index("lambda,solution,energy,gradient_norm,sup_norm,distinct_total,converged_starts")
+        rows = [[float(v) for v in line.split(",")] for line in lines[header + 1 :]]
+        assert {row[0] for row in rows} == {0.0, 1e308}
+        assert all(math.isfinite(row[2]) and math.isfinite(row[3]) for row in rows)
+        assert "# check_gradient_criterion=true" in lines
+
     def test_small_instance_runs_and_reports(self, tmp_path):
         argv = [
             "pde",

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 from collections import deque
 from typing import Sequence
 
@@ -820,14 +821,12 @@ class TestSolveErrors:
         return prob, _default_seeds(prob, 1.0)[2]
 
     def test_type_error_propagates(self, start, monkeypatch):
-        import scipy.linalg.lapack
-
-        from randerslab.pde import _descend, _polish_root, _run_starts
+        from randerslab.pde import _descend, _lapack, _polish_root, _run_starts
 
         def broken(*args, **kwargs):
             raise TypeError("not a solver error")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", broken)
+        monkeypatch.setattr(_lapack(), "dgtsv", broken)
         prob, u0 = start
         with pytest.raises(TypeError):
             _descend(prob, u0, 50, 1e-8)
@@ -835,11 +834,9 @@ class TestSolveErrors:
             _run_starts(prob, [_polish_root(prob, u0, 1e-8)])
 
     def test_singular_solve_falls_through(self, start, monkeypatch):
-        import scipy.linalg.lapack
+        from randerslab.pde import _descend, _lapack
 
-        from randerslab.pde import _descend
-
-        original = scipy.linalg.lapack.dgtsv
+        original = _lapack().dgtsv
         calls = []
 
         def singular_once(*args, **kwargs):
@@ -849,12 +846,25 @@ class TestSolveErrors:
                 return (*out[:-1], 1)  # info > 0: a zero pivot
             return out
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular_once)
+        monkeypatch.setattr(_lapack(), "dgtsv", singular_once)
         prob, u0 = start
         steps = []
         _descend(prob, u0, 1, 1e-8, on_step=steps.append)
         # the full Newton solve failed; the damped tier took the first step
         assert len(calls) >= 2 and len(steps) == 1
+
+
+def test_missing_lapack_extension_is_named(monkeypatch):
+    # no fallback: without scipy's LAPACK extension the first solve raises
+    # an ImportError that names it
+    import importlib.util
+
+    from randerslab.pde import _solve_tridiag
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        _solve_tridiag(np.full(4, 2.0), np.full(3, -1.0), np.ones(4))
 
 
 class TestZeroOnlyLevel:
