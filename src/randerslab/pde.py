@@ -677,8 +677,8 @@ def _lapack():
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    dirs = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else [])]
+    package = importlib.util.find_spec("scipy")  # found, not imported
+    dirs = [os.path.join(d, "linalg") for d in (package.submodule_search_locations if package else [])]
     spec = importlib.machinery.PathFinder.find_spec(name, dirs)
     if spec is None:
         raise ImportError(f"cannot find scipy's LAPACK extension {name}", name=name)
@@ -712,17 +712,17 @@ def _solve_tridiag(diag, off, rhs):
     return out if np.isfinite(out).all() else None
 
 
-GRADIENT_TOL = 1e-8  # a start has converged once ||grad E|| <= GRADIENT_TOL (1 + |E|)
+GRADIENT_TOL = 1e-8  # the tol of gradient_criterion in the multi-start and the pde table
+_MAX_DESCENT_STEPS = 4000  # step cap of each multi-start descent
+# stagnation hand-off of _descend (see its docstring)
+_STALL_WINDOW = 32
+_STALL_RTOL = 4.0 * np.finfo(float).eps
 
 
 def gradient_criterion(g_norm, e_val, tol=GRADIENT_TOL) -> bool:
     """||grad E|| <= tol (1 + |E|) with E and ||grad E|| finite: an infinite
     E would make the bound infinite and pass any gradient."""
     return math.isfinite(e_val) and math.isfinite(g_norm) and g_norm <= tol * (1.0 + abs(e_val))
-_MAX_DESCENT_STEPS = 4000  # step cap of each multi-start descent
-# stagnation hand-off of _descend (see its docstring)
-_STALL_WINDOW = 32
-_STALL_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _descend(problem, u0, max_iter, tol, on_step=None):
